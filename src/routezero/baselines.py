@@ -17,6 +17,7 @@ import numpy as np
 
 from .env import DeadEndError, RoutingGame, initial_state, legal_actions, objective, rollout, step
 from .instance import _KIND_CUSTOMER, EvrpInstance, Instance, TspInstance
+from .net import greedy_action
 
 EXACT_TSP_MAX_NODES = 16
 EXACT_EVRP_MAX_CUSTOMERS = 8
@@ -188,46 +189,26 @@ def nearest_neighbor(inst: Instance) -> SolveResult:
             left.remove(nxt)
         return SolveResult(tuple(visited), objective(inst, visited), False, 0, time.perf_counter() - start)
 
-    state = initial_state(inst)
-    steps = 0
-    cap = 60 * inst.n_nodes + 200
-    while not state.done:
-        steps += 1
-        if steps > cap:
-            raise DeadEndError("nearest-neighbor failed to terminate")
-        mask = legal_actions(state)
+    def move(state, mask) -> int:
         here = state.position
         ids = np.flatnonzero(mask)
         customers = ids[inst.kinds[ids] == _KIND_CUSTOMER]
         if customers.size:
-            nxt = int(min(customers, key=lambda j: (inst.dist_km[here, j], j)))
-        elif mask[0] and bool(state.served.all()):
-            nxt = 0
-        else:
-            # no customer in reach: recharge, avoiding an immediate bounce
-            stations = [int(j) for j in ids if j != 0]
-            prev = state.route[-2] if len(state.route) >= 2 else -1
-            stations = [j for j in stations if j != prev] or stations
-            if stations:
-                nxt = min(stations, key=lambda j: (inst.dist_km[here, j], j))
-            elif mask[0]:
-                nxt = 0
-            else:
-                raise DeadEndError(f"nearest-neighbor stuck at {here}")
-        state = step(state, nxt)
-    return SolveResult(state.route, objective(inst, state.route), False, steps, time.perf_counter() - start)
+            return int(min(customers, key=lambda j: (inst.dist_km[here, j], j)))
+        # no customer in reach: home once all are served, else recharge, avoiding an immediate bounce
+        stations = [int(j) for j in ids if j != 0]
+        if not stations or (mask[0] and bool(state.served.all())):
+            return 0
+        prev = state.route[-2] if len(state.route) >= 2 else -1
+        stations = [j for j in stations if j != prev] or stations
+        return min(stations, key=lambda j: (inst.dist_km[here, j], j))
+
+    route = rollout(RoutingGame(inst), move).route
+    return SolveResult(route, objective(inst, route), False, len(route) - 1, time.perf_counter() - start)
 
 
 def greedy_rollout(inst: Instance, net) -> SolveResult:
     """Roll the network's argmax policy to termination, no search."""
-    from .net import featurize
-
     start = time.perf_counter()
-    game = RoutingGame(inst)
-
-    def policy(state, mask):
-        logits = net.policy_logits(featurize(state), mask)
-        return int(np.argmax(logits))
-
-    final = rollout(game, policy)
+    final = rollout(RoutingGame(inst), lambda state, mask: greedy_action(net, state, mask))
     return SolveResult(final.route, objective(inst, final.route), False, len(final.route), time.perf_counter() - start)

@@ -11,15 +11,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import SizeLimitError, exact_evrp, exact_tsp, gap, greedy_rollout
-from .env import DeadEndError, RoutingGame, objective, validate_route
+from .env import DeadEndError, RoutingGame, objective, step_limit, validate_route
 from .instance import (
-    EvrpInstance,
     Instance,
     InstanceError,
     TspInstance,
@@ -73,7 +71,6 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--budget", type=int, default=32, help="mcts simulations per move")
     p_eval.add_argument("--m-root", type=int, default=16, help="mcts root candidates")
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--workers", type=int, default=0, help="0 = one per cpu")
     p_eval.add_argument("--out", default=None, help="results csv path (default: <instances>/results.csv)")
 
     p_plot = sub.add_parser("plot", help="render a metrics csv as an SVG chart")
@@ -124,9 +121,13 @@ def _load_eval_net(path: str) -> PolicyValueNet:
         raise DataError(f"{path}: checkpoint not found")
     try:
         return load_net(path)
-    except CheckpointError:
-        _, state = load_checkpoint(path)
-        return state.theta
+    except CheckpointError as net_error:
+        try:
+            return load_checkpoint(path)[1].theta
+        except CheckpointError as exc:
+            if str(exc) == str(net_error):  # unreadable, or the wrong version, for both formats
+                raise
+            raise CheckpointError(f"neither a net dump ({net_error}) nor a trainer checkpoint ({exc})") from exc
 
 
 def _is_feasible(inst: Instance, route) -> bool:
@@ -145,7 +146,7 @@ def _plan_route(inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig,
     guard = 0
     while not own.done:
         guard += 1
-        if guard > 60 * inst.n_nodes + 200:
+        if guard > step_limit(inst):
             raise DeadEndError("search rollout failed to terminate")
         result = plan(own, opp, evaluator, shadow, planner_cfg, game, rng=rng)
         own = game.step(own, result.action)
@@ -163,8 +164,7 @@ def _oracle_objective(inst: Instance) -> float | None:
         return None
 
 
-def _eval_one(task) -> str:
-    idx, path, net, args = task
+def _eval_one(idx: int, path: Path, net: PolicyValueNet, args) -> str:
     inst = load_instance(path)
     if args.mode == "greedy":
         route = greedy_rollout(inst, net).route
@@ -185,14 +185,7 @@ def cmd_eval(args) -> int:
     paths = sorted(inst_dir.glob("*.json"))
     if not paths:
         raise DataError(f"{inst_dir}: no instance files")
-    tasks = [(idx, path, net, args) for idx, path in enumerate(paths)]
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_one, tasks))
-    else:
-        rows = [_eval_one(t) for t in tasks]
+    rows = [_eval_one(idx, path, net, args) for idx, path in enumerate(paths)]
     out = Path(args.out) if args.out else inst_dir / "results.csv"
     out.write_text("\n".join([RESULTS_HEADER, *rows]) + "\n")
     print(f"wrote {len(rows)} result row(s) to {out}")

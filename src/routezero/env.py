@@ -26,7 +26,6 @@ import numpy as np
 
 from .instance import (
     _KIND_CUSTOMER,
-    _KIND_DEPOT,
     _KIND_STATION,
     EvrpInstance,
     Instance,
@@ -474,6 +473,15 @@ class RoutingGame:
         return -objective(self.instance, state.route)
 
 
+def step_limit(inst: Instance) -> int:
+    """Moves after which any rollout on ``inst`` counts as a dead end.
+
+    Legal moves can cycle forever between recharge points, so every loop
+    that plays a route to its end stops here instead of hanging.
+    """
+    return 60 * inst.n_nodes + 200
+
+
 def rollout(
     game: RoutingGame,
     policy: Callable[[PlayerState, np.ndarray], int],
@@ -482,9 +490,8 @@ def rollout(
 ) -> PlayerState:
     """Drive ``policy(state, legal_mask) -> action`` to termination."""
     state = game.initial_state() if state is None else state
-    inst = game.instance
     if step_cap is None:
-        step_cap = 60 * inst.n_nodes + 200
+        step_cap = step_limit(game.instance)
     for _ in range(step_cap):
         if state.done:
             return state
@@ -492,4 +499,6 @@ def rollout(
         if not mask.any():
             raise DeadEndError(f"no legal action at node {state.position}, route so far {state.route}")
         state = game.step(state, policy(state, mask))
-    raise DeadEndError(f"rollout exceeded {step_cap} steps without terminating")
+    if not state.done:
+        raise DeadEndError(f"rollout exceeded {step_cap} steps without terminating")
+    return state

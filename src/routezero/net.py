@@ -22,12 +22,15 @@ ML runtime, which keeps checkpoints exact and runs reproducible.
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .env import PlayerState, legal_actions
+from .env import PlayerState
 from .instance import COORD_RANGE_KM, EvrpInstance, TspInstance
 
 LOGIT_CLIP = 10.0
@@ -142,6 +145,30 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def _param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in creation order (matrices draw from the rng in this order)."""
+    d, f = config.embed_dim, config.ffn_dim
+    shapes = {"embed/W": (config.node_features, d), "embed/b": (d,)}
+    for i in range(config.n_layers):
+        pre = f"layer{i}"
+        for name in ("bn1/gamma", "bn1/beta", "bn2/gamma", "bn2/beta"):
+            shapes[f"{pre}/{name}"] = (d,)
+        for w in ("Wq", "Wk", "Wv", "Wo"):
+            shapes[f"{pre}/attn/{w}"] = (d, d)
+        for gate in ("gate1", "gate2"):
+            shapes |= {f"{pre}/{gate}/W": (2 * d, d), f"{pre}/{gate}/b": (d,)}
+        shapes |= {f"{pre}/ffn/W1": (d, f), f"{pre}/ffn/b1": (f,), f"{pre}/ffn/W2": (f, d), f"{pre}/ffn/b2": (d,)}
+    shapes |= {"policy/Wctx": (config.context_features, d), "policy/bctx": (d,)}
+    shapes |= {"value/W1": (2 * d, d), "value/b1": (d,), "value/W2": (d, 1), "value/b2": (1,)}
+    return shapes
+
+
+def _stat_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every batch-norm running statistic, one mean and one var per norm."""
+    gammas = [k.removesuffix("gamma") for k in _param_shapes(config) if k.endswith("/gamma")]
+    return {f"{k}{stat}": (config.embed_dim,) for k in gammas for stat in ("mean", "var")}
+
+
 class PolicyValueNet:
     """Shared-trunk policy and value network with its own Adam state."""
 
@@ -156,34 +183,14 @@ class PolicyValueNet:
     @classmethod
     def create(cls, config: NetConfig, seed: int = 0) -> "PolicyValueNet":
         rng = np.random.default_rng(seed)
-        d, f = config.embed_dim, config.ffn_dim
-        p: dict[str, np.ndarray] = {}
-        stats: dict[str, np.ndarray] = {}
-        p["embed/W"] = _glorot(rng, config.node_features, d)
-        p["embed/b"] = np.zeros(d)
-        for i in range(config.n_layers):
-            pre = f"layer{i}"
-            for bn in ("bn1", "bn2"):
-                p[f"{pre}/{bn}/gamma"] = np.ones(d)
-                p[f"{pre}/{bn}/beta"] = np.zeros(d)
-                stats[f"{pre}/{bn}/mean"] = np.zeros(d)
-                stats[f"{pre}/{bn}/var"] = np.ones(d)
-            for w in ("Wq", "Wk", "Wv", "Wo"):
-                p[f"{pre}/attn/{w}"] = _glorot(rng, d, d)
-            for gate in ("gate1", "gate2"):
-                p[f"{pre}/{gate}/W"] = _glorot(rng, 2 * d, d)
-                p[f"{pre}/{gate}/b"] = np.zeros(d)
-            p[f"{pre}/ffn/W1"] = _glorot(rng, d, f)
-            p[f"{pre}/ffn/b1"] = np.zeros(f)
-            p[f"{pre}/ffn/W2"] = _glorot(rng, f, d)
-            p[f"{pre}/ffn/b2"] = np.zeros(d)
-        p["policy/Wctx"] = _glorot(rng, config.context_features, d)
-        p["policy/bctx"] = np.zeros(d)
-        p["value/W1"] = _glorot(rng, 2 * d, d)
-        p["value/b1"] = np.zeros(d)
-        p["value/W2"] = _glorot(rng, d, 1)
-        p["value/b2"] = np.zeros(1)
-        return cls(config, p, stats)
+        params = {}
+        for name, shape in _param_shapes(config).items():
+            if len(shape) == 2:
+                params[name] = _glorot(rng, *shape)
+            else:
+                params[name] = np.ones(shape) if name.endswith("/gamma") else np.zeros(shape)
+        stats = {k: np.ones(s) if k.endswith("/var") else np.zeros(s) for k, s in _stat_shapes(config).items()}
+        return cls(config, params, stats)
 
     def copy(self) -> "PolicyValueNet":
         """Deep snapshot including optimizer state and running statistics."""
@@ -272,44 +279,23 @@ class PolicyValueNet:
         out = ad.tanh(ad.add(ad.matmul(hidden, t["value/W2"]), t["value/b2"]))
         return ad.reshape(out, (out.shape[0],))
 
-    def encode(self, features: StateFeatures) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node embeddings and the pooled graph embedding (inference)."""
-        t = self._tensors(train=False)
-        h, pooled = self._encode(t, features.nodes[None], training=False, update_stats=False)
-        return h.data[0], pooled.data[0]
+    def forward(self, own: dict[str, np.ndarray], opp: dict[str, np.ndarray] | None = None):
+        """The one inference path: (B, N) pointer logits, illegal entries at -inf.
 
-    def policy_logits(self, features: StateFeatures, legal: np.ndarray) -> np.ndarray:
-        """Pointer logits with illegal entries at -inf."""
+        ``own`` and ``opp`` are `stack_features` dicts, ``own`` with its (B, N)
+        ``legal`` mask.  With ``opp``, both stacks are encoded as one batch and
+        the (B,) values of the (own, opp) pairs are returned as well.
+        """
         t = self._tensors(train=False)
-        batch = stack_features([features])
-        h, pooled = self._encode(t, batch["nodes"], training=False, update_stats=False)
-        logits = self._policy_logits(t, h, pooled, batch).data[0]
-        return np.where(np.asarray(legal, dtype=bool), logits, -np.inf)
-
-    def value(self, own: StateFeatures, opp: StateFeatures) -> float:
-        """Expected outcome in [-1, 1] of own vs opponent from this pair."""
-        t = self._tensors(train=False)
-        batch = stack_features([own, opp])
-        _, pooled = self._encode(t, batch["nodes"], training=False, update_stats=False)
-        own_p = ad.Tensor(pooled.data[0:1])
-        opp_p = ad.Tensor(pooled.data[1:2])
-        return float(self._value(t, own_p, opp_p).data[0])
-
-    def evaluate(self, own: StateFeatures, opp: StateFeatures, legal: np.ndarray) -> tuple[np.ndarray, float]:
-        """One fused forward: masked policy logits for own plus pair value."""
-        t = self._tensors(train=False)
-        batch = stack_features([own, opp])
-        h, pooled = self._encode(t, batch["nodes"], training=False, update_stats=False)
-        own_batch = {
-            "current": batch["current"][0:1],
-            "first": batch["first"][0:1],
-            "globals": batch["globals"][0:1],
-        }
-        h_own = ad.Tensor(h.data[0:1])
-        pooled_own = ad.Tensor(pooled.data[0:1])
-        logits = self._policy_logits(t, h_own, pooled_own, own_batch).data[0]
-        value = float(self._value(t, pooled_own, ad.Tensor(pooled.data[1:2])).data[0])
-        return np.where(np.asarray(legal, dtype=bool), logits, -np.inf), value
+        nodes = own["nodes"] if opp is None else np.concatenate([own["nodes"], opp["nodes"]])
+        h, pooled = self._encode(t, nodes, training=False, update_stats=False)
+        if opp is not None:
+            b = own["nodes"].shape[0]
+            h, pooled, pooled_opp = ad.Tensor(h.data[:b]), ad.Tensor(pooled.data[:b]), ad.Tensor(pooled.data[b:])
+        logits = np.where(np.asarray(own["legal"], dtype=bool), self._policy_logits(t, h, pooled, own).data, -np.inf)
+        if opp is None:
+            return logits
+        return logits, self._value(t, pooled, pooled_opp).data
 
     def train_step(
         self,
@@ -357,10 +343,11 @@ class PolicyValueNet:
             self.params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def greedy_action(net: PolicyValueNet, state: PlayerState) -> int:
-    """Highest-logit legal move; ties resolve to the lowest node id."""
-    logits = net.policy_logits(featurize(state), legal_actions(state))
-    return int(np.argmax(logits))
+def greedy_action(net: PolicyValueNet, state: PlayerState, legal: np.ndarray) -> int:
+    """Highest-logit move under the ``legal`` mask; ties resolve to the lowest node id."""
+    batch = stack_features([featurize(state)])
+    batch["legal"] = legal[None]
+    return int(np.argmax(net.forward(batch)[0]))
 
 
 def net_to_arrays(net: PolicyValueNet, prefix: str = "") -> dict[str, np.ndarray]:
@@ -375,41 +362,70 @@ def net_to_arrays(net: PolicyValueNet, prefix: str = "") -> dict[str, np.ndarray
 
 
 def net_from_arrays(arrays: dict[str, np.ndarray], prefix: str = "") -> PolicyValueNet:
-    """Rebuild a net from a flat array dump produced by net_to_arrays."""
-    def sub(group: str) -> dict[str, np.ndarray]:
-        head = f"{prefix}{group}/"
-        return {k.removeprefix(head): v for k, v in arrays.items() if k.startswith(head)}
+    """Rebuild a net from a flat array dump produced by net_to_arrays.
+
+    A missing array, or one whose shape does not fit the embedded config,
+    raises CheckpointError naming its key.
+    """
+    def get(key: str, shape: tuple[int, ...] | None) -> np.ndarray:
+        if key not in arrays:
+            raise CheckpointError(f"missing array {key!r}")
+        if shape is not None and arrays[key].shape != shape:
+            raise CheckpointError(f"array {key!r} has shape {arrays[key].shape}, expected {shape}")
+        return arrays[key]
 
     try:
-        config = NetConfig(**json.loads(arrays[f"{prefix}meta/config"].tobytes().decode()))
-    except (KeyError, TypeError, ValueError) as exc:
+        config = NetConfig(**json.loads(get(f"{prefix}meta/config", None).tobytes().decode()))
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad embedded net config: {exc}") from exc
-    net = PolicyValueNet(config, sub("param"), sub("stat"))
-    net.adam_m = sub("adam_m")
-    net.adam_v = sub("adam_v")
-    net.adam_t = int(arrays[f"{prefix}meta/adam_t"])
+    groups = {}
+    for group, shapes in (("param", _param_shapes(config)), ("stat", _stat_shapes(config))):
+        groups[group] = {k: get(f"{prefix}{group}/{k}", shape) for k, shape in shapes.items()}
+    for group in ("adam_m", "adam_v"):
+        groups[group] = {k: get(f"{prefix}{group}/{k}", v.shape) for k, v in groups["param"].items()}
+    net = PolicyValueNet(config, groups["param"], groups["stat"])
+    net.adam_m = groups["adam_m"]
+    net.adam_v = groups["adam_v"]
+    net.adam_t = int(get(f"{prefix}meta/adam_t", ()))
     return net
+
+
+def read_arrays(path, version: int) -> dict[str, np.ndarray]:
+    """Every array of an .npz dump; rejects unreadable files and other versions."""
+    try:
+        with np.load(path) as data:
+            arrays = {k: data[k].copy() for k in data.files}
+    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
+    found = arrays.get("meta/version", np.array(-1))
+    if found.shape != () or int(found) != version:
+        raise CheckpointError(f"{path}: checkpoint version {found} != {version}")
+    return arrays
+
+
+def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write an .npz dump atomically: to a temp file, then renamed over ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, **arrays)
+    os.replace(tmp, path)
 
 
 def save_net(net: PolicyValueNet, path) -> None:
     """Write a versioned tensor dump with the config embedded."""
     arrays = net_to_arrays(net)
     arrays["meta/version"] = np.array(CHECKPOINT_VERSION, dtype=np.int64)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    write_arrays(path, arrays)
 
 
 def load_net(path, expected_config: NetConfig | None = None) -> PolicyValueNet:
-    """Read a tensor dump; rejects version or config mismatches."""
+    """Read a tensor dump; rejects malformed dumps and version or config mismatches."""
+    arrays = read_arrays(path, CHECKPOINT_VERSION)
     try:
-        with np.load(path) as data:
-            arrays = {k: data[k].copy() for k in data.files}
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
-    version = int(arrays.get("meta/version", np.array(-1)))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: checkpoint version {version} != {CHECKPOINT_VERSION}")
-    net = net_from_arrays(arrays)
+        net = net_from_arrays(arrays)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     if expected_config is not None and net.config != expected_config:
         raise CheckpointError(f"{path}: checkpoint config {net.config} does not match {expected_config}")
     return net

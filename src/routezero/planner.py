@@ -25,6 +25,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .env import RoutingGame
+from .net import featurize, greedy_action, stack_features
 
 
 class PlannerError(RuntimeError):
@@ -214,17 +215,14 @@ def plan(
     opponent_policy: Callable,
     config: PlannerConfig,
     game: RoutingGame,
-    stage: int = 1,
     rng: np.random.Generator | None = None,
 ) -> PlanResult:
     """Pick a move for the own player and return the improved policy.
 
     ``opponent_policy`` maps an opponent state to its next action; it
-    models the opponent greedily inside the tree regardless of ``stage``
-    (the stage only changes who calls plan() in the outer game).  Network
-    evaluations are bounded by ``n_simulations + 1``.
+    models the opponent greedily inside the tree.  Network evaluations are
+    bounded by ``n_simulations + 1``.
     """
-    del stage
     if game.is_terminal(own_state):
         raise PlannerError("cannot plan from a terminal state")
     rng = np.random.default_rng(config.seed) if rng is None else rng
@@ -249,8 +247,10 @@ def plan(
         order = order[np.argsort(-scores, kind="stable")]
 
     expected = sum(n * s for n, s in schedule)
-    assert search.simulations == expected, (search.simulations, expected)
-    assert search.evaluations <= config.n_simulations + 1
+    if search.simulations != expected:
+        raise PlannerError(f"ran {search.simulations} simulations, the schedule asks for {expected}")
+    if search.evaluations > config.n_simulations + 1:
+        raise PlannerError(f"{search.evaluations} evaluations exceed n_simulations + 1 = {config.n_simulations + 1}")
 
     action = int(candidates[order[0]])
     legal = np.flatnonzero(np.isfinite(root.logits))
@@ -274,35 +274,28 @@ class NetEvaluator:
     """Adapter: a policy/value network as the search's evaluator."""
 
     def __init__(self, policy_net, game: RoutingGame, value_net=None):
-        from .net import featurize
-
-        self._featurize = featurize
         self.policy_net = policy_net
         self.value_net = value_net if value_net is not None else policy_net
         self.game = game
 
     def __call__(self, own, opp) -> tuple[np.ndarray, float]:
-        own_f = self._featurize(own)
-        opp_f = self._featurize(opp)
-        if self.game.is_terminal(own):
-            return np.full(own.instance.n_nodes, -np.inf), self.value_net.value(own_f, opp_f)
-        legal = self.game.legal_actions(own)
-        if self.policy_net is self.value_net:
-            return self.policy_net.evaluate(own_f, opp_f, legal)
-        logits = self.policy_net.policy_logits(own_f, legal)
-        return logits, self.value_net.value(own_f, opp_f)
+        terminal = self.game.is_terminal(own)
+        own_batch = stack_features([featurize(own)])
+        opp_batch = stack_features([featurize(opp)])
+        legal = np.zeros(own.instance.n_nodes, dtype=bool) if terminal else self.game.legal_actions(own)
+        own_batch["legal"] = legal[None]
+        logits, values = self.value_net.forward(own_batch, opp_batch)
+        if not terminal and self.policy_net is not self.value_net:
+            logits = self.policy_net.forward(own_batch)
+        return logits[0], float(values[0])
 
 
 class GreedyNetPolicy:
     """Adapter: a policy network as the in-tree opponent move source."""
 
     def __init__(self, net, game: RoutingGame):
-        from .net import featurize
-
-        self._featurize = featurize
         self.net = net
         self.game = game
 
     def __call__(self, state) -> int:
-        logits = self.net.policy_logits(self._featurize(state), self.game.legal_actions(state))
-        return int(np.argmax(logits))
+        return greedy_action(self.net, state, self.game.legal_actions(state))

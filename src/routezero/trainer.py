@@ -16,7 +16,6 @@ would have produced.
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
@@ -32,6 +31,7 @@ from .env import (
     game_outcome,
     legal_actions,
     objective,
+    step_limit,
 )
 from .instance import EvrpInstance, Instance, generate_evrp, generate_tsp
 from .net import (
@@ -42,7 +42,9 @@ from .net import (
     featurize,
     net_from_arrays,
     net_to_arrays,
+    read_arrays,
     stack_features,
+    write_arrays,
 )
 from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, plan
 
@@ -313,7 +315,7 @@ def run_episode(
     samples: list[tuple[PlayerState, np.ndarray]] = []
 
     rounds = 0
-    cap = 60 * inst.n_nodes + 200
+    cap = step_limit(inst)
     while not (states[1].done and states[-1].done):
         rounds += 1
         if rounds > cap:
@@ -328,11 +330,9 @@ def run_episode(
                 sims[seat].append(0)
             else:
                 if seat == learner_seat:
-                    result = plan(own, opp, learner_eval, mu_policy, cfg.planner, game, stage=stage, rng=rng)
+                    result = plan(own, opp, learner_eval, mu_policy, cfg.planner, game, rng=rng)
                 else:
-                    result = plan(
-                        own, opp, competitor_eval, competitor_opp_model, cfg.planner, game, stage=stage, rng=rng
-                    )
+                    result = plan(own, opp, competitor_eval, competitor_opp_model, cfg.planner, game, rng=rng)
                 action = result.action
                 sims[seat].append(result.simulations)
                 samples.append((own, result.improved_policy))
@@ -416,30 +416,26 @@ def save_checkpoint(path, cfg: TrainConfig, state: TrainerState) -> None:
     arrays |= net_to_arrays(state.theta_best, "best/")
     arrays |= state.policy_buffer.to_arrays("pol/")
     arrays |= state.value_buffer.to_arrays("val/")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
-    os.replace(tmp, path)
+    write_arrays(path, arrays)
 
 
 def load_checkpoint(path) -> tuple[TrainConfig, TrainerState]:
+    """Read a trainer checkpoint; CheckpointError names a missing or malformed array."""
+    arrays = read_arrays(path, TRAINER_CHECKPOINT_VERSION)
     try:
-        with np.load(path) as data:
-            arrays = {k: data[k].copy() for k in data.files}
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
-    version = int(arrays.get("meta/version", np.array(-1)))
-    if version != TRAINER_CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: checkpoint version {version} != {TRAINER_CHECKPOINT_VERSION}")
-    cfg = train_config_from_dict(json.loads(arrays["meta/config"].tobytes().decode()))
-    state = TrainerState(
-        theta=net_from_arrays(arrays, "theta/"),
-        theta_best=net_from_arrays(arrays, "best/"),
-        policy_buffer=PolicyBuffer.from_arrays(arrays, "pol/", cfg.policy_buffer_capacity),
-        value_buffer=ValueBuffer.from_arrays(arrays, "val/", cfg.value_buffer_capacity),
-        episode=int(arrays["meta/episode"]),
-    )
+        episode = int(arrays["meta/episode"])
+        cfg = train_config_from_dict(json.loads(arrays["meta/config"].tobytes().decode()))
+        state = TrainerState(
+            theta=net_from_arrays(arrays, "theta/"),
+            theta_best=net_from_arrays(arrays, "best/"),
+            policy_buffer=PolicyBuffer.from_arrays(arrays, "pol/", cfg.policy_buffer_capacity),
+            value_buffer=ValueBuffer.from_arrays(arrays, "val/", cfg.value_buffer_capacity),
+            episode=episode,
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing array {exc}") from exc
+    except (CheckpointError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return cfg, state
 
 

@@ -3,10 +3,12 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from routezero.cli import RESULTS_HEADER, main
 from routezero.instance import load_instance
+from routezero.net import NetConfig, PolicyValueNet, save_net
 
 TINY_TRAIN = {
     "problem": "tsp",
@@ -137,7 +139,7 @@ class TestEval:
     def test_greedy_rows_with_oracle_gap(self, tmp_path, trained_run):
         inst_dir = self.gen_instances(tmp_path)
         ckpt = trained_run / "checkpoint.npz"
-        assert main(["eval", str(ckpt), str(inst_dir), "--mode", "greedy", "--workers", "1"]) == 0
+        assert main(["eval", str(ckpt), str(inst_dir), "--mode", "greedy"]) == 0
         rows = self.read_rows(inst_dir / "results.csv")
         assert len(rows) == 2
         for name, method, obj, oracle, gap_pct, feasible in rows:
@@ -152,27 +154,35 @@ class TestEval:
         code = main(
             [
                 "eval", str(trained_run / "checkpoint.npz"), str(inst_dir),
-                "--mode", "mcts", "--budget", "8", "--m-root", "4",
-                "--workers", "1", "--out", str(out),
+                "--mode", "mcts", "--budget", "8", "--m-root", "4", "--out", str(out),
             ]
         )
         assert code == 0
         rows = self.read_rows(out)
         assert rows[0][1] == "mcts" and rows[0][5] == "True"
 
-    def test_parallel_matches_serial(self, tmp_path, trained_run):
-        inst_dir = self.gen_instances(tmp_path, n=3)
-        ckpt = trained_run / "checkpoint.npz"
-        serial = tmp_path / "serial.csv"
-        parallel = tmp_path / "parallel.csv"
-        main(["eval", str(ckpt), str(inst_dir), "--workers", "1", "--out", str(serial)])
-        main(["eval", str(ckpt), str(inst_dir), "--workers", "3", "--out", str(parallel)])
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_missing_checkpoint(self, tmp_path, capsys):
         inst_dir = self.gen_instances(tmp_path, n=1)
         assert main(["eval", str(tmp_path / "absent.npz"), str(inst_dir)]) == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_checkpoint_with_only_a_version_is_data_error(self, tmp_path, capsys):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        ckpt = tmp_path / "bare.npz"
+        np.savez(ckpt, **{"meta/version": np.array(1)})
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        assert "missing array 'meta/config'" in capsys.readouterr().err
+
+    def test_net_dump_without_adam_step_is_data_error(self, tmp_path, capsys):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        ckpt = tmp_path / "net.npz"
+        net = PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"]))
+        save_net(net, ckpt)
+        arrays = dict(np.load(ckpt))
+        del arrays["meta/adam_t"]
+        np.savez(ckpt, **arrays)
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        assert "missing array 'meta/adam_t'" in capsys.readouterr().err
 
     def test_empty_instance_dir(self, tmp_path, trained_run):
         empty = tmp_path / "empty"

@@ -24,6 +24,18 @@ def tiny_net(problem="tsp", seed=0, **overrides):
     return PolicyValueNet.create(NetConfig(problem=problem, **{**TINY, **overrides}), seed=seed)
 
 
+def stack(states, legal=True):
+    """`forward` input for a list of states, with their legal masks unless ``legal`` is False."""
+    batch = stack_features([featurize(s) for s in states])
+    if legal:
+        batch["legal"] = np.stack([legal_actions(s) for s in states])
+    return batch
+
+
+def logits_of(net, state):
+    return net.forward(stack([state]))[0]
+
+
 class TestNetConfig:
     def test_rejects_unknown_problem(self):
         with pytest.raises(ValueError, match="problem"):
@@ -94,33 +106,45 @@ class TestForward:
         net = tiny_net("tsp")
         state = step(initial_state(inst), 3)
         legal = legal_actions(state)
-        logits = net.policy_logits(featurize(state), legal)
+        logits = logits_of(net, state)
         assert np.isneginf(logits[~legal]).all()
         assert (np.abs(logits[legal]) <= LOGIT_CLIP).all()
 
     def test_value_bounded(self):
         inst = generate_evrp(4, 2, seed=7)
         net = tiny_net("evrp")
-        f = featurize(initial_state(inst))
-        assert -1.0 <= net.value(f, f) <= 1.0
+        state = initial_state(inst)
+        _, values = net.forward(stack([state]), stack([state], legal=False))
+        assert values.shape == (1,)
+        assert -1.0 <= values[0] <= 1.0
 
-    def test_fused_evaluate_matches_separate_heads(self):
-        inst = generate_evrp(4, 2, seed=8)
-        net = tiny_net("evrp")
-        own = featurize(step(initial_state(inst), int(inst.customer_ids[0])))
-        opp = featurize(initial_state(inst))
-        legal = legal_actions(step(initial_state(inst), int(inst.customer_ids[0])))
-        logits, value = net.evaluate(own, opp, legal)
-        np.testing.assert_allclose(logits, net.policy_logits(own, legal), rtol=1e-12)
-        assert value == pytest.approx(net.value(own, opp), rel=1e-12)
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    def test_stacked_batch_matches_single_states(self, problem):
+        inst = generate_tsp(6, seed=8) if problem == "tsp" else generate_evrp(4, 2, seed=8)
+        net = tiny_net(problem)
+        first = int(np.flatnonzero(legal_actions(initial_state(inst)))[-1])
+        own = [initial_state(inst), step(initial_state(inst), first)]
+        own.append(step(own[1], int(np.flatnonzero(legal_actions(own[1]))[0])))
+        opp = [own[2], own[0], own[1]]
+
+        logits = net.forward(stack(own))
+        assert isinstance(logits, np.ndarray) and logits.shape == (3, inst.n_nodes)
+        pair_logits, values = net.forward(stack(own), stack(opp, legal=False))
+        assert values.shape == (3,)
+        for k in range(3):
+            legal = legal_actions(own[k])
+            assert np.isneginf(logits[k][~legal]).all() and np.isfinite(logits[k][legal]).all()
+            np.testing.assert_allclose(logits[k], logits_of(net, own[k]), rtol=1e-12)
+            np.testing.assert_allclose(pair_logits[k], logits[k], rtol=1e-12)
+            single_logits, single_value = net.forward(stack([own[k]]), stack([opp[k]], legal=False))
+            np.testing.assert_allclose(pair_logits[k], single_logits[0], rtol=1e-12)
+            assert values[k] == pytest.approx(single_value[0], rel=1e-12)
 
     def test_forward_is_deterministic(self):
         inst = generate_tsp(5, seed=9)
         net = tiny_net("tsp")
-        f = featurize(initial_state(inst))
-        legal = np.ones(5, dtype=bool)
-        a = net.policy_logits(f, legal)
-        np.testing.assert_array_equal(a, net.policy_logits(f, legal))
+        batch = stack([initial_state(inst)])
+        np.testing.assert_array_equal(net.forward(batch), net.forward(batch))
 
     def test_same_seed_same_net(self):
         a, b = tiny_net(seed=3), tiny_net(seed=3)
@@ -136,10 +160,10 @@ class TestForward:
         net = tiny_net("tsp")
 
         state = step(step(initial_state(TspInstance(coords=coords)), 2), 0)
-        logits = net.policy_logits(featurize(state), legal_actions(state))
+        logits = logits_of(net, state)
 
         pstate = step(step(initial_state(TspInstance(coords=coords[perm])), int(inv[2])), int(inv[0]))
-        plogits = net.policy_logits(featurize(pstate), legal_actions(pstate))
+        plogits = logits_of(net, pstate)
         np.testing.assert_allclose(plogits, logits[perm], rtol=1e-9, atol=1e-10)
 
     def test_greedy_action_is_legal(self):
@@ -150,7 +174,7 @@ class TestForward:
         for _ in range(40):
             if state.done:
                 break
-            a = greedy_action(net, state)
+            a = greedy_action(net, state, legal_actions(state))
             assert legal_actions(state)[a]
             state = step(state, a)
 
@@ -176,7 +200,7 @@ class TestTrainStep:
             p_loss, _ = net.train_step(batch, None)
         assert p_loss < min(0.05, first_loss)
         state = initial_state(inst)
-        assert int(np.argmax(net.policy_logits(featurize(state), legal_actions(state)))) == 3
+        assert int(np.argmax(logits_of(net, state))) == 3
 
     def test_value_overfits_pair_labels(self):
         inst = generate_evrp(3, 1, seed=14)
@@ -220,12 +244,11 @@ class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path):
         inst = generate_evrp(4, 2, seed=17)
         net = tiny_net("evrp")
-        f = featurize(initial_state(inst))
-        legal = legal_actions(initial_state(inst))
+        state = initial_state(inst)
         path = tmp_path / "net.npz"
         save_net(net, path)
         loaded = load_net(path)
-        np.testing.assert_array_equal(loaded.policy_logits(f, legal), net.policy_logits(f, legal))
+        np.testing.assert_array_equal(logits_of(loaded, state), logits_of(net, state))
         assert loaded.config == net.config
 
     def test_optimizer_state_survives_reload(self, tmp_path):
@@ -256,6 +279,20 @@ class TestCheckpoint:
         np.savez(path, **data)
         with pytest.raises(CheckpointError, match="version"):
             load_net(path)
+
+    def test_missing_or_misshapen_array_names_the_key(self):
+        arrays = net_to_arrays(tiny_net("tsp"))
+        del arrays["meta/adam_t"]
+        with pytest.raises(CheckpointError, match="missing array 'meta/adam_t'"):
+            net_from_arrays(arrays)
+        arrays = net_to_arrays(tiny_net("tsp"))
+        arrays["adam_v/embed/W"] = arrays["adam_v/embed/W"][:, :3]
+        with pytest.raises(CheckpointError, match="'adam_v/embed/W' has shape"):
+            net_from_arrays(arrays)
+
+    def test_save_leaves_no_temp_file(self, tmp_path):
+        save_net(tiny_net("tsp"), tmp_path / "net.npz")
+        assert [p.name for p in tmp_path.iterdir()] == ["net.npz"]
 
     def test_prefixed_arrays_round_trip(self):
         net = tiny_net("evrp", seed=19)

@@ -3,7 +3,7 @@ import pytest
 
 from routezero.env import RoutingGame, initial_state, legal_actions, step
 from routezero.instance import generate_evrp, generate_tsp
-from routezero.net import NetConfig, PolicyValueNet
+from routezero.net import NetConfig, PolicyValueNet, featurize, stack_features
 from routezero.planner import (
     GreedyNetPolicy,
     NetEvaluator,
@@ -208,14 +208,6 @@ class TestPlanOnRouting:
         assert a.action == b.action
         np.testing.assert_array_equal(a.improved_policy, b.improved_policy)
 
-    def test_stage_flag_does_not_change_the_tree(self):
-        game, evaluator, opp = self.setup_tsp()
-        own = game.initial_state()
-        cfg = PlannerConfig(n_simulations=16, m_root=4)
-        a = plan(own, own, evaluator, opp, cfg, game, stage=1, rng=np.random.default_rng(7))
-        b = plan(own, own, evaluator, opp, cfg, game, stage=2, rng=np.random.default_rng(7))
-        assert a.action == b.action
-
     def test_opponent_is_stepped_inside_the_tree(self):
         game, evaluator, greedy = self.setup_tsp()
         own = game.initial_state()
@@ -267,12 +259,25 @@ class TestNetAdapters:
         evaluator = NetEvaluator(policy_net, game, value_net=value_net)
         own = game.initial_state()
         logits, value = evaluator(own, own)
-        from routezero.net import featurize
+        batch = stack_features([featurize(own)])
+        batch["legal"] = legal_actions(own)[None]
+        assert value == pytest.approx(value_net.forward(batch, batch)[1][0], rel=1e-12)
+        np.testing.assert_allclose(logits, policy_net.forward(batch)[0], rtol=1e-12)
 
-        assert value == pytest.approx(value_net.value(featurize(own), featurize(own)), rel=1e-12)
-        np.testing.assert_allclose(
-            logits, policy_net.policy_logits(featurize(own), legal_actions(own)), rtol=1e-12
-        )
+    def test_terminal_own_state_is_scored_by_the_value_net(self):
+        inst = generate_tsp(4, seed=26)
+        game = RoutingGame(inst)
+        value_net = tiny_net("tsp", seed=2)
+        evaluator = NetEvaluator(tiny_net("tsp", seed=1), game, value_net=value_net)
+        own = game.initial_state()
+        for a in range(4):
+            own = step(own, a)
+        opp = game.initial_state()
+        logits, value = evaluator(own, opp)
+        assert np.isneginf(logits).all()
+        own_batch = stack_features([featurize(own)])
+        own_batch["legal"] = np.zeros((1, 4), dtype=bool)
+        assert value == value_net.forward(own_batch, stack_features([featurize(opp)]))[1][0]
 
     def test_greedy_policy_matches_argmax(self):
         inst = generate_tsp(5, seed=25)
@@ -280,7 +285,7 @@ class TestNetAdapters:
         net = tiny_net("tsp")
         policy = GreedyNetPolicy(net, game)
         own = game.initial_state()
-        from routezero.net import featurize
-
-        expect = int(np.argmax(net.policy_logits(featurize(own), legal_actions(own))))
+        batch = stack_features([featurize(own)])
+        batch["legal"] = legal_actions(own)[None]
+        expect = int(np.argmax(net.forward(batch)[0]))
         assert policy(own) == expect

@@ -296,7 +296,7 @@ class TestRunEpisode:
 
         state = initial_state(inst)
         for nxt in competitor_traj[1:]:
-            state = step(state, greedy_action(theta_best, state))
+            state = step(state, greedy_action(theta_best, state, legal_actions(state)))
             assert state.route == nxt.route
 
 
