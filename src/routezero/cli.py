@@ -26,9 +26,9 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .net import CheckpointError, PolicyValueNet, load_net
+from .net import CHECKPOINT_VERSION, CheckpointError, PolicyValueNet, check_version, net_from_arrays, read_arrays
 from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, plan
-from .trainer import TrainerError, load_checkpoint, train, train_config_from_dict
+from .trainer import TRAINER_CHECKPOINT_VERSION, TrainerError, train, train_config_from_dict
 
 RESULTS_HEADER = "instance,method,objective,oracle,gap_pct,feasible"
 
@@ -116,18 +116,18 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_net(path: str) -> PolicyValueNet:
-    """Accept either a bare net dump or a full trainer checkpoint."""
+    """Accept either a bare net dump or a full trainer checkpoint; reads the file once."""
     if not Path(path).exists():
         raise DataError(f"{path}: checkpoint not found")
-    try:
-        return load_net(path)
-    except CheckpointError as net_error:
+    arrays = read_arrays(path)
+    errors = []
+    for version, prefix in ((CHECKPOINT_VERSION, ""), (TRAINER_CHECKPOINT_VERSION, "theta/")):
         try:
-            return load_checkpoint(path)[1].theta
+            check_version(arrays, version)
+            return net_from_arrays(arrays, prefix)
         except CheckpointError as exc:
-            if str(exc) == str(net_error):  # unreadable, or the wrong version, for both formats
-                raise
-            raise CheckpointError(f"neither a net dump ({net_error}) nor a trainer checkpoint ({exc})") from exc
+            errors.append(exc)
+    raise CheckpointError(f"{path}: neither a net dump ({errors[0]}) nor a trainer checkpoint ({errors[1]})")
 
 
 def _is_feasible(inst: Instance, route) -> bool:

@@ -390,17 +390,20 @@ def net_from_arrays(arrays: dict[str, np.ndarray], prefix: str = "") -> PolicyVa
     return net
 
 
-def read_arrays(path, version: int) -> dict[str, np.ndarray]:
-    """Every array of an .npz dump; rejects unreadable files and other versions."""
-    try:
-        with np.load(path) as data:
-            arrays = {k: data[k].copy() for k in data.files}
-    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
+def check_version(arrays: dict[str, np.ndarray], version: int) -> None:
+    """Reject a dump whose ``meta/version`` is not ``version``."""
     found = arrays.get("meta/version", np.array(-1))
     if found.shape != () or int(found) != version:
-        raise CheckpointError(f"{path}: checkpoint version {found} != {version}")
-    return arrays
+        raise CheckpointError(f"checkpoint version {found} != {version}")
+
+
+def read_arrays(path) -> dict[str, np.ndarray]:
+    """Every array of an .npz dump; rejects unreadable files."""
+    try:
+        with np.load(path) as data:
+            return {k: data[k] for k in data.files}
+    except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 
 def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
@@ -421,8 +424,9 @@ def save_net(net: PolicyValueNet, path) -> None:
 
 def load_net(path, expected_config: NetConfig | None = None) -> PolicyValueNet:
     """Read a tensor dump; rejects malformed dumps and version or config mismatches."""
-    arrays = read_arrays(path, CHECKPOINT_VERSION)
+    arrays = read_arrays(path)
     try:
+        check_version(arrays, CHECKPOINT_VERSION)
         net = net_from_arrays(arrays)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -39,16 +38,16 @@ from .net import (
     NetConfig,
     PolicyValueNet,
     StateFeatures,
+    check_version,
     featurize,
     net_from_arrays,
     net_to_arrays,
     read_arrays,
-    stack_features,
     write_arrays,
 )
 from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, plan
 
-TRAINER_CHECKPOINT_VERSION = 1
+TRAINER_CHECKPOINT_VERSION = 2
 
 METRICS_HEADER = "episode,stage,learner_obj,competitor_obj,z,policy_loss,value_loss,soc_per_customer"
 
@@ -81,7 +80,6 @@ class TrainConfig:
     value_buffer_capacity: int = 200_000
     train_steps_per_episode: int = 1
     checkpoint_interval: int = 50
-    value_pair_offset: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -146,126 +144,117 @@ def make_instance(cfg: TrainConfig, seed: int) -> Instance:
     return generate_evrp(cfg.n_customers, cfg.n_stations, seed=seed, objective_mode=mode)
 
 
-class PolicyBuffer:
-    """FIFO store of (state features, legal mask, improved policy)."""
+class _Ring:
+    """Fixed-capacity FIFO of rows with one array per column.
+
+    Columns double in length up to ``capacity`` as rows arrive, then wrap:
+    logical row i (oldest first) lives in slot ``(write - count + i) % capacity``.
+    Subclasses name ``COLUMNS`` and define ``push``, ``sample`` (on themselves,
+    where the perfbench tracer wraps them) and ``_check_rows``, shared by push and load.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.entries: deque = deque(maxlen=capacity)
+        self.columns: dict[str, np.ndarray] = {}
+        self.count = 0
+        self.write = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.count
+
+    def _append(self, *row: np.ndarray) -> None:
+        size = len(self.columns[self.COLUMNS[0]]) if self.columns else 0
+        if self.count == size < self.capacity:  # until the first wrap, rows fill slots 0..count-1
+            old = self.columns or {k: np.empty((0, *v.shape), v.dtype) for k, v in zip(self.COLUMNS, row)}
+            grown = min(self.capacity, max(1, 2 * size))
+            self.columns = {k: np.empty((grown, *col.shape[1:]), col.dtype) for k, col in old.items()}
+            for k, col in old.items():
+                self.columns[k][:size] = col
+        for col, value in zip(self.columns.values(), row):
+            col[self.write] = value
+        self.write = (self.write + 1) % self.capacity
+        self.count = min(self.count + 1, self.capacity)
+
+    def _rows(self, rows: np.ndarray) -> dict[str, np.ndarray]:
+        slots = (self.write - self.count + rows) % self.capacity
+        return {k: col[slots] for k, col in self.columns.items()}
+
+    def _sample(self, batch_size: int, rng: np.random.Generator) -> dict[str, np.ndarray] | None:
+        if not self.count:
+            return None
+        return self._rows(rng.integers(0, self.count, size=batch_size))
+
+    def to_arrays(self, prefix: str) -> dict[str, np.ndarray]:
+        rows = self._rows(np.arange(self.count))
+        return {f"{prefix}count": np.array(self.count, dtype=np.int64)} | {prefix + k: v for k, v in rows.items()}
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str, capacity: int):
+        """Rebuild from ``to_arrays`` output; ValueError names a malformed array."""
+        buf = cls(capacity)
+        count = int(arrays[f"{prefix}count"])
+        if not 0 <= count <= capacity:
+            raise ValueError(f"array '{prefix}count' is {count}, outside [0, {capacity}]")
+        if count:
+            for k in cls.COLUMNS:
+                col = arrays[prefix + k]
+                if col.shape[:1] != (count,):
+                    raise ValueError(f"array '{prefix}{k}' has shape {col.shape}, expected {count} rows")
+                buf.columns[k] = col.copy()
+            buf._check_rows(prefix, buf.columns)
+        buf.count = count
+        buf.write = count % capacity
+        return buf
+
+
+class PolicyBuffer(_Ring):
+    """FIFO store of (state features, legal mask, improved policy)."""
+
+    COLUMNS = ("nodes", "globals", "current", "first", "legal", "target")
 
     def push(self, features: StateFeatures, legal: np.ndarray, target: np.ndarray) -> None:
         legal = np.asarray(legal, dtype=bool)
         target = np.asarray(target, dtype=np.float64)
-        if target.shape != legal.shape:
-            raise ValueError("policy target and legal mask shapes differ")
-        if (target < 0).any() or abs(float(target.sum()) - 1.0) > 1e-9 or target[~legal].any():
-            raise ValueError("policy target is not a distribution over legal actions")
-        self.entries.append((features, legal.copy(), target.copy()))
+        self._check_rows("", {"legal": legal[None], "target": target[None]})
+        current, first = np.int64(features.current), np.int64(features.first)
+        self._append(features.nodes, features.globals_, current, first, legal, target)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> dict[str, np.ndarray] | None:
-        if not self.entries:
-            return None
-        idx = rng.integers(0, len(self.entries), size=batch_size)
-        picked = [self.entries[i] for i in idx]
-        batch = stack_features([p[0] for p in picked])
-        batch["legal"] = np.stack([p[1] for p in picked])
-        batch["target"] = np.stack([p[2] for p in picked])
-        assert not batch["target"][~batch["legal"]].any()
-        return batch
+        return self._sample(batch_size, rng)
 
-    def to_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {f"{prefix}count": np.array(len(self.entries), dtype=np.int64)}
-        if self.entries:
-            out[f"{prefix}nodes"] = np.stack([f.nodes for f, _, _ in self.entries])
-            out[f"{prefix}globals"] = np.stack([f.globals_ for f, _, _ in self.entries])
-            out[f"{prefix}current"] = np.array([f.current for f, _, _ in self.entries], dtype=np.int64)
-            out[f"{prefix}first"] = np.array([f.first for f, _, _ in self.entries], dtype=np.int64)
-            out[f"{prefix}legal"] = np.stack([m for _, m, _ in self.entries])
-            out[f"{prefix}target"] = np.stack([t for _, _, t in self.entries])
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str, capacity: int) -> "PolicyBuffer":
-        buf = cls(capacity)
-        for i in range(int(arrays[f"{prefix}count"])):
-            feats = StateFeatures(
-                arrays[f"{prefix}nodes"][i],
-                arrays[f"{prefix}globals"][i],
-                int(arrays[f"{prefix}current"][i]),
-                int(arrays[f"{prefix}first"][i]),
-            )
-            buf.push(feats, arrays[f"{prefix}legal"][i], arrays[f"{prefix}target"][i])
-        return buf
+    def _check_rows(self, prefix: str, rows: dict[str, np.ndarray]) -> None:
+        legal, target = rows["legal"], rows["target"]
+        if legal.dtype != bool or legal.shape != target.shape:
+            raise ValueError(f"array '{prefix}legal' is not a boolean mask shaped like '{prefix}target'")
+        if (target < 0).any() or (np.abs(target.sum(axis=-1) - 1.0) > 1e-9).any() or target[~legal].any():
+            raise ValueError(f"array '{prefix}target' is not a distribution over legal actions")
 
 
-class ValueBuffer:
-    """FIFO store of (own features, opponent features, outcome) triples."""
+class ValueBuffer(_Ring):
+    """FIFO store of (own node features, opponent node features, outcome)."""
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.entries: deque = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    COLUMNS = ("own_nodes", "opp_nodes", "z")
 
     def push(self, own: StateFeatures, opp: StateFeatures, outcome: float) -> None:
-        if outcome not in (-1.0, 1.0):
-            raise ValueError(f"outcome must be -1 or +1, got {outcome}")
-        self.entries.append((own, opp, float(outcome)))
+        self._check_rows("", {"z": np.float64(outcome)})
+        self._append(own.nodes, opp.nodes, np.float64(outcome))
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> dict[str, np.ndarray] | None:
-        if not self.entries:
-            return None
-        idx = rng.integers(0, len(self.entries), size=batch_size)
-        picked = [self.entries[i] for i in idx]
-        return {
-            "own_nodes": np.stack([p[0].nodes for p in picked]),
-            "opp_nodes": np.stack([p[1].nodes for p in picked]),
-            "z": np.array([p[2] for p in picked]),
-        }
+        return self._sample(batch_size, rng)
 
-    def to_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {f"{prefix}count": np.array(len(self.entries), dtype=np.int64)}
-        if self.entries:
-            for side, pos in (("own", 0), ("opp", 1)):
-                out[f"{prefix}{side}_nodes"] = np.stack([e[pos].nodes for e in self.entries])
-                out[f"{prefix}{side}_globals"] = np.stack([e[pos].globals_ for e in self.entries])
-                out[f"{prefix}{side}_current"] = np.array([e[pos].current for e in self.entries], dtype=np.int64)
-                out[f"{prefix}{side}_first"] = np.array([e[pos].first for e in self.entries], dtype=np.int64)
-            out[f"{prefix}z"] = np.array([e[2] for e in self.entries])
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str, capacity: int) -> "ValueBuffer":
-        buf = cls(capacity)
-        for i in range(int(arrays[f"{prefix}count"])):
-            sides = []
-            for side in ("own", "opp"):
-                sides.append(
-                    StateFeatures(
-                        arrays[f"{prefix}{side}_nodes"][i],
-                        arrays[f"{prefix}{side}_globals"][i],
-                        int(arrays[f"{prefix}{side}_current"][i]),
-                        int(arrays[f"{prefix}{side}_first"][i]),
-                    )
-                )
-            buf.push(sides[0], sides[1], float(arrays[f"{prefix}z"][i]))
-        return buf
+    def _check_rows(self, prefix: str, rows: dict[str, np.ndarray]) -> None:
+        if (np.abs(rows["z"]) != 1.0).any():
+            raise ValueError(f"array '{prefix}z' holds an outcome other than -1 or +1")
 
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    instance_seed: int
     learner: int
     traj_first: tuple[PlayerState, ...]
     traj_second: tuple[PlayerState, ...]
     outcome: int
     objective_first: float
     objective_second: float
-    stage: int
     policy_samples: tuple[tuple[PlayerState, np.ndarray], ...]
     sims_first: tuple[int, ...]
     sims_second: tuple[int, ...]
@@ -342,14 +331,12 @@ def run_episode(
     obj = {seat: objective(inst, states[seat].route) for seat in (1, -1)}
     outcome = game_outcome(-obj[1], -obj[-1])
     return EpisodeRecord(
-        instance_seed=inst.seed,
         learner=learner_seat,
         traj_first=tuple(trajs[1]),
         traj_second=tuple(trajs[-1]),
         outcome=outcome,
         objective_first=obj[1],
         objective_second=obj[-1],
-        stage=stage,
         policy_samples=tuple(samples),
         sims_first=tuple(sims[1]),
         sims_second=tuple(sims[-1]),
@@ -360,22 +347,20 @@ def value_tuples(
     traj_first: tuple[PlayerState, ...],
     traj_second: tuple[PlayerState, ...],
     outcome: int,
-    offset: bool = True,
 ) -> list[tuple[PlayerState, PlayerState, float]]:
     """Outcome-labelled state pairs, one family per seat's perspective.
 
-    Pairs are emitted for indices valid in both trajectories.  With
-    ``offset`` the second family pairs the second seat's state at t with
-    the first seat's at t+1 (clamped to its terminal state), mirroring
-    the asymmetric alignment used for variable-length episodes.
+    Pairs are emitted for indices valid in both trajectories.  The first
+    family pairs both seats at t; the second pairs the second seat's state
+    at t with the first seat's at t+1 (clamped to its terminal state),
+    mirroring the asymmetric alignment used for variable-length episodes.
     """
     last_first = len(traj_first) - 1
     shorter = min(len(traj_first), len(traj_second))
     out = []
     for t in range(shorter):
         out.append((traj_first[t], traj_second[t], float(outcome)))
-        t_next = min(t + 1, last_first) if offset else t
-        out.append((traj_second[t], traj_first[t_next], float(-outcome)))
+        out.append((traj_second[t], traj_first[min(t + 1, last_first)], float(-outcome)))
     return out
 
 
@@ -383,17 +368,28 @@ def arena_evaluate(
     theta: PolicyValueNet,
     theta_best: PolicyValueNet,
     arena_instances: list[Instance],
-) -> tuple[bool, float]:
-    """Greedy-rollout showdown on the fixed arena set.
+) -> tuple[bool, float, dict[str, int]]:
+    """Greedy-rollout showdown on the fixed arena set; returns (update, reward_sum, dead_ends).
 
-    Returns (update, reward_sum) where reward_sum totals the per-instance
-    reward edge of the current parameters over the historical best; the
-    best is replaced only on a strictly positive sum.
+    A greedy EVRP net can cycle between recharge points until the step cap;
+    that rollout dead-ends and scores nothing.  reward_sum totals the edge of
+    theta over the best on instances both finish; dead_ends counts failed
+    rollouts per side.  Update only if theta finishes every instance and
+    either reward_sum > 0 or the best dead-ends somewhere.
     """
     total = 0.0
+    dead_ends = {"theta": 0, "best": 0}
     for inst in arena_instances:
-        total += greedy_rollout(inst, theta_best).objective - greedy_rollout(inst, theta).objective
-    return total > 0.0, total
+        scores = {}
+        for side, net in (("best", theta_best), ("theta", theta)):
+            try:
+                scores[side] = greedy_rollout(inst, net).objective
+            except DeadEndError:
+                dead_ends[side] += 1
+        if len(scores) == 2:
+            total += scores["best"] - scores["theta"]
+    updated = dead_ends["theta"] == 0 and (total > 0.0 or dead_ends["best"] > 0)
+    return updated, total, dead_ends
 
 
 @dataclass
@@ -421,8 +417,9 @@ def save_checkpoint(path, cfg: TrainConfig, state: TrainerState) -> None:
 
 def load_checkpoint(path) -> tuple[TrainConfig, TrainerState]:
     """Read a trainer checkpoint; CheckpointError names a missing or malformed array."""
-    arrays = read_arrays(path, TRAINER_CHECKPOINT_VERSION)
+    arrays = read_arrays(path)
     try:
+        check_version(arrays, TRAINER_CHECKPOINT_VERSION)
         episode = int(arrays["meta/episode"])
         cfg = train_config_from_dict(json.loads(arrays["meta/config"].tobytes().decode()))
         state = TrainerState(
@@ -454,26 +451,15 @@ def _append_event(path: Path, payload: dict) -> None:
 
 def _truncate_metrics(path: Path, episode: int) -> None:
     """Drop rows written after the checkpointed episode."""
-    if not path.exists():
-        path.write_text(METRICS_HEADER + "\n")
-        return
-    lines = path.read_text().splitlines()
-    kept = [METRICS_HEADER]
-    for line in lines[1:]:
-        if line and int(line.split(",", 1)[0]) <= episode:
-            kept.append(line)
-    path.write_text("\n".join(kept) + "\n")
+    rows = path.read_text().splitlines()[1:] if path.exists() else []
+    kept = [line for line in rows if line and int(line.split(",", 1)[0]) <= episode]
+    path.write_text("\n".join([METRICS_HEADER, *kept]) + "\n")
 
 
 def _truncate_events(path: Path, episode: int) -> None:
-    if not path.exists():
-        path.touch()
-        return
-    kept = []
-    for line in path.read_text().splitlines():
-        if line and json.loads(line).get("episode", 0) <= episode:
-            kept.append(line)
-    path.write_text("".join(k + "\n" for k in kept))
+    lines = path.read_text().splitlines() if path.exists() else []
+    kept = [line for line in lines if line and json.loads(line).get("episode", 0) <= episode]
+    path.write_text("".join(line + "\n" for line in kept))
 
 
 def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
@@ -531,9 +517,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
 
         for played_state, improved in record.policy_samples:
             state.policy_buffer.push(featurize(played_state), legal_actions(played_state), improved)
-        for own, opp, label in value_tuples(
-            record.traj_first, record.traj_second, record.outcome, cfg.value_pair_offset
-        ):
+        for own, opp, label in value_tuples(record.traj_first, record.traj_second, record.outcome):
             state.value_buffer.push(featurize(own), featurize(opp), label)
 
         policy_losses = []
@@ -548,7 +532,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
         v_mean = float(np.mean(value_losses)) if value_losses else 0.0
 
         if (episode + 1) % cfg.arena_interval == 0:
-            updated, reward_sum = arena_evaluate(state.theta, state.theta_best, arena_set)
+            updated, reward_sum, dead_ends = arena_evaluate(state.theta, state.theta_best, arena_set)
             if updated:
                 state.theta_best = state.theta.copy()
             _append_event(
@@ -558,6 +542,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
                     "episode": episode + 1,
                     "reward_sum": reward_sum,
                     "updated": updated,
+                    "dead_ends": dead_ends,
                 },
             )
 

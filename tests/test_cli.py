@@ -184,6 +184,24 @@ class TestEval:
         assert main(["eval", str(ckpt), str(inst_dir)]) == 2
         assert "missing array 'meta/adam_t'" in capsys.readouterr().err
 
+    def test_version_1_trainer_checkpoint_is_data_error(self, tmp_path, trained_run, capsys):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        ckpt = tmp_path / "old.npz"
+        arrays = dict(np.load(trained_run / "checkpoint.npz"))
+        arrays["meta/version"] = np.array(1)
+        np.savez(ckpt, **arrays)
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "neither a net dump" in err and "checkpoint version 1 != 2" in err
+
+    def test_trainer_checkpoint_is_read_once(self, tmp_path, trained_run, monkeypatch):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        reads = []
+        real = np.load
+        monkeypatch.setattr(np, "load", lambda *a, **k: reads.append(a) or real(*a, **k))
+        assert main(["eval", str(trained_run / "checkpoint.npz"), str(inst_dir)]) == 0
+        assert len(reads) == 1
+
     def test_empty_instance_dir(self, tmp_path, trained_run):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import routezero.trainer as trainer_mod
-from routezero.env import game_outcome, initial_state, legal_actions, objective, step
+from routezero.env import DeadEndError, game_outcome, initial_state, legal_actions, objective, step
 from routezero.instance import EvrpInstance, TspInstance, generate_tsp
 from routezero.net import CheckpointError, NetConfig, PolicyValueNet, featurize
 from routezero.planner import PlannerConfig
@@ -134,8 +134,8 @@ class TestPolicyBuffer:
         for action in (0, 1, 2):
             buf.push(*self.make_entry(inst, action))
         assert len(buf) == 2
-        kept = {int(np.argmax(t)) for _, _, t in buf.entries}
-        assert kept == {1, 2}
+        kept = [int(np.argmax(t)) for t in buf.to_arrays("p/")["p/target"]]
+        assert kept == [1, 2], "oldest row evicted, survivors oldest first"
 
     def test_rejects_bad_targets(self):
         inst = generate_tsp(4, seed=0)
@@ -156,9 +156,12 @@ class TestPolicyBuffer:
         buf = PolicyBuffer(capacity=4)
         buf.push(*self.make_entry(inst, 1))
         buf.push(*self.make_entry(inst, 3))
-        clone = PolicyBuffer.from_arrays(buf.to_arrays("p/"), "p/", capacity=4)
+        arrays = buf.to_arrays("p/")
+        clone = PolicyBuffer.from_arrays(arrays, "p/", capacity=4)
         assert len(clone) == 2
-        np.testing.assert_array_equal(clone.entries[1][2], buf.entries[1][2])
+        for key, value in clone.to_arrays("p/").items():
+            np.testing.assert_array_equal(value, arrays[key])
+        np.testing.assert_array_equal(arrays["p/target"][1], np.eye(4)[3])
 
     def test_empty_round_trip(self):
         clone = PolicyBuffer.from_arrays(PolicyBuffer(4).to_arrays("p/"), "p/", capacity=4)
@@ -185,8 +188,10 @@ class TestValueBuffer:
         assert set(np.unique(batch["z"])) <= {-1.0, 1.0}
         clone = ValueBuffer.from_arrays(buf.to_arrays("v/"), "v/", capacity=4)
         assert len(clone) == 2
-        assert clone.entries[0][2] == 1.0
-        np.testing.assert_array_equal(clone.entries[1][0].nodes, b.nodes)
+        arrays = clone.to_arrays("v/")
+        assert set(arrays) == {"v/count", "v/own_nodes", "v/opp_nodes", "v/z"}
+        assert arrays["v/z"].tolist() == [1.0, -1.0]
+        np.testing.assert_array_equal(arrays["v/own_nodes"][1], b.nodes)
 
 
 class TestValueTuples:
@@ -200,18 +205,19 @@ class TestValueTuples:
         inst = generate_tsp(4, seed=1)
         first = self.traj(inst, (0, 1, 2, 3))
         second = self.traj(inst, (3, 2, 1, 0))
-        tuples = value_tuples(first, second, outcome=1, offset=False)
+        tuples = value_tuples(first, second, outcome=1)
         assert len(tuples) == 2 * len(first)
-        own, opp, z = tuples[0]
-        assert own is first[0] and opp is second[0] and z == 1.0
-        own, opp, z = tuples[1]
-        assert own is second[0] and opp is first[0] and z == -1.0
+        for t in range(len(first)):
+            own, opp, z = tuples[2 * t]
+            assert own is first[t] and opp is second[t] and z == 1.0
+            own, opp, z = tuples[2 * t + 1]
+            assert own is second[t] and opp is first[min(t + 1, len(first) - 1)] and z == -1.0
 
     def test_offset_sees_the_next_state(self):
         inst = generate_tsp(4, seed=1)
         first = self.traj(inst, (0, 1, 2, 3))
         second = self.traj(inst, (3, 2, 1, 0))
-        tuples = value_tuples(first, second, outcome=-1, offset=True)
+        tuples = value_tuples(first, second, outcome=-1)
         own, opp, z = tuples[1]
         assert own is second[0] and opp is first[1] and z == 1.0
         own, opp, _ = tuples[-1]
@@ -304,9 +310,10 @@ class TestArena:
     def test_identical_nets_are_a_draw(self):
         theta, theta_best = tiny_nets()
         instances = [generate_tsp(4, seed=s) for s in range(3)]
-        updated, reward_sum = arena_evaluate(theta, theta_best, instances)
+        updated, reward_sum, dead_ends = arena_evaluate(theta, theta_best, instances)
         assert not updated, "ties must not replace the historical best"
         assert reward_sum == 0.0
+        assert dead_ends == {"theta": 0, "best": 0}
 
     def test_sum_matches_manual_recompute(self):
         from routezero.baselines import greedy_rollout
@@ -314,13 +321,31 @@ class TestArena:
         theta = PolicyValueNet.create(NetConfig(problem="tsp", **TINY_NET), seed=0)
         other = PolicyValueNet.create(NetConfig(problem="tsp", **TINY_NET), seed=5)
         instances = [generate_tsp(5, seed=s) for s in range(4)]
-        updated, reward_sum = arena_evaluate(theta, other, instances)
+        updated, reward_sum, _ = arena_evaluate(theta, other, instances)
         manual = sum(
             greedy_rollout(inst, other).objective - greedy_rollout(inst, theta).objective
             for inst in instances
         )
         assert reward_sum == pytest.approx(manual, rel=1e-12)
         assert updated == (manual > 0.0)
+
+    def test_dead_ends_score_nothing_and_gate_promotion(self, monkeypatch):
+        theta, theta_best = tiny_nets()
+        instances = [generate_tsp(4, seed=s) for s in range(3)]
+        real = trainer_mod.greedy_rollout
+
+        def dead_end_for(dead_net):
+            def rollout(inst, net):
+                if net is dead_net and inst.seed == 1:
+                    raise DeadEndError("rollout exceeded 440 steps without terminating")
+                return real(inst, net)
+
+            return rollout
+
+        monkeypatch.setattr(trainer_mod, "greedy_rollout", dead_end_for(theta_best))
+        assert arena_evaluate(theta, theta_best, instances) == (True, 0.0, {"theta": 0, "best": 1})
+        monkeypatch.setattr(trainer_mod, "greedy_rollout", dead_end_for(theta))
+        assert arena_evaluate(theta, theta_best, instances) == (False, 0.0, {"theta": 1, "best": 0})
 
 
 class TestCheckpoint:
@@ -356,6 +381,40 @@ class TestCheckpoint:
         np.savez(path, **data)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    def corrupted(self, tmp_path, key, corrupt):
+        cfg = tiny_cfg(policy_buffer_capacity=8, value_buffer_capacity=8)
+        state = self.fresh_state(cfg)
+        inst = generate_tsp(4, seed=0)
+        feats, legal = feature_of(inst)
+        for action in (1, 2, 3):
+            state.policy_buffer.push(feats, legal, np.eye(4)[action])
+            state.value_buffer.push(feats, feats, 1.0)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, cfg, state)
+        arrays = dict(np.load(path))
+        if corrupt is None:
+            del arrays[key]
+        else:
+            arrays[key] = corrupt(arrays[key].copy())
+        np.savez(path, **arrays)
+        return path
+
+    @pytest.mark.parametrize(
+        "key, corrupt, message",
+        [
+            ("pol/count", lambda a: np.array(9), "'pol/count' is 9, outside"),
+            ("val/opp_nodes", lambda a: a[:2], "'val/opp_nodes' has shape .*, expected 3 rows"),
+            ("pol/legal", lambda a: a.astype(np.float64), "'pol/legal' is not a boolean mask"),
+            ("pol/legal", lambda a: np.where(np.eye(4)[1:], False, a), "'pol/target' is not a distribution"),
+            ("pol/target", lambda a: a * 2.0, "'pol/target' is not a distribution"),
+            ("val/z", lambda a: np.where(np.arange(3) == 1, 0.5, a), "'val/z' holds an outcome other than"),
+            ("val/z", None, "missing array 'val/z'"),
+        ],
+    )
+    def test_malformed_buffer_arrays(self, tmp_path, key, corrupt, message):
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(self.corrupted(tmp_path, key, corrupt))
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "ckpt.npz"
@@ -397,7 +456,16 @@ class TestTrainLoop:
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == (tmp_path / "b" / "metrics.csv").read_bytes()
 
     def test_interrupt_resume_matches_uninterrupted(self, tmp_path, monkeypatch):
-        cfg = tiny_cfg()
+        self.crash_and_resume(tiny_cfg(), tmp_path, monkeypatch)
+
+    def test_resume_with_wrapped_buffers(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(policy_buffer_capacity=5, value_buffer_capacity=7)
+        resumed = self.crash_and_resume(cfg, tmp_path, monkeypatch)
+        assert (len(resumed.policy_buffer), len(resumed.value_buffer)) == (5, 7)
+        episodes = [e for e in read_events(tmp_path / "full") if e["event"] == "episode" and e["episode"] <= 2]
+        assert sum(len(e["learner_sims"]) for e in episodes) > 5, "the policy ring wrapped before the checkpoint"
+
+    def crash_and_resume(self, cfg, tmp_path, monkeypatch):
         train(cfg, tmp_path / "full")
 
         real = trainer_mod.run_episode
@@ -413,6 +481,7 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match="simulated crash"):
             train(cfg, tmp_path / "broken")
         monkeypatch.setattr(trainer_mod, "run_episode", real)
+        _, resumed = load_checkpoint(tmp_path / "broken" / "checkpoint.npz")
 
         train(cfg, tmp_path / "broken", resume=True)
         assert (tmp_path / "broken" / "metrics.csv").read_bytes() == (tmp_path / "full" / "metrics.csv").read_bytes()
@@ -420,6 +489,7 @@ class TestTrainLoop:
         assert any(e["event"] == "resume" and e["episode"] == 2 for e in events)
         stages = [e["stage"] for e in events if e["event"] == "episode"]
         assert stages == sorted(stages), "stage never reverts"
+        return resumed
 
     def test_resume_needs_a_checkpoint(self, tmp_path):
         with pytest.raises(TrainerError, match="no checkpoint"):
@@ -473,6 +543,31 @@ class TestTrainLoop:
         rows = read_metrics(tmp_path / "run")
         assert len(rows) == 2
         assert all(float(r[7]) > 0.0 for r in rows), "energy per customer is recorded"
+
+    def test_evrp_training_survives_arena_dead_ends(self, tmp_path):
+        cfg = TrainConfig(
+            problem="em-evrp",
+            n_customers=6,
+            n_stations=2,
+            total_episodes=10,
+            stage_switch=5,
+            planner=PlannerConfig(n_simulations=20, m_root=8),
+            net=NetConfig(
+                problem="evrp", embed_dim=32, n_heads=4, n_layers=2, ffn_dim=64, batch_size=64, learning_rate=1e-3
+            ),
+            arena_size=8,
+            arena_interval=5,
+            train_steps_per_episode=4,
+            checkpoint_interval=10,
+            seed=0,
+        )
+        train(cfg, tmp_path / "run")
+        assert [r[0] for r in read_metrics(tmp_path / "run")] == [str(e) for e in range(1, 11)]
+        arenas = [e for e in read_events(tmp_path / "run") if e["event"] == "arena"]
+        assert [e["episode"] for e in arenas] == [5, 10]
+        assert arenas[0]["dead_ends"]["theta"] > 0, "the current net cycles until the step cap in the first arena"
+        for e in arenas:
+            assert e["updated"] == (e["dead_ends"]["theta"] == 0 and (e["reward_sum"] > 0 or e["dead_ends"]["best"] > 0))
 
     def test_zero_train_steps_allowed(self, tmp_path):
         cfg = tiny_cfg(total_episodes=2, stage_switch=1, train_steps_per_episode=0)
