@@ -4,13 +4,21 @@ Implements exactly the operations the policy/value network needs: matmul,
 broadcast arithmetic, shape moves, tanh/sigmoid/relu, softmax, node-axis
 batch norm, index gather and the two loss heads.  Tensors record their
 parents and a backward closure; ``backward()`` walks the tape in reverse
-topological order.  Results of operations on constant inputs carry no tape,
-so inference costs the same as plain numpy.
+topological order and frees it as it goes: once a node has passed its
+gradient on, its gradient, closure and parent links are dropped, so the
+activations of later layers are released while earlier layers are still
+being differentiated.  Only leaves keep ``.grad``, and a graph can be
+backpropagated once.  Results of operations on constant inputs carry no
+tape, so inference costs the same as plain numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _consumed(grad: np.ndarray) -> None:
+    raise RuntimeError("backward() already ran on this graph")
 
 
 class Tensor:
@@ -52,9 +60,14 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
+                node._backward = _consumed
+                node._parents = ()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -135,6 +148,15 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            # Shared weight: fold the stack into rows, one GEMM per gradient.
+            k, m = b.shape
+            g2 = g.reshape(-1, m)
+            if a.requires_grad:
+                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b._accumulate(a.data.reshape(-1, k).T @ g2)
+            return
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
             a._accumulate(_unbroadcast(ga, a.shape))

@@ -111,7 +111,8 @@ def featurize(state: PlayerState) -> StateFeatures:
             feats[state.position, 4] = 1.0
         return StateFeatures(feats, np.zeros(0), int(state.position), int(first))
 
-    assert isinstance(inst, EvrpInstance)
+    if not isinstance(inst, EvrpInstance):
+        raise TypeError(f"featurize needs a TspInstance or EvrpInstance, got {type(inst).__name__}")
     n = inst.n_nodes
     veh = inst.vehicle
     feats = np.zeros((n, EVRP_NODE_FEATURES))

@@ -78,6 +78,21 @@ class TestTensorMechanics:
         x.zero_grad()
         assert x.grad is None
 
+    def test_backward_frees_the_tape(self):
+        x, w = leaf(2, 3, 4), leaf(4, 5)
+        hidden = tanh(matmul(x, w))
+        loss = sum_(mul(hidden, hidden))
+        loss.backward()
+        for node in (hidden, loss):
+            assert node.grad is None and node._parents == ()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+    def test_second_backward_raises(self):
+        loss = sum_(tanh(leaf(3)))
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
+
     def test_diamond_graph(self):
         def fn(x):
             y = tanh(x)
@@ -106,8 +121,17 @@ class TestOpGradients:
     def test_matmul_2d(self):
         gradcheck(lambda a, b: sum_(matmul(a, b)), leaf(3, 4), leaf(4, 2))
 
-    def test_matmul_batched_times_shared(self):
-        gradcheck(lambda a, b: sum_(matmul(a, b)), leaf(2, 3, 4), leaf(4, 5))
+    @pytest.mark.parametrize("stack", [(2, 3), (2, 2, 3)], ids=["3d", "4d"])
+    def test_matmul_batched_times_shared(self, stack):
+        weight = Tensor(rng.normal(size=stack + (5,)))
+        gradcheck(lambda a, b: sum_(mul(matmul(a, b), weight)), leaf(*stack, 4), leaf(4, 5))
+
+    def test_matmul_shared_weight_gradient_is_exact(self):
+        a, w = leaf(64, 6, 32), leaf(32, 64)
+        g = rng.normal(size=(64, 6, 64))
+        sum_(mul(matmul(a, w), Tensor(g))).backward()
+        np.testing.assert_allclose(w.grad, np.einsum("bnk,bnm->km", a.data, g), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.grad, np.einsum("bnm,km->bnk", g, w.data), rtol=0, atol=1e-12)
 
     def test_matmul_batched_both(self):
         gradcheck(lambda a, b: sum_(matmul(a, b)), leaf(2, 3, 4), leaf(2, 4, 5))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,11 @@ class TestFeaturize:
         onehot = f.nodes[:, 3:6]
         assert (onehot.sum(axis=1) == 1.0).all()
         assert onehot[0, 0] == 1.0
+
+    def test_unknown_instance_type_raises(self):
+        state = replace(initial_state(generate_tsp(4, seed=5)), instance=object())
+        with pytest.raises(TypeError, match="got object"):
+            featurize(state)
 
     def test_stack_features(self):
         inst = generate_tsp(4, seed=5)
