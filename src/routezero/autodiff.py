@@ -35,9 +35,16 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into ``.grad``.
+
+        A ``fresh`` array, one the caller has just allocated and hands to no
+        one else, becomes ``.grad`` as is; any other (a view, or an array
+        also passed to another parent) is copied first, so that a later
+        in-place sum cannot write through to a second tensor.
+        """
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if fresh else grad.copy()
         else:
             self.grad += grad
 
@@ -115,10 +122,11 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        # g itself goes to both parents, so only a reduced copy is fresh
+        for p in (a, b):
+            if p.requires_grad:
+                pg = _unbroadcast(g, p.shape)
+                p._accumulate(pg, fresh=pg is not g)
 
     return _result(a.data + b.data, (a, b), bwd)
 
@@ -128,9 +136,9 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _result(a.data * b.data, (a, b), bwd)
 
@@ -139,7 +147,7 @@ def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
 
     def bwd(g):
-        a._accumulate(g * c)
+        a._accumulate(g * c, fresh=True)
 
     return _result(a.data * c, (a,), bwd)
 
@@ -153,16 +161,16 @@ def matmul(a, b) -> Tensor:
             k, m = b.shape
             g2 = g.reshape(-1, m)
             if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, k).T @ g2)
+                b._accumulate(a.data.reshape(-1, k).T @ g2, fresh=True)
             return
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
 
     return _result(a.data @ b.data, (a, b), bwd)
 
@@ -207,7 +215,7 @@ def mean(a, axis, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         gg = g if keepdims else np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(gg, a.shape) / count)
+        a._accumulate(np.broadcast_to(gg, a.shape) / count, fresh=True)
 
     return _result(a.data.mean(axis=axes, keepdims=keepdims), (a,), bwd)
 
@@ -218,7 +226,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         gg = g if keepdims else np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(gg, a.shape).copy())
+        a._accumulate(np.broadcast_to(gg, a.shape).copy(), fresh=True)
 
     return _result(a.data.sum(axis=axes, keepdims=keepdims), (a,), bwd)
 
@@ -228,7 +236,7 @@ def tanh(a) -> Tensor:
     y = np.tanh(a.data)
 
     def bwd(g):
-        a._accumulate(g * (1.0 - y * y))
+        a._accumulate(g * (1.0 - y * y), fresh=True)
 
     return _result(y, (a,), bwd)
 
@@ -238,7 +246,7 @@ def sigmoid(a) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-a.data))
 
     def bwd(g):
-        a._accumulate(g * y * (1.0 - y))
+        a._accumulate(g * y * (1.0 - y), fresh=True)
 
     return _result(y, (a,), bwd)
 
@@ -248,7 +256,7 @@ def relu(a) -> Tensor:
     keep = a.data > 0.0
 
     def bwd(g):
-        a._accumulate(g * keep)
+        a._accumulate(g * keep, fresh=True)
 
     return _result(a.data * keep, (a,), bwd)
 
@@ -261,7 +269,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
     def bwd(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        a._accumulate(y * (g - inner))
+        a._accumulate(y * (g - inner), fresh=True)
 
     return _result(y, (a,), bwd)
 
@@ -281,7 +289,7 @@ def gather_nodes(a, index: np.ndarray) -> Tensor:
     def bwd(g):
         out = np.zeros_like(a.data)
         np.add.at(out, (batch, safe), g * valid)
-        a._accumulate(out)
+        a._accumulate(out, fresh=True)
 
     return _result(data, (a,), bwd)
 
@@ -319,16 +327,16 @@ def batchnorm_nodes(
 
     def bwd(g):
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 1)))
+            gamma._accumulate((g * xhat).sum(axis=(0, 1)), fresh=True)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 1)))
+            beta._accumulate(g.sum(axis=(0, 1)), fresh=True)
         if a.requires_grad:
             gx = g * gamma.data
             if training:
                 term = gx - gx.mean(axis=(0, 1)) - xhat * (gx * xhat).sum(axis=(0, 1)) / count
-                a._accumulate(term * inv_std)
+                a._accumulate(term * inv_std, fresh=True)
             else:
-                a._accumulate(gx * inv_std)
+                a._accumulate(gx * inv_std, fresh=True)
 
     return _result(y, (a, gamma, beta), bwd)
 
@@ -357,7 +365,7 @@ def masked_cross_entropy(logits, legal: np.ndarray, target: np.ndarray) -> Tenso
     def bwd(g):
         row_mass = target.sum(axis=1, keepdims=True)
         grad = np.where(legal, probs * row_mass - target, 0.0) * (g / batch)
-        logits._accumulate(grad)
+        logits._accumulate(grad, fresh=True)
 
     return _result(loss, (logits,), bwd)
 
@@ -369,6 +377,6 @@ def mse(pred, target: np.ndarray) -> Tensor:
     diff = pred.data - target
 
     def bwd(g):
-        pred._accumulate(g * 2.0 * diff / diff.size)
+        pred._accumulate(g * 2.0 * diff / diff.size, fresh=True)
 
     return _result((diff**2).mean(), (pred,), bwd)

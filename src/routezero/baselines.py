@@ -12,12 +12,13 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .env import DeadEndError, RoutingGame, initial_state, legal_actions, objective, rollout, step
+from .env import DeadEndError, RoutingGame, initial_state, legal_actions, objective, rollout, step, step_limit
 from .instance import _KIND_CUSTOMER, EvrpInstance, Instance, TspInstance
-from .net import greedy_action
+from .net import greedy_actions
 
 EXACT_TSP_MAX_NODES = 16
 EXACT_EVRP_MAX_CUSTOMERS = 8
@@ -160,10 +161,11 @@ def exact_evrp(inst: EvrpInstance, expansion_cap: int = 2_000_000) -> SolveResul
         expansions += 1
         if expansions > expansion_cap:
             raise SearchBudgetError(f"exceeded {expansion_cap} expansions")
-        moves = np.flatnonzero(legal_actions(state))
+        legal = legal_actions(state)
+        moves = np.flatnonzero(legal)
         moves = moves[np.argsort(inst.dist_km[state.position, moves], kind="stable")]
         for action in moves:
-            child = step(state, int(action))
+            child = step(state, int(action), legal)
             if inst.objective_mode == "DM":
                 child_cost = cost + float(inst.dist_km[state.position, action])
             else:
@@ -207,8 +209,57 @@ def nearest_neighbor(inst: Instance) -> SolveResult:
     return SolveResult(route, objective(inst, route), False, len(route) - 1, time.perf_counter() - start)
 
 
-def greedy_rollout(inst: Instance, net) -> SolveResult:
-    """Roll the network's argmax policy to termination, no search."""
+def greedy_rollouts(insts: Sequence[Instance], net) -> list[SolveResult | DeadEndError]:
+    """Roll the network's argmax policy on every instance in lockstep, no search.
+
+    Instances of one type and node count go in chunks of at most
+    ``net.config.batch_size``; each step of a chunk makes one ``forward``
+    over its live rollouts.  Each slot keeps the rules of ``env.rollout``:
+    a route finished within ``step_limit`` moves is a ``SolveResult``, and an
+    empty mask or the cap makes that slot's result a ``DeadEndError``
+    without stopping the others.  ``wall_time_s`` runs from the start of
+    the slot's chunk.
+    """
+    results: list[SolveResult | DeadEndError | None] = [None] * len(insts)
+    groups: dict[tuple, list[int]] = {}
+    for slot, inst in enumerate(insts):
+        groups.setdefault((type(inst), inst.n_nodes), []).append(slot)
+    size = net.config.batch_size
+    for slots in groups.values():
+        for lo in range(0, len(slots), size):
+            _lockstep(insts, slots[lo : lo + size], net, results)
+    return results
+
+
+def _lockstep(insts: Sequence[Instance], slots: list[int], net, results: list) -> None:
+    """Play one chunk of same-shape instances to the end, writing each slot's result."""
     start = time.perf_counter()
-    final = rollout(RoutingGame(inst), lambda state, mask: greedy_action(net, state, mask))
-    return SolveResult(final.route, objective(inst, final.route), False, len(final.route), time.perf_counter() - start)
+    live = {slot: initial_state(insts[slot]) for slot in slots}
+    cap = step_limit(insts[slots[0]])
+    for moves in range(cap + 1):
+        masks = {}
+        for slot, state in live.items():
+            if state.done:
+                route = state.route
+                elapsed = time.perf_counter() - start
+                results[slot] = SolveResult(route, objective(insts[slot], route), False, len(route), elapsed)
+            elif moves == cap:
+                results[slot] = DeadEndError(f"rollout exceeded {cap} steps without terminating")
+            elif (mask := legal_actions(state)).any():
+                masks[slot] = mask
+            else:
+                results[slot] = DeadEndError(f"no legal action at node {state.position}, route so far {state.route}")
+        live = {slot: live[slot] for slot in masks}
+        if not live:
+            return
+        actions = greedy_actions(net, list(live.values()), np.stack(list(masks.values())))
+        for (slot, mask), action in zip(masks.items(), actions):
+            live[slot] = step(live[slot], int(action), mask)
+
+
+def greedy_rollout(inst: Instance, net) -> SolveResult:
+    """Roll the network's argmax policy to termination, no search; a dead end raises."""
+    result = greedy_rollouts([inst], net)[0]
+    if isinstance(result, DeadEndError):
+        raise result
+    return result

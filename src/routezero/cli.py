@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import SizeLimitError, exact_evrp, exact_tsp, gap, greedy_rollout
+from .baselines import SizeLimitError, exact_evrp, exact_tsp, gap, greedy_rollouts
 from .env import DeadEndError, RoutingGame, objective, step_limit, validate_route
 from .instance import (
     Instance,
@@ -164,19 +164,23 @@ def _oracle_objective(inst: Instance) -> float | None:
         return None
 
 
-def _eval_one(idx: int, path: Path, net: PolicyValueNet, args) -> str:
-    inst = load_instance(path)
-    if args.mode == "greedy":
-        route = greedy_rollout(inst, net).route
-    else:
-        planner_cfg = PlannerConfig(n_simulations=args.budget, m_root=args.m_root)
-        route = _plan_route(inst, net, planner_cfg, np.random.default_rng([args.seed, idx]))
+def _greedy_routes(paths: list[Path], insts: list[Instance], net: PolicyValueNet) -> list[tuple]:
+    """Lockstep greedy routes; a dead end names the first failing file in ``paths`` order."""
+    routes = []
+    for path, result in zip(paths, greedy_rollouts(insts, net)):
+        if isinstance(result, DeadEndError):
+            raise DeadEndError(f"{path.name}: {result}")
+        routes.append(result.route)
+    return routes
+
+
+def _result_row(path: Path, inst: Instance, route, mode: str) -> str:
     obj = objective(inst, route)
     oracle = _oracle_objective(inst)
     oracle_s = repr(oracle) if oracle is not None else ""
     gap_s = repr(gap(obj, oracle)) if oracle is not None and oracle > 0 else ""
     feasible = _is_feasible(inst, route)
-    return f"{path.name},{args.mode},{obj!r},{oracle_s},{gap_s},{feasible}"
+    return f"{path.name},{mode},{obj!r},{oracle_s},{gap_s},{feasible}"
 
 
 def cmd_eval(args) -> int:
@@ -185,7 +189,16 @@ def cmd_eval(args) -> int:
     paths = sorted(inst_dir.glob("*.json"))
     if not paths:
         raise DataError(f"{inst_dir}: no instance files")
-    rows = [_eval_one(idx, path, net, args) for idx, path in enumerate(paths)]
+    insts = [load_instance(path) for path in paths]
+    if args.mode == "greedy":
+        routes = _greedy_routes(paths, insts, net)
+    else:
+        planner_cfg = PlannerConfig(n_simulations=args.budget, m_root=args.m_root)
+        routes = [
+            _plan_route(inst, net, planner_cfg, np.random.default_rng([args.seed, idx]))
+            for idx, inst in enumerate(insts)
+        ]
+    rows = [_result_row(path, inst, route, args.mode) for path, inst, route in zip(paths, insts, routes)]
     out = Path(args.out) if args.out else inst_dir / "results.csv"
     out.write_text("\n".join([RESULTS_HEADER, *rows]) + "\n")
     print(f"wrote {len(rows)} result row(s) to {out}")

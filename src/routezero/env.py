@@ -236,9 +236,11 @@ def _explain_illegal(state: PlayerState, j: int) -> str:
     return "depot return breaks the trip time limit"
 
 
-def step(state: PlayerState, action: int) -> PlayerState:
+def step(state: PlayerState, action: int, legal: np.ndarray | None = None) -> PlayerState:
     """Apply one move and return the successor state.
 
+    ``legal`` is the caller's ``legal_actions(state)`` mask, when it holds
+    one, so the move is checked against it instead of a recomputed mask.
     Raises ``IllegalActionError`` (with the violated rule spelled out) if
     the move is masked, and ``TerminalStateError`` on finished states.
     """
@@ -246,7 +248,11 @@ def step(state: PlayerState, action: int) -> PlayerState:
     action = int(action)
     if not 0 <= action < inst.n_nodes:
         raise IllegalActionError(f"action {action} out of range")
-    if not legal_actions(state)[action]:
+    if legal is None:
+        legal = legal_actions(state)
+    elif state.done:
+        raise TerminalStateError("no move from a terminal state")
+    if not legal[action]:
         raise IllegalActionError(_explain_illegal(state, action))
 
     if isinstance(inst, TspInstance):
@@ -461,8 +467,8 @@ class RoutingGame:
     def legal_actions(self, state: PlayerState) -> np.ndarray:
         return legal_actions(state)
 
-    def step(self, state: PlayerState, action: int) -> PlayerState:
-        return step(state, action)
+    def step(self, state: PlayerState, action: int, legal: np.ndarray | None = None) -> PlayerState:
+        return step(state, action, legal)
 
     def is_terminal(self, state: PlayerState) -> bool:
         return state.done
@@ -498,7 +504,7 @@ def rollout(
         mask = game.legal_actions(state)
         if not mask.any():
             raise DeadEndError(f"no legal action at node {state.position}, route so far {state.route}")
-        state = game.step(state, policy(state, mask))
+        state = game.step(state, policy(state, mask), mask)
     if not state.done:
         raise DeadEndError(f"rollout exceeded {step_cap} steps without terminating")
     return state

@@ -344,11 +344,15 @@ class PolicyValueNet:
             self.params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def greedy_action(net: PolicyValueNet, state: PlayerState, legal: np.ndarray) -> int:
-    """Highest-logit move under the ``legal`` mask; ties resolve to the lowest node id."""
-    batch = stack_features([featurize(state)])
-    batch["legal"] = legal[None]
-    return int(np.argmax(net.forward(batch)[0]))
+def greedy_actions(net: PolicyValueNet, states: list[PlayerState], legal: np.ndarray) -> np.ndarray:
+    """Highest-logit move of each state under its row of the (B, N) ``legal`` mask.
+
+    One ``forward`` over the whole stack, so the states must share a problem
+    type and node count; ties resolve to the lowest node id.
+    """
+    batch = stack_features([featurize(s) for s in states])
+    batch["legal"] = legal
+    return np.argmax(net.forward(batch), axis=1)
 
 
 def net_to_arrays(net: PolicyValueNet, prefix: str = "") -> dict[str, np.ndarray]:

@@ -25,7 +25,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .env import RoutingGame
-from .net import featurize, greedy_action, stack_features
+from .net import featurize, greedy_actions, stack_features
 
 
 class PlannerError(RuntimeError):
@@ -298,4 +298,4 @@ class GreedyNetPolicy:
         self.game = game
 
     def __call__(self, state) -> int:
-        return greedy_action(self.net, state, self.game.legal_actions(state))
+        return int(greedy_actions(self.net, [state], self.game.legal_actions(state)[None])[0])

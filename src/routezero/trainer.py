@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import greedy_rollout
+from .baselines import greedy_rollouts
 from .env import (
     DeadEndError,
     PlayerState,
@@ -377,17 +377,16 @@ def arena_evaluate(
     rollouts per side.  Update only if theta finishes every instance and
     either reward_sum > 0 or the best dead-ends somewhere.
     """
+    best_runs = greedy_rollouts(arena_instances, theta_best)
+    theta_runs = greedy_rollouts(arena_instances, theta)
+    dead_ends = {
+        "theta": sum(isinstance(r, DeadEndError) for r in theta_runs),
+        "best": sum(isinstance(r, DeadEndError) for r in best_runs),
+    }
     total = 0.0
-    dead_ends = {"theta": 0, "best": 0}
-    for inst in arena_instances:
-        scores = {}
-        for side, net in (("best", theta_best), ("theta", theta)):
-            try:
-                scores[side] = greedy_rollout(inst, net).objective
-            except DeadEndError:
-                dead_ends[side] += 1
-        if len(scores) == 2:
-            total += scores["best"] - scores["theta"]
+    for b, t in zip(best_runs, theta_runs):
+        if not isinstance(b, DeadEndError) and not isinstance(t, DeadEndError):
+            total += b.objective - t.objective
     updated = dead_ends["theta"] == 0 and (total > 0.0 or dead_ends["best"] > 0)
     return updated, total, dead_ends
 
@@ -532,7 +531,9 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
         v_mean = float(np.mean(value_losses)) if value_losses else 0.0
 
         if (episode + 1) % cfg.arena_interval == 0:
+            arena_start = time.perf_counter()
             updated, reward_sum, dead_ends = arena_evaluate(state.theta, state.theta_best, arena_set)
+            arena_s = time.perf_counter() - arena_start
             if updated:
                 state.theta_best = state.theta.copy()
             _append_event(
@@ -543,6 +544,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
                     "reward_sum": reward_sum,
                     "updated": updated,
                     "dead_ends": dead_ends,
+                    "arena_s": arena_s,
                 },
             )
 

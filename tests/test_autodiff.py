@@ -93,6 +93,32 @@ class TestTensorMechanics:
         with pytest.raises(RuntimeError, match="already ran"):
             loss.backward()
 
+    def test_shared_upstream_gradient_is_not_aliased(self):
+        # add hands its one upstream gradient to both parents; each leaf must own its copy
+        a, b = leaf(2, 3), leaf(2, 3)
+        sum_(add(a, b)).backward()
+        np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        a.grad += 5.0
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+    def test_self_add_and_two_branches_are_exact(self):
+        x = leaf(2, 3)
+        sum_(add(x, x)).backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+        x.zero_grad()
+        # one branch adopts a fresh array, the other passes a reshaped view through
+        sum_(add(scale(x, 3.0), reshape(reshape(x, (3, 2)), (2, 3)))).backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 4.0))
+        w, y = leaf(2, 3), leaf(2, 3)
+        w_data, y_data = w.data.copy(), y.data.copy()
+        sum_(mul(w, y)).backward()
+        np.testing.assert_array_equal(w.grad, y_data)
+        np.testing.assert_array_equal(y.grad, w_data)
+        w.grad += 1.0
+        np.testing.assert_array_equal(y.grad, w_data)
+        np.testing.assert_array_equal(y.data, y_data)
+
     def test_diamond_graph(self):
         def fn(x):
             y = tanh(x)

@@ -12,9 +12,10 @@ from routezero.baselines import (
     exact_tsp,
     gap,
     greedy_rollout,
+    greedy_rollouts,
     nearest_neighbor,
 )
-from routezero.env import objective, validate_route
+from routezero.env import DeadEndError, objective, validate_route
 from routezero.instance import generate_evrp, generate_tsp
 from routezero.net import NetConfig, PolicyValueNet
 
@@ -110,8 +111,8 @@ class TestNearestNeighbor:
 
 
 class TestGreedyRollout:
-    def tiny_net(self, problem):
-        cfg = NetConfig(problem=problem, embed_dim=16, n_heads=2, n_layers=1, ffn_dim=32, batch_size=8)
+    def tiny_net(self, problem, batch_size=8):
+        cfg = NetConfig(problem=problem, embed_dim=16, n_heads=2, n_layers=1, ffn_dim=32, batch_size=batch_size)
         return PolicyValueNet.create(cfg, seed=0)
 
     def test_tsp(self):
@@ -138,3 +139,25 @@ class TestGreedyRollout:
         inst = generate_tsp(6, seed=9)
         net = self.tiny_net("tsp")
         assert greedy_rollout(inst, net).route == greedy_rollout(inst, net).route
+
+    def test_one_forward_per_step_per_chunk(self):
+        net = self.tiny_net("tsp", batch_size=2)
+        shapes = []
+        forward = net.forward
+        net.forward = lambda own, opp=None: shapes.append(own["nodes"].shape) or forward(own, opp)
+        insts = [generate_tsp(4, seed=s) for s in range(3)] + [generate_tsp(5, seed=3)]
+        results = greedy_rollouts(insts, net)
+        # slots 0-2 share a size and form chunks of 2 and 1; slot 3 rolls on its own
+        assert shapes == [(2, 4, 5)] * 4 + [(1, 4, 5)] * 4 + [(1, 5, 5)] * 5
+        assert [len(r.route) for r in results] == [4, 4, 4, 5]
+
+    def test_route_finished_on_the_cap_th_move_counts(self, monkeypatch):
+        import routezero.baselines as baselines
+
+        insts = [generate_tsp(5, seed=1), generate_tsp(5, seed=2)]
+        net = self.tiny_net("tsp")
+        monkeypatch.setattr(baselines, "step_limit", lambda inst: inst.n_nodes)
+        assert [sorted(r.route) for r in greedy_rollouts(insts, net)] == [list(range(5))] * 2
+        monkeypatch.setattr(baselines, "step_limit", lambda inst: inst.n_nodes - 1)
+        for r in greedy_rollouts(insts, net):
+            assert isinstance(r, DeadEndError) and "exceeded 4 steps" in str(r)

@@ -202,6 +202,19 @@ class TestEval:
         assert main(["eval", str(trained_run / "checkpoint.npz"), str(inst_dir)]) == 0
         assert len(reads) == 1
 
+    def test_greedy_dead_end_names_the_instance(self, tmp_path, capsys):
+        # with this untrained net, seed 7 finishes and seed 8 cycles until the step cap
+        inst_dir = tmp_path / "instances"
+        gen = ["gen", "evrp", "--customers", "4", "--stations", "2", "--objective", "EM", "--count", "2"]
+        main([*gen, "--seed", "7", "--out", str(inst_dir)])
+        ckpt = tmp_path / "net.npz"
+        save_net(PolicyValueNet.create(NetConfig(**{**TINY_TRAIN["net"], "problem": "evrp"})), ckpt)
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "evrp_c4_s2_em_seed8.json: rollout exceeded" in err and "seed7" not in err
+        assert not (inst_dir / "results.csv").exists()
+
     def test_empty_instance_dir(self, tmp_path, trained_run):
         empty = tmp_path / "empty"
         empty.mkdir()

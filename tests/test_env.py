@@ -110,6 +110,8 @@ class TestTsp:
         state = step(initial_state(generate_tsp(4, seed=2)), 1)
         with pytest.raises(IllegalActionError, match="already visited"):
             step(state, 1)
+        with pytest.raises(IllegalActionError, match="already visited"):
+            step(state, 1, legal_actions(state))
 
     def test_terminal_state_has_no_actions(self):
         state = initial_state(generate_tsp(3, seed=2))
@@ -117,6 +119,8 @@ class TestTsp:
             state = step(state, a)
         with pytest.raises(TerminalStateError):
             legal_actions(state)
+        with pytest.raises(TerminalStateError):
+            step(state, 0, np.ones(3, dtype=bool))
 
 
 # flat-ground energy rates, default vehicle: ~0.138 kWh/km empty, ~0.149 full;
@@ -271,6 +275,8 @@ class TestEvrpStep:
         inst = generate_evrp(3, 1, seed=7)
         with pytest.raises(IllegalActionError, match="out of range"):
             step(initial_state(inst), 99)
+        with pytest.raises(IllegalActionError, match="out of range"):
+            step(initial_state(inst), 99, legal_actions(initial_state(inst)))
 
     @pytest.mark.parametrize(
         "build, moves, bad, message",
@@ -328,6 +334,8 @@ class TestEvrpStep:
             state = step(state, a)
         with pytest.raises(IllegalActionError, match=message):
             step(state, bad)
+        with pytest.raises(IllegalActionError, match=message):
+            step(state, bad, legal_actions(state))
 
     def test_self_move_rejected(self):
         inst = line_instance([(NodeKind.CUSTOMER, 10.0, 0.5)])

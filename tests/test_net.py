@@ -11,7 +11,7 @@ from routezero.net import (
     NetConfig,
     PolicyValueNet,
     featurize,
-    greedy_action,
+    greedy_actions,
     load_net,
     net_from_arrays,
     net_to_arrays,
@@ -181,7 +181,7 @@ class TestForward:
         for _ in range(40):
             if state.done:
                 break
-            a = greedy_action(net, state, legal_actions(state))
+            a = int(greedy_actions(net, [state], legal_actions(state)[None])[0])
             assert legal_actions(state)[a]
             state = step(state, a)
 

@@ -1,0 +1,67 @@
+"""Property tests: random legal play, and lockstep greedy rollouts against serial ones."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from routezero.baselines import greedy_rollouts
+from routezero.env import DeadEndError, RoutingGame, initial_state, legal_actions, objective, rollout, step, step_limit
+from routezero.instance import generate_evrp, generate_tsp
+from routezero.net import NetConfig, PolicyValueNet, greedy_actions
+
+SEEDS = st.integers(0, 2**31 - 1)
+TSP = st.builds(generate_tsp, st.integers(3, 8), SEEDS)
+EVRP = st.builds(generate_evrp, st.integers(1, 4), st.integers(1, 2), SEEDS, st.sampled_from(["DM", "EM"]))
+
+
+def assert_same_state(a, b):
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=st.one_of(TSP, EVRP), move_seed=SEEDS)
+def test_random_legal_play_never_dead_ends(inst, move_seed):
+    rng = np.random.default_rng(move_seed)
+    state = initial_state(inst)
+    for _ in range(step_limit(inst)):
+        if state.done:
+            break
+        mask = legal_actions(state)
+        assert mask.any(), f"dead end at node {state.position}, route {state.route}"
+        action = int(rng.choice(np.flatnonzero(mask)))
+        with_mask = step(state, action, mask)
+        assert_same_state(with_mask, step(state, action))
+        state = with_mask
+
+
+def serial_greedy(inst, net):
+    """The per-instance reference: env.rollout with the one-state greedy argmax."""
+    try:
+        return rollout(RoutingGame(inst), lambda s, m: int(greedy_actions(net, [s], m[None])[0]))
+    except DeadEndError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("problem, instances", [("tsp", TSP), ("evrp", EVRP)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_lockstep_matches_serial_rollouts(problem, instances, data):
+    insts = data.draw(st.lists(instances, min_size=1, max_size=6), label="instances")
+    chunk = data.draw(st.integers(1, 4), label="batch_size")
+    cfg = NetConfig(problem=problem, embed_dim=16, n_heads=2, n_layers=1, ffn_dim=32, batch_size=chunk)
+    net = PolicyValueNet.create(cfg, seed=data.draw(st.integers(0, 3), label="net seed"))
+    for inst, got in zip(insts, greedy_rollouts(insts, net), strict=True):
+        want = serial_greedy(inst, net)
+        if isinstance(want, DeadEndError):
+            assert isinstance(got, DeadEndError) and str(got) == str(want)
+        else:
+            assert got.route == want.route
+            assert got.objective == objective(inst, want.route)

@@ -298,11 +298,11 @@ class TestRunEpisode:
         theta_best = PolicyValueNet.create(cfg.net, seed=9)
         record = run_episode(inst, (theta, theta_best), cfg, stage=1, rng=np.random.default_rng(2))
         competitor_traj = record.traj_second if record.learner == 1 else record.traj_first
-        from routezero.net import greedy_action
+        from routezero.net import greedy_actions
 
         state = initial_state(inst)
         for nxt in competitor_traj[1:]:
-            state = step(state, greedy_action(theta_best, state, legal_actions(state)))
+            state = step(state, greedy_actions(theta_best, [state], legal_actions(state)[None])[0])
             assert state.route == nxt.route
 
 
@@ -332,19 +332,21 @@ class TestArena:
     def test_dead_ends_score_nothing_and_gate_promotion(self, monkeypatch):
         theta, theta_best = tiny_nets()
         instances = [generate_tsp(4, seed=s) for s in range(3)]
-        real = trainer_mod.greedy_rollout
+        real = trainer_mod.greedy_rollouts
 
         def dead_end_for(dead_net):
-            def rollout(inst, net):
-                if net is dead_net and inst.seed == 1:
-                    raise DeadEndError("rollout exceeded 440 steps without terminating")
-                return real(inst, net)
+            def rollouts(insts, net):
+                results = real(insts, net)
+                if net is not dead_net:
+                    return results
+                dead = DeadEndError("rollout exceeded 440 steps without terminating")
+                return [dead if inst.seed == 1 else r for inst, r in zip(insts, results)]
 
-            return rollout
+            return rollouts
 
-        monkeypatch.setattr(trainer_mod, "greedy_rollout", dead_end_for(theta_best))
+        monkeypatch.setattr(trainer_mod, "greedy_rollouts", dead_end_for(theta_best))
         assert arena_evaluate(theta, theta_best, instances) == (True, 0.0, {"theta": 0, "best": 1})
-        monkeypatch.setattr(trainer_mod, "greedy_rollout", dead_end_for(theta))
+        monkeypatch.setattr(trainer_mod, "greedy_rollouts", dead_end_for(theta))
         assert arena_evaluate(theta, theta_best, instances) == (False, 0.0, {"theta": 1, "best": 0})
 
 
@@ -526,6 +528,7 @@ class TestTrainLoop:
         assert len(arenas) == 6
         for e in arenas:
             assert e["updated"] == (e["reward_sum"] > 0.0)
+            assert e["arena_s"] > 0.0, "the arena logs its wall time"
 
     def test_evrp_smoke_writes_soc(self, tmp_path):
         cfg = tiny_cfg(
