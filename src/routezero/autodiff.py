@@ -8,13 +8,19 @@ topological order and frees it as it goes: once a node has passed its
 gradient on, its gradient, closure and parent links are dropped, so the
 activations of later layers are released while earlier layers are still
 being differentiated.  Only leaves keep ``.grad``, and a graph can be
-backpropagated once.  Results of operations on constant inputs carry no
-tape, so inference costs the same as plain numpy.
+backpropagated once.  Results of operations on constant inputs record no
+tape, but every op still allocates a result ``Tensor`` and a backward
+closure: at the desk network size (embed 32, 2 layers, TSP-6 or EVRP-6,
+batch 1-2) a forward through this module takes 2.1-2.4x as long as the
+same ops on plain arrays (2-CPU x86-64 host, one BLAS thread), so the
+network runs inference on plain arrays instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BN_EPS = 1e-5
 
 
 def _consumed(grad: np.ndarray) -> None:
@@ -303,7 +309,7 @@ def batchnorm_nodes(
     training: bool,
     update_stats: bool = False,
     momentum: float = 0.1,
-    eps: float = 1e-5,
+    eps: float = BN_EPS,
 ) -> Tensor:
     """Batch norm over the pooled (batch, node) axes of a (B, N, C) tensor.
 

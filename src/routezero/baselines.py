@@ -165,7 +165,7 @@ def exact_evrp(inst: EvrpInstance, expansion_cap: int = 2_000_000) -> SolveResul
         moves = np.flatnonzero(legal)
         moves = moves[np.argsort(inst.dist_km[state.position, moves], kind="stable")]
         for action in moves:
-            child = step(state, int(action), legal)
+            child = step(state, int(action))
             if inst.objective_mode == "DM":
                 child_cost = cost + float(inst.dist_km[state.position, action])
             else:
@@ -253,8 +253,8 @@ def _lockstep(insts: Sequence[Instance], slots: list[int], net, results: list) -
         if not live:
             return
         actions = greedy_actions(net, list(live.values()), np.stack(list(masks.values())))
-        for (slot, mask), action in zip(masks.items(), actions):
-            live[slot] = step(live[slot], int(action), mask)
+        for slot, action in zip(masks, actions):
+            live[slot] = step(live[slot], int(action))
 
 
 def greedy_rollout(inst: Instance, net) -> SolveResult:

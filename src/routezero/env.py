@@ -19,7 +19,7 @@ additionally restocks cargo and starts a fresh driver clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,7 +56,9 @@ class PlayerState:
     For TSP, ``position`` is -1 before the first city is chosen and
     ``served`` marks visited cities; battery, clock and load stay zero.
     For EVRP, ``served`` is indexed over ``instance.customer_ids`` order and
-    ``route`` always starts at the depot.
+    ``route`` always starts at the depot.  ``legal_actions`` keeps the
+    state's mask in ``_mask`` on first use; it takes no part in comparisons,
+    and successors (``step``, ``dataclasses.replace``) start without one.
     """
 
     instance: Instance
@@ -70,6 +72,7 @@ class PlayerState:
     done: bool
     distance_km: float = 0.0
     energy_kwh: float = 0.0
+    _mask: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def initial_state(inst: Instance) -> PlayerState:
@@ -144,6 +147,21 @@ def _homing_feasible(inst: EvrpInstance, battery_kwh, clock_h, mass_kg) -> np.nd
 def legal_actions(state: PlayerState) -> np.ndarray:
     """Boolean mask over node ids of the moves allowed from ``state``.
 
+    Computed once per state and kept on it, so every caller gets the same
+    read-only array; the rules are in `_legal_mask`.
+    """
+    if state._mask is None:
+        if state.done:
+            raise TerminalStateError("no legal actions in a terminal state")
+        mask = _legal_mask(state)
+        mask.flags.writeable = False
+        object.__setattr__(state, "_mask", mask)
+    return state._mask
+
+
+def _legal_mask(state: PlayerState) -> np.ndarray:
+    """A fresh mask of the moves allowed from the live ``state``.
+
     EVRP rules, a move to ``j`` is legal when all of:
       * ``j`` differs from the current position;
       * customer ``j``: unserved, demand fits the remaining cargo, and after
@@ -157,8 +175,6 @@ def legal_actions(state: PlayerState) -> np.ndarray:
         other move is legal (empty trips are a last resort, never a dead
         end).
     """
-    if state.done:
-        raise TerminalStateError("no legal actions in a terminal state")
     inst = state.instance
     if isinstance(inst, TspInstance):
         return ~state.served
@@ -236,22 +252,20 @@ def _explain_illegal(state: PlayerState, j: int) -> str:
     return "depot return breaks the trip time limit"
 
 
-def step(state: PlayerState, action: int, legal: np.ndarray | None = None) -> PlayerState:
+def step(state: PlayerState, action: int) -> PlayerState:
     """Apply one move and return the successor state.
 
-    ``legal`` is the caller's ``legal_actions(state)`` mask, when it holds
-    one, so the move is checked against it instead of a recomputed mask.
-    Raises ``IllegalActionError`` (with the violated rule spelled out) if
-    the move is masked, and ``TerminalStateError`` on finished states.
+    The move is checked against the state's `legal_actions` mask, computed
+    here only if no caller has asked for it yet; the successor carries no
+    mask.  Raises ``IllegalActionError`` (with the violated rule spelled
+    out) if the move is masked, and ``TerminalStateError`` on finished
+    states.
     """
     inst = state.instance
     action = int(action)
     if not 0 <= action < inst.n_nodes:
         raise IllegalActionError(f"action {action} out of range")
-    if legal is None:
-        legal = legal_actions(state)
-    elif state.done:
-        raise TerminalStateError("no move from a terminal state")
+    legal = state._mask if state._mask is not None else legal_actions(state)
     if not legal[action]:
         raise IllegalActionError(_explain_illegal(state, action))
 
@@ -467,8 +481,8 @@ class RoutingGame:
     def legal_actions(self, state: PlayerState) -> np.ndarray:
         return legal_actions(state)
 
-    def step(self, state: PlayerState, action: int, legal: np.ndarray | None = None) -> PlayerState:
-        return step(state, action, legal)
+    def step(self, state: PlayerState, action: int) -> PlayerState:
+        return step(state, action)
 
     def is_terminal(self, state: PlayerState) -> bool:
         return state.done
@@ -504,7 +518,7 @@ def rollout(
         mask = game.legal_actions(state)
         if not mask.any():
             raise DeadEndError(f"no legal action at node {state.position}, route so far {state.route}")
-        state = game.step(state, policy(state, mask), mask)
+        state = game.step(state, policy(state, mask))
     if not state.done:
         raise DeadEndError(f"rollout exceeded {step_cap} steps without terminating")
     return state

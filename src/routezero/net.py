@@ -15,17 +15,23 @@ query q and each node scores ``C * tanh(q . h_j / sqrt(d))``.  The value
 head reads the pooled embeddings of the two players' states side by side
 and squashes through tanh into [-1, 1].
 
-Gradients come from the in-repo tape in `autodiff`; there is no external
-ML runtime, which keeps checkpoints exact and runs reproducible.
+The network is written once, in `_encode`, `_gate`, `_policy_logits` and
+`_value`, against an ops namespace.  Training passes `autodiff`, whose
+tape gives the gradients; `forward` passes `_ARRAY_OPS`, the same op names
+on plain numpy arrays, so inference records nothing, wraps nothing and
+returns the tape path's outputs bit for bit.  There is no external ML
+runtime, which keeps checkpoints exact and runs reproducible.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -141,6 +147,45 @@ def stack_features(batch: list[StateFeatures]) -> dict[str, np.ndarray]:
     }
 
 
+def _softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _gather_nodes(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    index = np.asarray(index, dtype=np.int64)
+    valid = (index >= 0).astype(np.float64)[:, None]
+    return a[np.arange(a.shape[0]), np.where(index < 0, 0, index)] * valid
+
+
+def _batchnorm_nodes(a, gamma, beta, running_mean, running_var, training, update_stats=False):
+    if training:
+        raise ValueError("plain-array batch norm runs in inference mode only")
+    return gamma * ((a - running_mean) * (1.0 / np.sqrt(running_var + ad.BN_EPS))) + beta
+
+
+# The autodiff ops the network builders call, on plain float64 arrays: each
+# computes what its autodiff namesake computes, in the same order, and
+# records nothing.
+_ARRAY_OPS = SimpleNamespace(
+    Tensor=lambda x: np.asarray(x, dtype=np.float64),
+    add=operator.add,
+    mul=operator.mul,
+    scale=operator.mul,
+    matmul=operator.matmul,
+    reshape=lambda a, shape: a.reshape(shape),
+    transpose=lambda a, axes: a.transpose(axes),
+    concat=lambda parts, axis=-1: np.concatenate(parts, axis=axis),
+    mean=lambda a, axis: a.mean(axis=(axis,)),
+    tanh=np.tanh,
+    sigmoid=lambda a: 1.0 / (1.0 + np.exp(-a)),
+    relu=lambda a: a * (a > 0.0),
+    softmax=_softmax,
+    gather_nodes=_gather_nodes,
+    batchnorm_nodes=_batchnorm_nodes,
+)
+
+
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -205,21 +250,17 @@ class PolicyValueNet:
         twin.adam_t = self.adam_t
         return twin
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     def _tensors(self, train: bool) -> dict[str, ad.Tensor]:
         return {k: ad.Tensor(v, requires_grad=train) for k, v in self.params.items()}
 
-    def _encode(self, t, nodes: np.ndarray, training: bool, update_stats: bool):
+    def _encode(self, t, nodes: np.ndarray, training: bool, update_stats: bool, ops=ad):
         cfg = self.config
-        h = ad.add(ad.matmul(ad.Tensor(nodes), t["embed/W"]), t["embed/b"])
+        h = ops.add(ops.matmul(ops.Tensor(nodes), t["embed/W"]), t["embed/b"])
         heads, dh = cfg.n_heads, cfg.embed_dim // cfg.n_heads
         b, n = nodes.shape[0], nodes.shape[1]
         for i in range(cfg.n_layers):
             pre = f"layer{i}"
-            normed = ad.batchnorm_nodes(
+            normed = ops.batchnorm_nodes(
                 h,
                 t[f"{pre}/bn1/gamma"],
                 t[f"{pre}/bn1/beta"],
@@ -228,15 +269,15 @@ class PolicyValueNet:
                 training,
                 update_stats,
             )
-            q = ad.transpose(ad.reshape(ad.matmul(normed, t[f"{pre}/attn/Wq"]), (b, n, heads, dh)), (0, 2, 1, 3))
-            k = ad.transpose(ad.reshape(ad.matmul(normed, t[f"{pre}/attn/Wk"]), (b, n, heads, dh)), (0, 2, 1, 3))
-            v = ad.transpose(ad.reshape(ad.matmul(normed, t[f"{pre}/attn/Wv"]), (b, n, heads, dh)), (0, 2, 1, 3))
-            scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-            mixed = ad.matmul(ad.softmax(scores, axis=-1), v)
-            mixed = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (b, n, cfg.embed_dim))
-            attn = ad.matmul(mixed, t[f"{pre}/attn/Wo"])
-            h = self._gate(t, f"{pre}/gate1", h, attn)
-            normed = ad.batchnorm_nodes(
+            q = ops.transpose(ops.reshape(ops.matmul(normed, t[f"{pre}/attn/Wq"]), (b, n, heads, dh)), (0, 2, 1, 3))
+            k = ops.transpose(ops.reshape(ops.matmul(normed, t[f"{pre}/attn/Wk"]), (b, n, heads, dh)), (0, 2, 1, 3))
+            v = ops.transpose(ops.reshape(ops.matmul(normed, t[f"{pre}/attn/Wv"]), (b, n, heads, dh)), (0, 2, 1, 3))
+            scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+            mixed = ops.matmul(ops.softmax(scores, axis=-1), v)
+            mixed = ops.reshape(ops.transpose(mixed, (0, 2, 1, 3)), (b, n, cfg.embed_dim))
+            attn = ops.matmul(mixed, t[f"{pre}/attn/Wo"])
+            h = self._gate(t, f"{pre}/gate1", h, attn, ops)
+            normed = ops.batchnorm_nodes(
                 h,
                 t[f"{pre}/bn2/gamma"],
                 t[f"{pre}/bn2/beta"],
@@ -245,58 +286,59 @@ class PolicyValueNet:
                 training,
                 update_stats,
             )
-            ffn = ad.add(
-                ad.matmul(
-                    ad.relu(ad.add(ad.matmul(normed, t[f"{pre}/ffn/W1"]), t[f"{pre}/ffn/b1"])),
+            ffn = ops.add(
+                ops.matmul(
+                    ops.relu(ops.add(ops.matmul(normed, t[f"{pre}/ffn/W1"]), t[f"{pre}/ffn/b1"])),
                     t[f"{pre}/ffn/W2"],
                 ),
                 t[f"{pre}/ffn/b2"],
             )
-            h = self._gate(t, f"{pre}/gate2", h, ffn)
-        pooled = ad.mean(h, axis=1)
+            h = self._gate(t, f"{pre}/gate2", h, ffn, ops)
+        pooled = ops.mean(h, axis=1)
         return h, pooled
 
     @staticmethod
-    def _gate(t, prefix: str, x, f):
-        s = ad.sigmoid(ad.add(ad.matmul(ad.concat([x, f], axis=-1), t[f"{prefix}/W"]), t[f"{prefix}/b"]))
-        return ad.add(ad.mul(s, x), ad.mul(ad.add(ad.scale(s, -1.0), 1.0), f))
+    def _gate(t, prefix: str, x, f, ops=ad):
+        s = ops.sigmoid(ops.add(ops.matmul(ops.concat([x, f], axis=-1), t[f"{prefix}/W"]), t[f"{prefix}/b"]))
+        return ops.add(ops.mul(s, x), ops.mul(ops.add(ops.scale(s, -1.0), 1.0), f))
 
-    def _policy_logits(self, t, h, pooled, batch: dict[str, np.ndarray]):
+    def _policy_logits(self, t, h, pooled, batch: dict[str, np.ndarray], ops=ad):
         cfg = self.config
-        cur = ad.gather_nodes(h, batch["current"])
+        cur = ops.gather_nodes(h, batch["current"])
         if cfg.problem == "tsp":
-            first = ad.gather_nodes(h, batch["first"])
-            ctx = ad.concat([pooled, cur, first], axis=-1)
+            first = ops.gather_nodes(h, batch["first"])
+            ctx = ops.concat([pooled, cur, first], axis=-1)
         else:
-            ctx = ad.concat([pooled, cur, ad.Tensor(batch["globals"])], axis=-1)
-        query = ad.add(ad.matmul(ctx, t["policy/Wctx"]), t["policy/bctx"])
-        q3 = ad.reshape(query, (query.shape[0], cfg.embed_dim, 1))
-        scores = ad.scale(ad.reshape(ad.matmul(h, q3), h.shape[:2]), 1.0 / np.sqrt(cfg.embed_dim))
-        return ad.scale(ad.tanh(scores), LOGIT_CLIP)
+            ctx = ops.concat([pooled, cur, ops.Tensor(batch["globals"])], axis=-1)
+        query = ops.add(ops.matmul(ctx, t["policy/Wctx"]), t["policy/bctx"])
+        q3 = ops.reshape(query, (query.shape[0], cfg.embed_dim, 1))
+        scores = ops.scale(ops.reshape(ops.matmul(h, q3), h.shape[:2]), 1.0 / np.sqrt(cfg.embed_dim))
+        return ops.scale(ops.tanh(scores), LOGIT_CLIP)
 
-    def _value(self, t, pooled_own, pooled_opp):
-        joint = ad.concat([pooled_own, pooled_opp], axis=-1)
-        hidden = ad.relu(ad.add(ad.matmul(joint, t["value/W1"]), t["value/b1"]))
-        out = ad.tanh(ad.add(ad.matmul(hidden, t["value/W2"]), t["value/b2"]))
-        return ad.reshape(out, (out.shape[0],))
+    def _value(self, t, pooled_own, pooled_opp, ops=ad):
+        joint = ops.concat([pooled_own, pooled_opp], axis=-1)
+        hidden = ops.relu(ops.add(ops.matmul(joint, t["value/W1"]), t["value/b1"]))
+        out = ops.tanh(ops.add(ops.matmul(hidden, t["value/W2"]), t["value/b2"]))
+        return ops.reshape(out, (out.shape[0],))
 
     def forward(self, own: dict[str, np.ndarray], opp: dict[str, np.ndarray] | None = None):
         """The one inference path: (B, N) pointer logits, illegal entries at -inf.
 
         ``own`` and ``opp`` are `stack_features` dicts, ``own`` with its (B, N)
         ``legal`` mask.  With ``opp``, both stacks are encoded as one batch and
-        the (B,) values of the (own, opp) pairs are returned as well.
+        the (B,) values of the (own, opp) pairs are returned as well.  The
+        builders run on the plain parameter arrays, in inference mode.
         """
-        t = self._tensors(train=False)
+        t, ops = self.params, _ARRAY_OPS
         nodes = own["nodes"] if opp is None else np.concatenate([own["nodes"], opp["nodes"]])
-        h, pooled = self._encode(t, nodes, training=False, update_stats=False)
+        h, pooled = self._encode(t, nodes, training=False, update_stats=False, ops=ops)
         if opp is not None:
             b = own["nodes"].shape[0]
-            h, pooled, pooled_opp = ad.Tensor(h.data[:b]), ad.Tensor(pooled.data[:b]), ad.Tensor(pooled.data[b:])
-        logits = np.where(np.asarray(own["legal"], dtype=bool), self._policy_logits(t, h, pooled, own).data, -np.inf)
+            h, pooled, pooled_opp = h[:b], pooled[:b], pooled[b:]
+        logits = np.where(np.asarray(own["legal"], dtype=bool), self._policy_logits(t, h, pooled, own, ops), -np.inf)
         if opp is None:
             return logits
-        return logits, self._value(t, pooled, pooled_opp).data
+        return logits, self._value(t, pooled, pooled_opp, ops)
 
     def train_step(
         self,

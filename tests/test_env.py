@@ -111,7 +111,7 @@ class TestTsp:
         with pytest.raises(IllegalActionError, match="already visited"):
             step(state, 1)
         with pytest.raises(IllegalActionError, match="already visited"):
-            step(state, 1, legal_actions(state))
+            step(state, 1)  # now against the mask the first call cached
 
     def test_terminal_state_has_no_actions(self):
         state = initial_state(generate_tsp(3, seed=2))
@@ -120,7 +120,7 @@ class TestTsp:
         with pytest.raises(TerminalStateError):
             legal_actions(state)
         with pytest.raises(TerminalStateError):
-            step(state, 0, np.ones(3, dtype=bool))
+            step(state, 0)
 
 
 # flat-ground energy rates, default vehicle: ~0.138 kWh/km empty, ~0.149 full;
@@ -191,6 +191,12 @@ class TestEvrpMask:
         state = initial_state(inst)
         first = legal_actions(state)
         assert np.array_equal(first, legal_actions(state))
+
+    @pytest.mark.parametrize("inst", [generate_tsp(4, seed=5), generate_evrp(4, 2, seed=5)], ids=["tsp", "evrp"])
+    def test_mask_is_read_only(self, inst):
+        mask = legal_actions(initial_state(inst))
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = not mask[0]
 
     def test_customer_needs_one_escape_that_fits_both_resources(self):
         # after the far customer, serving the near one would leave a battery
@@ -273,10 +279,12 @@ class TestEvrpStep:
 
     def test_out_of_range_action(self):
         inst = generate_evrp(3, 1, seed=7)
+        state = initial_state(inst)
         with pytest.raises(IllegalActionError, match="out of range"):
-            step(initial_state(inst), 99)
+            step(state, 99)
+        legal_actions(state)
         with pytest.raises(IllegalActionError, match="out of range"):
-            step(initial_state(inst), 99, legal_actions(initial_state(inst)))
+            step(state, 99)
 
     @pytest.mark.parametrize(
         "build, moves, bad, message",
@@ -335,7 +343,7 @@ class TestEvrpStep:
         with pytest.raises(IllegalActionError, match=message):
             step(state, bad)
         with pytest.raises(IllegalActionError, match=message):
-            step(state, bad, legal_actions(state))
+            step(state, bad)  # now against the mask the first call cached
 
     def test_self_move_rejected(self):
         inst = line_instance([(NodeKind.CUSTOMER, 10.0, 0.5)])

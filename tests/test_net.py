@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from routezero import autodiff as ad
 from routezero.env import initial_state, legal_actions, step
 from routezero.instance import TspInstance, generate_evrp, generate_tsp
 from routezero.net import (
@@ -36,6 +37,30 @@ def stack(states, legal=True):
 
 def logits_of(net, state):
     return net.forward(stack([state]))[0]
+
+
+def tape_forward(net, own, opp=None):
+    """What `forward` computes, run on autodiff tensors through the same builders."""
+    t = net._tensors(train=False)
+    nodes = own["nodes"] if opp is None else np.concatenate([own["nodes"], opp["nodes"]])
+    h, pooled = net._encode(t, nodes, training=False, update_stats=False)
+    if opp is not None:
+        b = own["nodes"].shape[0]
+        h, pooled, pooled_opp = ad.Tensor(h.data[:b]), ad.Tensor(pooled.data[:b]), ad.Tensor(pooled.data[b:])
+    logits = np.where(own["legal"], net._policy_logits(t, h, pooled, own).data, -np.inf)
+    return logits if opp is None else (logits, net._value(t, pooled, pooled_opp).data)
+
+
+def random_states(inst, count, rng):
+    """``count`` live states after random legal prefixes of 0 to 3 moves."""
+    states = []
+    while len(states) < count:
+        state = initial_state(inst)
+        for _ in range(rng.integers(0, 4)):
+            state = step(state, int(rng.choice(np.flatnonzero(legal_actions(state)))))
+        if not state.done:
+            states.append(state)
+    return states
 
 
 class TestNetConfig:
@@ -146,6 +171,35 @@ class TestForward:
             single_logits, single_value = net.forward(stack([own[k]]), stack([opp[k]], legal=False))
             np.testing.assert_allclose(pair_logits[k], single_logits[0], rtol=1e-12)
             assert values[k] == pytest.approx(single_value[0], rel=1e-12)
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_matches_the_tape_bit_for_bit(self, problem, batch_size):
+        inst = generate_tsp(7, seed=13) if problem == "tsp" else generate_evrp(5, 2, seed=13)
+        net = tiny_net(problem, n_layers=2)
+        rng = np.random.default_rng(13)
+        for key, stat in net.bn_stats.items():
+            stat[:] = rng.uniform(0.5, 2.0, stat.shape) if key.endswith("/var") else rng.normal(0.0, 0.5, stat.shape)
+        own = stack(random_states(inst, batch_size, rng))
+        opp = stack(random_states(inst, batch_size, rng), legal=False)
+        assert net.forward(own).tobytes() == tape_forward(net, own).tobytes()
+        (logits, values), (tape_logits, tape_values) = net.forward(own, opp), tape_forward(net, own, opp)
+        assert logits.tobytes() == tape_logits.tobytes()
+        assert values.tobytes() == tape_values.tobytes()
+
+    def test_builds_no_autodiff_tensor(self, monkeypatch):
+        inst = generate_evrp(4, 2, seed=14)
+        net = tiny_net("evrp")
+        own, opp = stack([initial_state(inst)]), stack([initial_state(inst)], legal=False)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an autodiff.Tensor was built")
+
+        monkeypatch.setattr(ad.Tensor, "__init__", refuse)
+        net.forward(own)
+        net.forward(own, opp)
+        with pytest.raises(AssertionError, match="Tensor was built"):
+            net._tensors(train=False)
 
     def test_forward_is_deterministic(self):
         inst = generate_tsp(5, seed=9)

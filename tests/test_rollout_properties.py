@@ -1,4 +1,6 @@
-"""Property tests: random legal play, and lockstep greedy rollouts against serial ones."""
+"""Property tests: random legal play, the per-state mask cache, and lockstep greedy rollouts against serial ones."""
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routezero.baselines import greedy_rollouts
-from routezero.env import DeadEndError, RoutingGame, initial_state, legal_actions, objective, rollout, step, step_limit
+from routezero.env import (
+    DeadEndError,
+    RoutingGame,
+    _legal_mask,
+    initial_state,
+    legal_actions,
+    objective,
+    rollout,
+    step,
+    step_limit,
+)
 from routezero.instance import generate_evrp, generate_tsp
 from routezero.net import NetConfig, PolicyValueNet, greedy_actions
 
@@ -18,7 +30,7 @@ EVRP = st.builds(generate_evrp, st.integers(1, 4), st.integers(1, 2), SEEDS, st.
 
 
 def assert_same_state(a, b):
-    for name in a.__dataclass_fields__:
+    for name in (f.name for f in fields(a) if f.compare):
         x, y = getattr(a, name), getattr(b, name)
         if isinstance(x, np.ndarray):
             np.testing.assert_array_equal(x, y)
@@ -36,10 +48,26 @@ def test_random_legal_play_never_dead_ends(inst, move_seed):
             break
         mask = legal_actions(state)
         assert mask.any(), f"dead end at node {state.position}, route {state.route}"
+        state = step(state, int(rng.choice(np.flatnonzero(mask))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=st.one_of(TSP, EVRP), move_seed=SEEDS)
+def test_cached_mask_is_a_fresh_compute_that_stays_with_its_state(inst, move_seed):
+    rng = np.random.default_rng(move_seed)
+    state = initial_state(inst)
+    for _ in range(step_limit(inst)):
+        if state.done:
+            break
+        assert state._mask is None, "a successor starts without a mask"
+        mask = legal_actions(state)
+        assert legal_actions(state) is mask
+        np.testing.assert_array_equal(mask, _legal_mask(state))
+        assert replace(state)._mask is None
         action = int(rng.choice(np.flatnonzero(mask)))
-        with_mask = step(state, action, mask)
-        assert_same_state(with_mask, step(state, action))
-        state = with_mask
+        nxt = step(state, action)
+        assert_same_state(nxt, step(replace(state), action))
+        state = nxt
 
 
 def serial_greedy(inst, net):
