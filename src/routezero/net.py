@@ -326,8 +326,11 @@ class PolicyValueNet:
 
         ``own`` and ``opp`` are `stack_features` dicts, ``own`` with its (B, N)
         ``legal`` mask.  With ``opp``, both stacks are encoded as one batch and
-        the (B,) values of the (own, opp) pairs are returned as well.  The
-        builders run on the plain parameter arrays, in inference mode.
+        the (B,) values of the (own, opp) pairs are returned as well.  Own row
+        i pairs with opponent row i, or with row ``own["opp_row"][i]`` when
+        ``own`` carries that (B,) index, so an opponent shared by several own
+        states is passed and encoded once.  The builders run on the plain
+        parameter arrays, in inference mode.
         """
         t, ops = self.params, _ARRAY_OPS
         nodes = own["nodes"] if opp is None else np.concatenate([own["nodes"], opp["nodes"]])
@@ -335,6 +338,8 @@ class PolicyValueNet:
         if opp is not None:
             b = own["nodes"].shape[0]
             h, pooled, pooled_opp = h[:b], pooled[:b], pooled[b:]
+            if "opp_row" in own:
+                pooled_opp = pooled_opp[own["opp_row"]]
         logits = np.where(np.asarray(own["legal"], dtype=bool), self._policy_logits(t, h, pooled, own, ops), -np.inf)
         if opp is None:
             return logits

@@ -14,6 +14,17 @@ prior logits with visit-scaled completed values:
 
 Completed values fall back to the root value estimate for unvisited
 actions, so the improved policy is defined over every legal action.
+
+The greedy opponent's move does not depend on the own action, so the
+opponent state at tree depth d is the same in every branch.  One `plan()`
+keeps these states in an opponent chain, extended lazily, so the opponent
+policy runs at most once per depth and never on a finished opponent.  The
+search runs in sweeps: sequential halving gives each surviving candidate
+one playout per sweep, and each candidate's playouts stay in its own
+subtree, whose statistics no other playout of the sweep reads or writes.
+So a sweep descends once per candidate, evaluates all of its new leaves in
+one evaluator call and then backs up every path, which builds the same
+tree, visit counts and values as running the playouts one at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +49,6 @@ class PlannerConfig:
     m_root: int = 16
     c_visit: float = 50.0
     c_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_simulations < 1 or self.m_root < 1:
@@ -48,7 +58,13 @@ class PlannerConfig:
 
 
 class Evaluator(Protocol):
-    """Maps an (own, opponent) state pair to (masked logits, value)."""
+    """Maps an (own, opponent) state pair to (masked logits, value).
+
+    The search evaluates the new leaves of a sweep together: an evaluator
+    that also defines ``evaluate_batch(pairs)``, returning one (logits,
+    value) per pair in order, gets them in one call; a plain callable is
+    mapped over them.  Logits of a finished own state are never read.
+    """
 
     def __call__(self, own, opp) -> tuple[np.ndarray, float]: ...
 
@@ -56,7 +72,6 @@ class Evaluator(Protocol):
 @dataclass
 class TreeNode:
     own: object
-    opp: object
     logits: np.ndarray | None
     value: float
     terminal: bool
@@ -145,67 +160,79 @@ def _max_child_visits(node: TreeNode) -> int:
     return max((c.visits for c in node.children.values()), default=0)
 
 
+def _select_action(node: TreeNode, config: PlannerConfig) -> int:
+    legal = np.flatnonzero(np.isfinite(node.logits))
+    q = _completed_q(node, legal)
+    scores = node.logits[legal] + sigma(q, _max_child_visits(node), config)
+    return int(legal[int(np.argmax(scores))])
+
+
 class _Search:
-    def __init__(self, game: RoutingGame, evaluator: Evaluator, opponent_policy: Callable, config: PlannerConfig):
+    def __init__(self, game: RoutingGame, evaluator: Evaluator, opponent_policy: Callable, config: PlannerConfig, opp):
         self.game = game
-        self.evaluator = evaluator
+        self.evaluate = getattr(evaluator, "evaluate_batch", None) or (
+            lambda pairs: [evaluator(own, o) for own, o in pairs]
+        )
         self.opponent_policy = opponent_policy
         self.config = config
+        self.opponents = [opp]  # opponent state at each tree depth, the root's at 0
         self.evaluations = 0
         self.simulations = 0
 
-    def make_node(self, own, opp) -> TreeNode:
-        own_done = self.game.is_terminal(own)
-        opp_done = self.game.is_terminal(opp)
-        if own_done and opp_done:
-            z = 1.0 if self.game.terminal_reward(own) >= self.game.terminal_reward(opp) else -1.0
-            return TreeNode(own, opp, None, z, terminal=True)
-        if own_done:
-            # own player is out of moves; score the pair once and freeze
-            _, value = self.evaluator(own, opp)
-            self.evaluations += 1
-            return TreeNode(own, opp, None, value, terminal=True)
-        logits, value = self.evaluator(own, opp)
-        self.evaluations += 1
-        return TreeNode(own, opp, logits, value, terminal=False)
+    def opponent(self, depth: int):
+        """The opponent after ``depth`` greedy moves from the root; each depth is computed once."""
+        while len(self.opponents) <= depth:
+            last = self.opponents[-1]
+            if not self.game.is_terminal(last):
+                last = self.game.step(last, self.opponent_policy(last))
+            self.opponents.append(last)
+        return self.opponents[depth]
 
-    def advance_opponent(self, opp):
-        if self.game.is_terminal(opp):
-            return opp
-        return self.game.step(opp, self.opponent_policy(opp))
+    def make_nodes(self, leaves: list[tuple[object, int]]) -> list[TreeNode]:
+        """Nodes for (own state, depth) leaves; one evaluator call scores all that need it."""
+        nodes: list[TreeNode | None] = []
+        pending = []
+        for own, depth in leaves:
+            opp = self.opponent(depth)
+            if self.game.is_terminal(own) and self.game.is_terminal(opp):
+                z = 1.0 if self.game.terminal_reward(own) >= self.game.terminal_reward(opp) else -1.0
+                nodes.append(TreeNode(own, None, z, terminal=True))
+            else:
+                pending.append((len(nodes), own, opp))
+                nodes.append(None)
+        if pending:
+            results = self.evaluate([(own, opp) for _, own, opp in pending])
+            self.evaluations += len(pending)
+            for (slot, own, _), (logits, value) in zip(pending, results):
+                # a finished own player is scored once and frozen
+                done = self.game.is_terminal(own)
+                nodes[slot] = TreeNode(own, None if done else logits, value, terminal=done)
+        return nodes
 
-    def expand_child(self, node: TreeNode, action: int) -> TreeNode:
-        own_next = self.game.step(node.own, action)
-        child = self.make_node(own_next, self.advance_opponent(node.opp))
-        node.children[action] = child
-        return child
-
-    def select_action(self, node: TreeNode) -> int:
-        legal = np.flatnonzero(np.isfinite(node.logits))
-        q = _completed_q(node, legal)
-        scores = node.logits[legal] + sigma(q, _max_child_visits(node), self.config)
-        return int(legal[int(np.argmax(scores))])
-
-    def playout(self, root: TreeNode, root_action: int) -> None:
-        """One simulation through a root candidate; backs up a single leaf."""
-        self.simulations += 1
-        path = []
-        node, action = root, root_action
-        while True:
-            child = node.children.get(action)
-            if child is None:
-                child = self.expand_child(node, action)
-                path.append(child)
-                break
-            node = child
-            path.append(node)
-            if node.terminal:
-                break
-            action = self.select_action(node)
-        leaf_value = path[-1].value
-        for visited in path:
-            visited.visits += 1
-            visited.value_sum += leaf_value
+    def sweep(self, root: TreeNode, root_actions: list[int]) -> None:
+        """One simulation through each root action, each backing up a single leaf."""
+        paths, expand = [], []
+        for action in root_actions:
+            self.simulations += 1
+            node, path = root, []
+            while action in node.children:
+                node = node.children[action]
+                path.append(node)
+                if node.terminal:
+                    break
+                action = _select_action(node, self.config)
+            else:
+                expand.append((node, action, path))
+            paths.append(path)
+        children = self.make_nodes([(self.game.step(node.own, action), len(path) + 1) for node, action, path in expand])
+        for (node, action, path), child in zip(expand, children):
+            node.children[action] = child
+            path.append(child)
+        for path in paths:
+            leaf_value = path[-1].value
+            for visited in path:
+                visited.visits += 1
+                visited.value_sum += leaf_value
 
 
 def plan(
@@ -215,20 +242,20 @@ def plan(
     opponent_policy: Callable,
     config: PlannerConfig,
     game: RoutingGame,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> PlanResult:
     """Pick a move for the own player and return the improved policy.
 
     ``opponent_policy`` maps an opponent state to its next action; it
-    models the opponent greedily inside the tree.  Network evaluations are
+    models the opponent greedily inside the tree.  ``rng`` draws the root's
+    Gumbel noise, the search's only random choice.  Network evaluations are
     bounded by ``n_simulations + 1``.
     """
     if game.is_terminal(own_state):
         raise PlannerError("cannot plan from a terminal state")
-    rng = np.random.default_rng(config.seed) if rng is None else rng
-    search = _Search(game, evaluator, opponent_policy, config)
+    search = _Search(game, evaluator, opponent_policy, config, opp_state)
 
-    root = search.make_node(own_state, opp_state)
+    root = search.make_nodes([(own_state, 0)])[0]
     candidates, gumbels = sample_gumbel_topm(root.logits, config.m_root, rng)
     base = root.logits[candidates] + gumbels
     schedule = sequential_halving_schedule(candidates.shape[0], config.n_simulations)
@@ -237,8 +264,7 @@ def plan(
     for n_cands, sims_each in schedule:
         order = order[:n_cands]
         for _ in range(sims_each):
-            for idx in order:
-                search.playout(root, int(candidates[idx]))
+            search.sweep(root, [int(candidates[idx]) for idx in order])
         scores = np.array(
             [base[idx] + sigma(root.children[int(candidates[idx])].q, _max_child_visits(root), config)
              if int(candidates[idx]) in root.children else base[idx]
@@ -279,15 +305,28 @@ class NetEvaluator:
         self.game = game
 
     def __call__(self, own, opp) -> tuple[np.ndarray, float]:
-        terminal = self.game.is_terminal(own)
-        own_batch = stack_features([featurize(own)])
-        opp_batch = stack_features([featurize(opp)])
-        legal = np.zeros(own.instance.n_nodes, dtype=bool) if terminal else self.game.legal_actions(own)
-        own_batch["legal"] = legal[None]
-        logits, values = self.value_net.forward(own_batch, opp_batch)
-        if not terminal and self.policy_net is not self.value_net:
+        return self.evaluate_batch([(own, opp)])[0]
+
+    def evaluate_batch(self, pairs: list[tuple]) -> list[tuple[np.ndarray, float]]:
+        """(logits, value) of each (own, opp) pair, from one forward per net.
+
+        Pairs that share an opponent state object share its row of the
+        forward's opponent stack, so each distinct opponent is encoded once.
+        """
+        opps = list({id(opp): opp for _, opp in pairs}.values())
+        rows = {id(opp): row for row, opp in enumerate(opps)}
+        n = pairs[0][0].instance.n_nodes
+        legal = np.stack(
+            [np.zeros(n, dtype=bool) if self.game.is_terminal(own) else self.game.legal_actions(own)
+             for own, _ in pairs]
+        )
+        own_batch = stack_features([featurize(own) for own, _ in pairs])
+        own_batch["legal"] = legal
+        own_batch["opp_row"] = np.array([rows[id(opp)] for _, opp in pairs], dtype=np.int64)
+        logits, values = self.value_net.forward(own_batch, stack_features([featurize(opp) for opp in opps]))
+        if legal.any() and self.policy_net is not self.value_net:
             logits = self.policy_net.forward(own_batch)
-        return logits[0], float(values[0])
+        return [(logits[i], float(values[i])) for i in range(len(pairs))]
 
 
 class GreedyNetPolicy:

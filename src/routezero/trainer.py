@@ -114,12 +114,18 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
-def train_config_from_dict(raw: dict) -> TrainConfig:
-    data = dict(raw)
-    allowed = {f.name for f in fields(TrainConfig)}
-    unknown = sorted(set(data) - allowed)
+def _reject_unknown_keys(cls, data, what: str) -> None:
+    unknown = sorted(set(data) - {f.name for f in fields(cls)}) if isinstance(data, dict) else []
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+
+
+def train_config_from_dict(raw: dict) -> TrainConfig:
+    """Build a TrainConfig; ValueError names an unknown key, at the top level or in ``planner``/``net``."""
+    data = dict(raw)
+    _reject_unknown_keys(TrainConfig, data, "config")
+    _reject_unknown_keys(PlannerConfig, data.get("planner"), "planner config")
+    _reject_unknown_keys(NetConfig, data.get("net"), "net config")
     try:
         if "planner" in data:
             data["planner"] = PlannerConfig(**data["planner"])

@@ -119,6 +119,26 @@ class TestTrain:
         config.write_text(json.dumps({**TINY_TRAIN, "episodes": 3}))
         assert main(["train", str(config)]) == 1
 
+    def test_planner_seed_is_an_unknown_key(self, tmp_path, capsys):
+        # plan() takes its rng from the caller, so the planner has no seed to set
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**TINY_TRAIN, "planner": {**TINY_TRAIN["planner"], "seed": 3}}))
+        assert main(["train", str(config), "--run-dir", str(tmp_path / "run")]) == 1
+        assert "unknown planner config keys: seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_from_checkpoint_with_planner_seed_is_data_error(self, tmp_path, trained_run, capsys):
+        ckpt = trained_run / "checkpoint.npz"
+        arrays = dict(np.load(ckpt))
+        saved = json.loads(arrays["meta/config"].tobytes().decode())
+        saved["planner"]["seed"] = 0
+        arrays["meta/config"] = np.frombuffer(json.dumps(saved).encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        config = tmp_path / "smoke.json"
+        assert main(["train", str(config), "--run-dir", str(trained_run), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint.npz" in err and "unknown planner config keys: seed" in err
+
     def test_bad_value_is_usage_error(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({**TINY_TRAIN, "self_play_prob": 2.0}))

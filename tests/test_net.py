@@ -187,6 +187,24 @@ class TestForward:
         assert logits.tobytes() == tape_logits.tobytes()
         assert values.tobytes() == tape_values.tobytes()
 
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    @pytest.mark.parametrize("batch_size", [1, 4, 8])
+    def test_opp_row_matches_one_opponent_per_row_bit_for_bit(self, problem, batch_size):
+        inst = generate_tsp(7, seed=15) if problem == "tsp" else generate_evrp(5, 2, seed=15)
+        net = tiny_net(problem, n_layers=2)
+        rng = np.random.default_rng(15 + batch_size)
+        own = stack(random_states(inst, batch_size, rng))
+        opps = []
+        while len(opps) < max(1, batch_size // 2):
+            state = random_states(inst, 1, rng)[0]
+            if all(state.route != o.route for o in opps):
+                opps.append(state)
+        opp_row = rng.permutation(np.arange(batch_size) % len(opps))
+        expect_logits, expect_values = net.forward(own, stack([opps[r] for r in opp_row], legal=False))
+        logits, values = net.forward({**own, "opp_row": opp_row}, stack(opps, legal=False))
+        assert logits.tobytes() == expect_logits.tobytes()
+        assert values.tobytes() == expect_values.tobytes()
+
     def test_builds_no_autodiff_tensor(self, monkeypatch):
         inst = generate_evrp(4, 2, seed=14)
         net = tiny_net("evrp")

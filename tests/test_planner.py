@@ -9,6 +9,11 @@ from routezero.planner import (
     NetEvaluator,
     PlannerConfig,
     PlannerError,
+    PlanResult,
+    TreeNode,
+    _completed_q,
+    _max_child_visits,
+    _select_action,
     plan,
     sample_gumbel_topm,
     sequential_halving_schedule,
@@ -47,6 +52,116 @@ def oneshot_evaluator(n_arms):
 
 def never_called(state):
     raise AssertionError("opponent policy must not run against a finished opponent")
+
+
+def sequential_plan(own_state, opp_state, evaluator, opponent_policy, config, game, rng):
+    """Reference search: one playout at a time, each new edge stepping its parent's opponent.
+
+    Returns the PlanResult and the evaluator calls of the root and of each sweep.
+    """
+    calls = [0]
+
+    def make_node(own, opp):
+        done = game.is_terminal(own)
+        if done and game.is_terminal(opp):
+            node = TreeNode(own, None, 1.0 if game.terminal_reward(own) >= game.terminal_reward(opp) else -1.0, True)
+        else:
+            logits, value = evaluator(own, opp)
+            calls[-1] += 1
+            node = TreeNode(own, None if done else logits, value, done)
+        node.opp = opp
+        return node
+
+    def playout(node, action):
+        path = []
+        while action in node.children:
+            node = node.children[action]
+            path.append(node)
+            if node.terminal:
+                break
+            action = _select_action(node, config)
+        else:
+            opp = node.opp if game.is_terminal(node.opp) else game.step(node.opp, opponent_policy(node.opp))
+            node.children[action] = make_node(game.step(node.own, action), opp)
+            path.append(node.children[action])
+        for visited in path:
+            visited.visits += 1
+            visited.value_sum += path[-1].value
+
+    root = make_node(own_state, opp_state)
+    candidates, gumbels = sample_gumbel_topm(root.logits, config.m_root, rng)
+    schedule = sequential_halving_schedule(candidates.shape[0], config.n_simulations)
+    order = np.arange(candidates.shape[0])
+    for n_cands, sims_each in schedule:
+        order = order[:n_cands]
+        for _ in range(sims_each):
+            calls.append(0)
+            for idx in order:
+                playout(root, int(candidates[idx]))
+        scores = [root.logits[candidates[i]] + gumbels[i]
+                  + (sigma(root.children[candidates[i]].q, _max_child_visits(root), config)
+                     if candidates[i] in root.children else 0.0) for i in order]
+        order = order[np.argsort(-np.array(scores), kind="stable")]
+    legal = np.flatnonzero(np.isfinite(root.logits))
+    scores = root.logits[legal] + sigma(_completed_q(root, legal), _max_child_visits(root), config)
+    probs = np.exp(scores - scores.max())
+    improved = np.zeros(root.logits.shape[0])
+    improved[legal] = probs / probs.sum()
+    sims = sum(n * k for n, k in schedule)
+    return PlanResult(int(candidates[order[0]]), improved, sims, sum(calls), root.value), calls
+
+
+def hashed_evaluator(game):
+    """Plain-callable evaluator whose logits and value are a fixed function of both routes."""
+
+    def evaluate(own, opp):
+        rng = np.random.default_rng([len(own.route), *own.route, 1_000, *opp.route])
+        n = own.instance.n_nodes
+        legal = np.zeros(n, dtype=bool) if game.is_terminal(own) else game.legal_actions(own)
+        return np.where(legal, rng.normal(size=n), -np.inf), float(np.tanh(rng.normal()))
+
+    return evaluate
+
+
+def lowest_legal(game):
+    return lambda state: int(np.flatnonzero(game.legal_actions(state))[0])
+
+
+def random_root(inst, rng):
+    """Live own state and an opponent anywhere from its start to finished, after random legal moves."""
+
+    def walk(moves):
+        state = initial_state(inst)
+        for _ in range(moves):
+            if state.done:
+                break
+            state = step(state, int(rng.choice(np.flatnonzero(legal_actions(state)))))
+        return state
+
+    own = walk(int(rng.integers(0, inst.n_nodes - 1)))
+    while own.done:
+        own = walk(int(rng.integers(0, 2)))
+    return own, walk(int(rng.integers(0, inst.n_nodes + 2)))
+
+
+def routing_case(problem, seed):
+    inst = generate_tsp(6, seed=seed) if problem == "tsp" else generate_evrp(4, 2, seed=seed)
+    return inst, RoutingGame(inst)
+
+
+class CountingEvaluator:
+    """Batched evaluator that records the size of each call and refuses single pairs."""
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.batches = []
+
+    def __call__(self, own, opp):
+        raise AssertionError("plan() must evaluate through evaluate_batch")
+
+    def evaluate_batch(self, pairs):
+        self.batches.append(len(pairs))
+        return [self.evaluate(own, opp) for own, opp in pairs]
 
 
 class TestPlannerConfig:
@@ -227,7 +342,7 @@ class TestPlanOnRouting:
         for a in range(5):
             state = step(state, a)
         with pytest.raises(PlannerError, match="terminal"):
-            plan(state, state, evaluator, opp, PlannerConfig(), game)
+            plan(state, state, evaluator, opp, PlannerConfig(), game, rng=np.random.default_rng(0))
 
     def test_plans_evrp_without_dead_ends(self):
         inst = generate_evrp(4, 2, seed=22)
@@ -239,6 +354,81 @@ class TestPlanOnRouting:
         result = plan(own, own, evaluator, opp, PlannerConfig(n_simulations=20, m_root=8),
                       game, rng=np.random.default_rng(9))
         assert legal_actions(own)[result.action]
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    def test_plain_evaluator_matches_sequential_search_exactly(self, problem):
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            inst, game = routing_case(problem, seed=300 + k)
+            own, opp = random_root(inst, rng)
+            cfg = PlannerConfig(n_simulations=int(rng.integers(1, 40)), m_root=int(rng.integers(1, 9)))
+            args = (own, opp, hashed_evaluator(game), lowest_legal(game), cfg, game)
+            got = plan(*args, rng=np.random.default_rng(k))
+            ref, _ = sequential_plan(*args, rng=np.random.default_rng(k))
+            assert got.action == ref.action
+            assert got.improved_policy.tobytes() == ref.improved_policy.tobytes()
+            assert (got.simulations, got.evaluations, got.root_value) == (
+                ref.simulations, ref.evaluations, ref.root_value)
+            assert got.evaluations <= cfg.n_simulations + 1
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    def test_net_evaluator_matches_sequential_search(self, problem):
+        rng = np.random.default_rng(32)
+        for k in range(6):
+            inst, game = routing_case(problem, seed=400 + k)
+            theta, best = tiny_net(problem, seed=k), tiny_net(problem, seed=k + 50)
+            evaluator = NetEvaluator(best, game, value_net=theta) if k % 2 else NetEvaluator(theta, game)
+            own, opp = random_root(inst, rng)
+            args = (own, opp, evaluator, GreedyNetPolicy(theta, game), PlannerConfig(n_simulations=24, m_root=8), game)
+            got = plan(*args, rng=np.random.default_rng(k))
+            ref, _ = sequential_plan(*args, rng=np.random.default_rng(k))
+            assert got.action == ref.action
+            np.testing.assert_allclose(got.improved_policy, ref.improved_policy, rtol=0, atol=1e-12)
+            assert (got.simulations, got.evaluations) == (ref.simulations, ref.evaluations)
+            assert got.root_value == pytest.approx(ref.root_value, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    def test_one_batched_call_for_the_root_and_each_sweep_with_a_new_evaluated_leaf(self, problem):
+        rng = np.random.default_rng(33)
+        for k in range(10):
+            inst, game = routing_case(problem, seed=500 + k)
+            own, opp = random_root(inst, rng)
+            cfg = PlannerConfig(n_simulations=int(rng.integers(1, 40)), m_root=int(rng.integers(1, 9)))
+            counting = CountingEvaluator(hashed_evaluator(game))
+            got = plan(own, opp, counting, lowest_legal(game), cfg, game, rng=np.random.default_rng(k))
+            _, calls = sequential_plan(own, opp, hashed_evaluator(game), lowest_legal(game), cfg, game,
+                                       rng=np.random.default_rng(k))
+            assert counting.batches == [n for n in calls if n]
+            assert sum(counting.batches) == got.evaluations <= cfg.n_simulations + 1
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    def test_opponent_policy_runs_once_per_state_and_never_when_finished(self, problem):
+        rng = np.random.default_rng(34)
+        for k in range(10):
+            inst, game = routing_case(problem, seed=600 + k)
+            own, opp = random_root(inst, rng)
+            seen = []
+
+            def spy(state):
+                assert not game.is_terminal(state), "opponent policy called on a finished opponent"
+                seen.append(state.route)
+                return lowest_legal(game)(state)
+
+            cfg = PlannerConfig(n_simulations=40, m_root=2)
+            plan(own, opp, hashed_evaluator(game), spy, cfg, game, rng=np.random.default_rng(k))
+            assert len(seen) == len(set(seen))
+
+    def test_opponent_one_move_from_the_end_moves_once(self):
+        inst, game = routing_case("tsp", seed=700)
+        opp = initial_state(inst)
+        for a in range(5):
+            opp = step(opp, a)
+        seen = []
+        plan(game.initial_state(), opp, hashed_evaluator(game), lambda s: seen.append(s.route) or 5,
+             PlannerConfig(n_simulations=40, m_root=2), game, rng=np.random.default_rng(0))
+        assert seen == [opp.route]
 
 
 class TestNetAdapters:
@@ -263,6 +453,22 @@ class TestNetAdapters:
         batch["legal"] = legal_actions(own)[None]
         assert value == pytest.approx(value_net.forward(batch, batch)[1][0], rel=1e-12)
         np.testing.assert_allclose(logits, policy_net.forward(batch)[0], rtol=1e-12)
+
+    def test_split_net_batch_matches_single_pairs(self):
+        inst = generate_tsp(5, seed=27)
+        game = RoutingGame(inst)
+        theta, theta_best = tiny_net("tsp", seed=2), tiny_net("tsp", seed=1)
+        evaluator = NetEvaluator(theta_best, game, value_net=theta)
+        states = [game.initial_state()]
+        for a in (3, 1, 4, 0, 2):
+            states.append(step(states[-1], a))
+        pairs = [(states[0], states[1]), (states[2], states[1]), (states[5], states[1]), (states[3], states[4])]
+        batched = evaluator.evaluate_batch(pairs)
+        for (own, opp), (logits, value) in zip(pairs, batched):
+            single_logits, single_value = evaluator(own, opp)
+            np.testing.assert_allclose(logits, single_logits, rtol=1e-12)
+            assert value == pytest.approx(single_value, rel=1e-12)
+        assert np.isneginf(batched[2][0]).all()
 
     def test_terminal_own_state_is_scored_by_the_value_net(self):
         inst = generate_tsp(4, seed=26)
