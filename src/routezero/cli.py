@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import SizeLimitError, exact_evrp, exact_tsp, gap, greedy_rollouts
+from .baselines import SearchBudgetError, SizeLimitError, SolveResult, exact_evrp, exact_tsp, gap, greedy_rollouts
 from .env import DeadEndError, RoutingGame, objective, step_limit, validate_route
 from .instance import (
     Instance,
@@ -31,6 +32,7 @@ from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError,
 from .trainer import TRAINER_CHECKPOINT_VERSION, TrainerError, train, train_config_from_dict
 
 RESULTS_HEADER = "instance,method,objective,oracle,gap_pct,feasible"
+TIMING_HEADER = "instance,wall_s,oracle_s,evaluations"
 
 
 class DataError(RuntimeError):
@@ -115,11 +117,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _eval_keys(data) -> list[str]:
+    """The arrays eval builds from: a trainer checkpoint's ``theta/`` and ``meta/``, else every array."""
+    try:
+        check_version({"meta/version": data["meta/version"]}, TRAINER_CHECKPOINT_VERSION)
+    except (KeyError, CheckpointError):
+        return data.files
+    return [k for k in data.files if k.startswith(("theta/", "meta/"))]
+
+
 def _load_eval_net(path: str) -> PolicyValueNet:
-    """Accept either a bare net dump or a full trainer checkpoint; reads the file once."""
+    """Accept either a bare net dump or a full trainer checkpoint; opens the file once."""
     if not Path(path).exists():
         raise DataError(f"{path}: checkpoint not found")
-    arrays = read_arrays(path)
+    arrays = read_arrays(path, _eval_keys)
     errors = []
     for version, prefix in ((CHECKPOINT_VERSION, ""), (TRAINER_CHECKPOINT_VERSION, "theta/")):
         try:
@@ -136,51 +147,62 @@ def _is_feasible(inst: Instance, route) -> bool:
     return not validate_route(inst, route)
 
 
-def _plan_route(inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig, rng) -> tuple:
-    """Search-guided route: plan each own move against a greedy shadow."""
+def _plan_route(inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig, rng) -> SolveResult:
+    """Search-guided route: plan each own move against a greedy shadow.
+
+    ``expansions`` is the sum of the plans' evaluation counts.
+    """
+    start = time.perf_counter()
     game = RoutingGame(inst)
     evaluator = NetEvaluator(net, game)
     shadow = GreedyNetPolicy(net, game)
     own = game.initial_state()
     opp = game.initial_state()
-    guard = 0
+    guard = evaluations = 0
     while not own.done:
         guard += 1
         if guard > step_limit(inst):
             raise DeadEndError("search rollout failed to terminate")
         result = plan(own, opp, evaluator, shadow, planner_cfg, game, rng=rng)
+        evaluations += result.evaluations
         own = game.step(own, result.action)
         if not opp.done:
             opp = game.step(opp, shadow(opp))
-    return own.route
+    route = own.route
+    return SolveResult(route, objective(inst, route), False, evaluations, time.perf_counter() - start)
 
 
-def _oracle_objective(inst: Instance) -> float | None:
+def _oracle(inst: Instance) -> SolveResult | None:
+    """Exact solution, or None when the instance is too large or the search budget runs out."""
     try:
         if isinstance(inst, TspInstance):
-            return exact_tsp(inst).objective
-        return exact_evrp(inst).objective
-    except SizeLimitError:
+            return exact_tsp(inst)
+        return exact_evrp(inst)
+    except (SizeLimitError, SearchBudgetError):
         return None
 
 
-def _greedy_routes(paths: list[Path], insts: list[Instance], net: PolicyValueNet) -> list[tuple]:
+def _greedy_routes(paths: list[Path], insts: list[Instance], net: PolicyValueNet) -> list[SolveResult]:
     """Lockstep greedy routes; a dead end names the first failing file in ``paths`` order."""
-    routes = []
-    for path, result in zip(paths, greedy_rollouts(insts, net)):
+    results = greedy_rollouts(insts, net)
+    for path, result in zip(paths, results):
         if isinstance(result, DeadEndError):
             raise DeadEndError(f"{path.name}: {result}")
-        routes.append(result.route)
-    return routes
+    return results
 
 
-def _result_row(path: Path, inst: Instance, route, mode: str) -> str:
-    obj = objective(inst, route)
-    oracle = _oracle_objective(inst)
-    oracle_s = repr(oracle) if oracle is not None else ""
-    gap_s = repr(gap(obj, oracle)) if oracle is not None and oracle > 0 else ""
-    feasible = _is_feasible(inst, route)
+def _result_row(path: Path, inst: Instance, solved: SolveResult, oracle: SolveResult | None, mode: str) -> str:
+    obj = solved.objective
+    best = oracle.objective if oracle is not None else None
+    oracle_s = repr(best) if best is not None else ""
+    gap_s = repr(gap(obj, best)) if best is not None and best > 0 else ""
+    feasible = _is_feasible(inst, solved.route)
     return f"{path.name},{mode},{obj!r},{oracle_s},{gap_s},{feasible}"
+
+
+def _timing_row(path: Path, solved: SolveResult, oracle: SolveResult | None) -> str:
+    oracle_s = repr(oracle.wall_time_s) if oracle is not None else ""
+    return f"{path.name},{solved.wall_time_s!r},{oracle_s},{solved.expansions}"
 
 
 def cmd_eval(args) -> int:
@@ -191,17 +213,21 @@ def cmd_eval(args) -> int:
         raise DataError(f"{inst_dir}: no instance files")
     insts = [load_instance(path) for path in paths]
     if args.mode == "greedy":
-        routes = _greedy_routes(paths, insts, net)
+        solved = _greedy_routes(paths, insts, net)
     else:
         planner_cfg = PlannerConfig(n_simulations=args.budget, m_root=args.m_root)
-        routes = [
+        solved = [
             _plan_route(inst, net, planner_cfg, np.random.default_rng([args.seed, idx]))
             for idx, inst in enumerate(insts)
         ]
-    rows = [_result_row(path, inst, route, args.mode) for path, inst, route in zip(paths, insts, routes)]
+    oracles = [_oracle(inst) for inst in insts]
+    rows = [_result_row(*row, args.mode) for row in zip(paths, insts, solved, oracles)]
+    timing = [_timing_row(*row) for row in zip(paths, solved, oracles)]
     out = Path(args.out) if args.out else inst_dir / "results.csv"
+    timing_out = out.with_name(f"{out.stem}.timing.csv")
     out.write_text("\n".join([RESULTS_HEADER, *rows]) + "\n")
-    print(f"wrote {len(rows)} result row(s) to {out}")
+    timing_out.write_text("\n".join([TIMING_HEADER, *timing]) + "\n")
+    print(f"wrote {len(rows)} result row(s) to {out}, timing to {timing_out}")
     return 0
 
 

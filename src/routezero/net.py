@@ -449,11 +449,11 @@ def check_version(arrays: dict[str, np.ndarray], version: int) -> None:
         raise CheckpointError(f"checkpoint version {found} != {version}")
 
 
-def read_arrays(path) -> dict[str, np.ndarray]:
-    """Every array of an .npz dump; rejects unreadable files."""
+def read_arrays(path, keys=None) -> dict[str, np.ndarray]:
+    """The arrays of an .npz dump that ``keys(npz)`` names, else every array; rejects unreadable files."""
     try:
         with np.load(path) as data:
-            return {k: data[k] for k in data.files}
+            return {k: data[k] for k in (data.files if keys is None else keys(data))}
     except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
 

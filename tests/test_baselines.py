@@ -16,7 +16,7 @@ from routezero.baselines import (
     nearest_neighbor,
 )
 from routezero.env import DeadEndError, objective, validate_route
-from routezero.instance import generate_evrp, generate_tsp
+from routezero.instance import TspInstance, generate_evrp, generate_tsp
 from routezero.net import NetConfig, PolicyValueNet
 
 
@@ -25,6 +25,40 @@ def brute_force_tsp(inst):
     for perm in itertools.permutations(range(1, inst.n_nodes)):
         best = min(best, objective(inst, (0,) + perm))
     return best
+
+
+def per_mask_held_karp(inst):
+    """Held-Karp one subset mask at a time, the reference for the layered ``exact_tsp``."""
+    n, d = inst.n_nodes, inst.dist_km
+    size = 1 << n
+    cost = np.full((size, n), np.inf)
+    parent = np.full((size, n), -1, dtype=np.int8)
+    cost[1, 0] = 0.0
+    expansions = 0
+    for mask in range(1, size, 2):
+        candidate = cost[mask][:, None] + d
+        best_cost, best_from = candidate.min(axis=0), candidate.argmin(axis=0)
+        for nxt in range(n):
+            grown = mask | (1 << nxt)
+            if not mask >> nxt & 1 and best_cost[nxt] < cost[grown, nxt]:
+                cost[grown, nxt], parent[grown, nxt] = best_cost[nxt], best_from[nxt]
+                expansions += 1
+    closing = cost[size - 1] + d[:, 0]
+    closing[0] = np.inf
+    tour, mask, last = [], size - 1, int(np.argmin(closing))
+    while last >= 0:
+        tour.append(last)
+        mask, last = mask ^ (1 << last), int(parent[mask, last])
+    return tuple(reversed(tour)), float(closing.min()), expansions
+
+
+# layouts where equal costs meet, so the lowest-predecessor tie rule decides the tour
+TIE_LAYOUTS = {
+    "duplicate points": [[0.1, 0.2], [0.5, 0.5], [0.1, 0.2], [0.9, 0.4], [0.5, 0.5], [0.3, 0.8]],
+    "all coincident": [[0.25, 0.25]] * 7,
+    "3x3 lattice": [[x / 2, y / 2] for x in range(3) for y in range(3)],
+    "regular 10-gon": [[np.cos(2 * np.pi * k / 10), np.sin(2 * np.pi * k / 10)] for k in range(10)],
+}
 
 
 class TestGap:
@@ -61,6 +95,26 @@ class TestExactTsp:
     def test_deterministic(self):
         inst = generate_tsp(8, seed=1)
         assert exact_tsp(inst).route == exact_tsp(inst).route
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_layered_matches_per_mask_reference(self, n):
+        for seed in range(4):
+            inst = generate_tsp(n, seed=seed)
+            result = exact_tsp(inst)
+            assert (result.route, result.objective, result.expansions) == per_mask_held_karp(inst)
+
+    @pytest.mark.parametrize("layout", TIE_LAYOUTS)
+    def test_ties_match_per_mask_reference(self, layout):
+        inst = TspInstance(coords=np.array(TIE_LAYOUTS[layout]))
+        result = exact_tsp(inst)
+        assert (result.route, result.objective, result.expansions) == per_mask_held_karp(inst)
+
+    def test_largest_size_gives_a_tour(self):
+        inst = generate_tsp(EXACT_TSP_MAX_NODES, seed=3)
+        result = exact_tsp(inst)
+        assert sorted(result.route) == list(range(EXACT_TSP_MAX_NODES)) and result.route[0] == 0
+        assert objective(inst, result.route) == pytest.approx(result.objective, rel=1e-12)
+        assert result.objective <= nearest_neighbor(inst).objective + 1e-12
 
 
 class TestExactEvrp:
@@ -150,6 +204,7 @@ class TestGreedyRollout:
         # slots 0-2 share a size and form chunks of 2 and 1; slot 3 rolls on its own
         assert shapes == [(2, 4, 5)] * 4 + [(1, 4, 5)] * 4 + [(1, 5, 5)] * 5
         assert [len(r.route) for r in results] == [4, 4, 4, 5]
+        assert [r.expansions for r in results] == [4, 4, 4, 5]
 
     def test_route_finished_on_the_cap_th_move_counts(self, monkeypatch):
         import routezero.baselines as baselines

@@ -6,7 +6,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from routezero.cli import RESULTS_HEADER, main
+from routezero import cli
+from routezero.baselines import SearchBudgetError
+from routezero.cli import RESULTS_HEADER, TIMING_HEADER, main
 from routezero.instance import load_instance
 from routezero.net import NetConfig, PolicyValueNet, save_net
 
@@ -221,6 +223,80 @@ class TestEval:
         monkeypatch.setattr(np, "load", lambda *a, **k: reads.append(a) or real(*a, **k))
         assert main(["eval", str(trained_run / "checkpoint.npz"), str(inst_dir)]) == 0
         assert len(reads) == 1
+
+    def test_trainer_checkpoint_reads_only_theta_and_meta(self, tmp_path, trained_run, monkeypatch):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        keys = []
+        real = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", lambda self, key: keys.append(key) or real(self, key))
+        assert main(["eval", str(trained_run / "checkpoint.npz"), str(inst_dir)]) == 0
+        assert any(k.startswith("theta/param/") for k in keys)
+        assert not [k for k in keys if k.startswith(("pol/", "val/", "best/"))]
+
+    def evrp_net_eval(self, tmp_path):
+        # this untrained net finishes evrp seed 7 greedily (seed 8 cycles)
+        inst_dir = tmp_path / "instances"
+        gen = ["gen", "evrp", "--customers", "4", "--stations", "2", "--objective", "EM", "--count", "1"]
+        main([*gen, "--seed", "7", "--out", str(inst_dir)])
+        ckpt = tmp_path / "net.npz"
+        save_net(PolicyValueNet.create(NetConfig(**{**TINY_TRAIN["net"], "problem": "evrp"})), ckpt)
+        return ckpt, inst_dir
+
+    def test_oracle_out_of_budget_leaves_blank_cells(self, tmp_path, monkeypatch):
+        ckpt, inst_dir = self.evrp_net_eval(tmp_path)
+
+        def exhausted(inst):
+            raise SearchBudgetError("exceeded 1 expansions")
+
+        monkeypatch.setattr(cli, "exact_evrp", exhausted)
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 0
+        [(_, method, obj, oracle, gap_pct, feasible)] = self.read_rows(inst_dir / "results.csv")
+        assert (method, oracle, gap_pct, feasible) == ("greedy", "", "", "True") and float(obj) > 0
+        [(_, _, oracle_s, _)] = self.read_timing(inst_dir / "results.timing.csv")
+        assert oracle_s == ""
+
+    def read_timing(self, path):
+        lines = path.read_text().splitlines()
+        assert lines[0] == TIMING_HEADER == "instance,wall_s,oracle_s,evaluations"
+        return [line.split(",") for line in lines[1:]]
+
+    def test_greedy_timing_sidecar(self, tmp_path, trained_run):
+        inst_dir = self.gen_instances(tmp_path, n=3)
+        out = tmp_path / "greedy.csv"
+        assert main(["eval", str(trained_run / "checkpoint.npz"), str(inst_dir), "--out", str(out)]) == 0
+        results = self.read_rows(out)
+        timing = self.read_timing(tmp_path / "greedy.timing.csv")
+        assert [t[0] for t in timing] == [r[0] for r in results] == [f"tsp_n5_seed{s}.json" for s in range(3)]
+        for name, wall_s, oracle_s, evaluations in timing:
+            assert float(wall_s) > 0 and float(oracle_s) > 0
+            assert int(evaluations) == 5  # one forward row per move of a 5-city tour
+
+    def test_evrp_greedy_evaluations_count_moves(self, tmp_path):
+        ckpt, inst_dir = self.evrp_net_eval(tmp_path)
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 0
+        [_, _, _, evaluations] = self.read_timing(inst_dir / "results.timing.csv")[0]
+        route = cli.greedy_rollouts([load_instance(inst_dir / "evrp_c4_s2_em_seed7.json")], cli._load_eval_net(ckpt))
+        assert int(evaluations) == len(route[0].route) - 1  # the route starts at the depot
+
+    def test_mcts_timing_counts_plan_evaluations(self, tmp_path, trained_run, monkeypatch):
+        inst_dir = self.gen_instances(tmp_path, n=2)
+        counted = []
+        real_plan = cli.plan
+
+        def spy(*args, **kwargs):
+            result = real_plan(*args, **kwargs)
+            counted.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(cli, "plan", spy)
+        out = tmp_path / "mcts.csv"
+        argv = ["eval", str(trained_run / "checkpoint.npz"), str(inst_dir), "--mode", "mcts", "--budget", "8"]
+        assert main([*argv, "--m-root", "4", "--out", str(out)]) == 0
+        timing = self.read_timing(tmp_path / "mcts.timing.csv")
+        assert [t[0] for t in timing] == [r[0] for r in self.read_rows(out)]
+        # each tour of 5 cities is 5 planned moves
+        assert [int(t[3]) for t in timing] == [sum(counted[:5]), sum(counted[5:])]
+        assert all(float(t[1]) > 0 and float(t[2]) > 0 for t in timing)
 
     def test_greedy_dead_end_names_the_instance(self, tmp_path, capsys):
         # with this untrained net, seed 7 finishes and seed 8 cycles until the step cap
