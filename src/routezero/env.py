@@ -109,20 +109,21 @@ def _served_full(state: PlayerState) -> np.ndarray:
     return full
 
 
-def _homing_feasible(inst: EvrpInstance, battery_kwh, clock_h, mass_kg) -> np.ndarray:
+def _homing_feasible(inst: EvrpInstance, battery_kwh, clock_h, escape, station_home) -> np.ndarray:
     """Per-node test that a vehicle parked at ``j`` can still finish its trip.
 
-    ``battery_kwh``/``clock_h``/``mass_kg`` describe the vehicle right after
-    settling at each node ``j`` (post service or recharge).  Node ``j``
-    passes when the depot is reachable directly, or via a single recharge
-    stop, with the battery and the trip clock both covering the same path.
-    Checking one path on both resources at once is what keeps the mask free
-    of dead ends; independent per-resource bounds can certify two different
-    escapes and admit a state that has none.
+    ``battery_kwh``/``clock_h`` describe the vehicle right after settling at
+    each node ``j`` (post service or recharge); ``escape`` and
+    ``station_home`` are the `LoadTables` escape and station drive-home
+    charges at its mass there.  Node ``j`` passes when the depot is
+    reachable directly, or via a single recharge stop, with the battery and
+    the trip clock both covering the same path.  Checking one path on both
+    resources at once is what keeps the mask free of dead ends; independent
+    per-resource bounds can certify two different escapes and admit a state
+    that has none.
     """
     t_max = inst.t_max_h
     home_h = inst.travel_h[:, 0]
-    escape = inst.escape_table_kwh(mass_kg)
     battery = np.asarray(battery_kwh, dtype=np.float64)
     ok = (battery >= np.maximum(escape[:, 0], 0.0)) & (clock_h + home_h <= t_max)
     if inst.station_ids.size:
@@ -134,7 +135,6 @@ def _homing_feasible(inst: EvrpInstance, battery_kwh, clock_h, mass_kg) -> np.nd
             + inst.recharge_dwell_h
             + home_h[stations][None, :]
         )
-        station_home = inst.recharge_home_energy_kwh(mass_kg)[:, 1:]
         via = (
             (battery[:, None] >= np.maximum(escape[:, 1:], 0.0))
             & (full >= np.maximum(station_home, 0.0))
@@ -181,9 +181,8 @@ def _legal_mask(state: PlayerState) -> np.ndarray:
 
     i = state.position
     veh = inst.vehicle
-    mass_now = veh.curb_mass_kg + state.load_kg
-    e_move = inst.energy_row_kwh(i, mass_now)
-    e_after = state.battery_kwh - e_move
+    tables = inst.load_tables(state.load_kg)
+    e_after = state.battery_kwh - tables.energy[i]
     arrive_h = state.clock_h + inst.travel_h[i]
     t_max = inst.t_max_h
 
@@ -193,7 +192,7 @@ def _legal_mask(state: PlayerState) -> np.ndarray:
     open_customers = is_customer & ~_served_full(state) & (inst.demands <= state.load_kg)
     if open_customers.any():
         settled = _homing_feasible(
-            inst, e_after, arrive_h + inst.service_time_h, mass_now - inst.demands
+            inst, e_after, arrive_h + inst.service_time_h, tables.settled_escape, tables.settled_home
         )
         legal |= open_customers & settled
 
@@ -203,7 +202,8 @@ def _legal_mask(state: PlayerState) -> np.ndarray:
             inst,
             np.full(inst.n_nodes, veh.battery_capacity_kwh),
             arrive_h + inst.recharge_dwell_h,
-            mass_now,
+            tables.escape,
+            tables.home,
         )
         legal |= is_station & (e_after >= 0.0) & recharged
 
@@ -284,7 +284,7 @@ def step(state: PlayerState, action: int) -> PlayerState:
 
     i = state.position
     veh = inst.vehicle
-    e_edge = float(inst.energy_row_kwh(i, veh.curb_mass_kg + state.load_kg, action))
+    e_edge = float(inst.load_tables(state.load_kg).energy[i, action])
     battery = state.battery_kwh - e_edge
     # regeneration cannot push the pack beyond capacity; surplus is lost
     battery = min(battery, veh.battery_capacity_kwh)

@@ -15,8 +15,9 @@ from routezero.baselines import (
     greedy_rollouts,
     nearest_neighbor,
 )
+from routezero.cli import main
 from routezero.env import DeadEndError, objective, validate_route
-from routezero.instance import TspInstance, generate_evrp, generate_tsp
+from routezero.instance import TspInstance, generate_evrp, generate_tsp, load_instance
 from routezero.net import NetConfig, PolicyValueNet
 
 
@@ -144,6 +145,20 @@ class TestExactEvrp:
         result = exact_evrp(inst)
         assert result.expansions > 0
         assert result.wall_time_s >= 0.0
+
+    @pytest.mark.parametrize(
+        "seed, route, value, expansions",
+        [
+            (0, (0, 7, 5, 6, 8, 4, 3, 0), 40.77941961342975, 301),
+            (9, (0, 7, 3, 8, 6, 4, 5, 0), 57.901332925939656, 311),
+        ],
+    )
+    def test_pinned_em_6_customer_optima(self, tmp_path, seed, route, value, expansions):
+        # exact floats and counts: any ulp drift in the energy tables or change to the search shows here
+        gen = ["gen", "evrp", "--customers", "6", "--stations", "2", "--objective", "EM", "--count", "10"]
+        assert main([*gen, "--seed", "0", "--out", str(tmp_path)]) == 0
+        result = exact_evrp(load_instance(tmp_path / f"evrp_c6_s2_em_seed{seed}.json"))
+        assert (result.route, result.objective, result.expansions) == (route, value, expansions)
 
 
 class TestNearestNeighbor:

@@ -311,6 +311,18 @@ class TestEval:
         assert "evrp_c4_s2_em_seed8.json: rollout exceeded" in err and "seed7" not in err
         assert not (inst_dir / "results.csv").exists()
 
+    def test_non_finite_instance_is_data_error(self, tmp_path, capsys):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        path = inst_dir / "tsp_n5_seed0.json"
+        data = json.loads(path.read_text())
+        data["coords"][2][0] = float("nan")
+        path.write_text(json.dumps(data))
+        ckpt = tmp_path / "net.npz"
+        save_net(PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"])), ckpt)
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        assert "coords must be finite" in capsys.readouterr().err
+        assert not (inst_dir / "results.csv").exists()
+
     def test_empty_instance_dir(self, tmp_path, trained_run):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,12 @@ class TestVehicleParams:
         with pytest.raises(InstanceError):
             VehicleParams(**{field: 0.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in fields(VehicleParams) if f.type == "float"])
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(InstanceError, match="finite"):
+            VehicleParams(**{field: bad})
+
 
 class TestInstanceValidation:
     def test_depot_must_be_node_zero(self):
@@ -90,6 +97,41 @@ class TestInstanceValidation:
     def test_tsp_needs_three_cities(self):
         with pytest.raises(InstanceError):
             TspInstance(coords=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tsp_coords_must_be_finite(self, bad):
+        coords = np.zeros((3, 2))
+        coords[1, 0] = bad
+        with pytest.raises(InstanceError, match="finite"):
+            TspInstance(coords=coords)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("attr", ["x", "y", "demand"])
+    def test_node_data_must_be_finite(self, attr, bad):
+        nodes = list(flat_instance().nodes)
+        nodes[-1] = replace(nodes[-1], **{attr: bad})
+        with pytest.raises(InstanceError, match="non-finite"):
+            EvrpInstance(nodes=tuple(nodes))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["speed_kmh", "t_max_h", "service_time_h", "recharge_dwell_h"])
+    def test_times_and_speed_must_be_finite(self, field, bad):
+        with pytest.raises(InstanceError, match="finite"):
+            flat_instance(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_slope_must_be_finite(self, bad):
+        slope = np.zeros((4, 4))
+        slope[1, 2], slope[2, 1] = bad, -bad
+        with pytest.raises(InstanceError, match="finite"):
+            flat_instance(slope=slope)
+
+    def test_nan_in_a_json_file_is_rejected_on_load(self, tmp_path):
+        # json.load reads the NaN literal that json.dump writes
+        path = tmp_path / "tsp.json"
+        path.write_text(json.dumps({"problem": "tsp", "coords": [[0.0, 0.0], [float("nan"), 1.0], [1.0, 0.0]]}))
+        with pytest.raises(InstanceError, match="finite"):
+            load_instance(path)
 
 
 class TestGeometry:
