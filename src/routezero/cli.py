@@ -27,7 +27,15 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .net import CHECKPOINT_VERSION, CheckpointError, PolicyValueNet, check_version, net_from_arrays, read_arrays
+from .net import (
+    CHECKPOINT_VERSION,
+    CheckpointError,
+    PolicyValueNet,
+    check_version,
+    net_from_arrays,
+    net_keys,
+    read_arrays,
+)
 from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, plan
 from .trainer import TRAINER_CHECKPOINT_VERSION, TrainerError, train, train_config_from_dict
 
@@ -118,12 +126,8 @@ def cmd_train(args) -> int:
 
 
 def _eval_keys(data) -> list[str]:
-    """The arrays eval builds from: a trainer checkpoint's ``theta/`` and ``meta/``, else every array."""
-    try:
-        check_version({"meta/version": data["meta/version"]}, TRAINER_CHECKPOINT_VERSION)
-    except (KeyError, CheckpointError):
-        return data.files
-    return [k for k in data.files if k.startswith(("theta/", "meta/"))]
+    """The arrays eval builds from: the weights of a trainer checkpoint's ``theta/`` net, else of a net dump."""
+    return net_keys(data.files, "theta/" if "theta/meta/config" in data.files else "")
 
 
 def _load_eval_net(path: str) -> PolicyValueNet:
@@ -147,10 +151,10 @@ def _is_feasible(inst: Instance, route) -> bool:
     return not validate_route(inst, route)
 
 
-def _plan_route(inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig, rng) -> SolveResult:
+def _plan_route(path: Path, inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig, rng) -> SolveResult:
     """Search-guided route: plan each own move against a greedy shadow.
 
-    ``expansions`` is the sum of the plans' evaluation counts.
+    ``expansions`` is the sum of the plans' evaluation counts; a dead end names ``path``.
     """
     start = time.perf_counter()
     game = RoutingGame(inst)
@@ -162,7 +166,7 @@ def _plan_route(inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig,
     while not own.done:
         guard += 1
         if guard > step_limit(inst):
-            raise DeadEndError("search rollout failed to terminate")
+            raise DeadEndError(f"{path.name}: search rollout failed to terminate")
         result = plan(own, opp, evaluator, shadow, planner_cfg, game, rng=rng)
         evaluations += result.evaluations
         own = game.step(own, result.action)
@@ -217,8 +221,8 @@ def cmd_eval(args) -> int:
     else:
         planner_cfg = PlannerConfig(n_simulations=args.budget, m_root=args.m_root)
         solved = [
-            _plan_route(inst, net, planner_cfg, np.random.default_rng([args.seed, idx]))
-            for idx, inst in enumerate(insts)
+            _plan_route(path, inst, net, planner_cfg, np.random.default_rng([args.seed, idx]))
+            for idx, (path, inst) in enumerate(zip(paths, insts))
         ]
     oracles = [_oracle(inst) for inst in insts]
     rows = [_result_row(*row, args.mode) for row in zip(paths, insts, solved, oracles)]

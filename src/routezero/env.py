@@ -322,16 +322,6 @@ def step(state: PlayerState, action: int) -> PlayerState:
     )
 
 
-def mech_power(inst: EvrpInstance, mass_kg: float, slope_rad: float = 0.0) -> float:
-    """Tractive power draw in watts for the instance's speed and vehicle."""
-    veh = inst.vehicle
-    rolling = veh.rolling_resistance * np.cos(slope_rad)
-    if veh.physical_rolling_resistance:
-        rolling = veh.gravity * rolling
-    force = mass_kg * (veh.gravity * np.sin(slope_rad) + rolling) + inst.drag_w_per_kg0
-    return float(force * inst.speed_ms)
-
-
 def energy_consumed(inst: EvrpInstance, i: int, j: int, load_kg: float) -> float:
     """Signed battery charge in kWh for edge ``i -> j`` at cargo ``load_kg``.
 
@@ -502,16 +492,10 @@ def step_limit(inst: Instance) -> int:
     return 60 * inst.n_nodes + 200
 
 
-def rollout(
-    game: RoutingGame,
-    policy: Callable[[PlayerState, np.ndarray], int],
-    state: PlayerState | None = None,
-    step_cap: int | None = None,
-) -> PlayerState:
-    """Drive ``policy(state, legal_mask) -> action`` to termination."""
-    state = game.initial_state() if state is None else state
-    if step_cap is None:
-        step_cap = step_limit(game.instance)
+def rollout(game: RoutingGame, policy: Callable[[PlayerState, np.ndarray], int]) -> PlayerState:
+    """Drive ``policy(state, legal_mask) -> action`` from the initial state to termination."""
+    state = game.initial_state()
+    step_cap = step_limit(game.instance)
     for _ in range(step_cap):
         if state.done:
             return state

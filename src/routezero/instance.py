@@ -326,22 +326,6 @@ class TspInstance:
 Instance = EvrpInstance | TspInstance
 
 
-def distance(inst: Instance, i: int, j: int) -> float:
-    """Euclidean edge length between valid node ids."""
-    n = inst.n_nodes
-    if not (0 <= i < n and 0 <= j < n):
-        raise InstanceError(f"node id out of range: ({i}, {j}) for {n} nodes")
-    return float(inst.dist_km[i, j])
-
-
-def travel_time(inst: EvrpInstance, i: int, j: int) -> float:
-    """Edge traversal time in hours at the instance's constant speed."""
-    n = inst.n_nodes
-    if not (0 <= i < n and 0 <= j < n):
-        raise InstanceError(f"node id out of range: ({i}, {j}) for {n} nodes")
-    return float(inst.travel_h[i, j])
-
-
 def generate_evrp(
     n_customers: int,
     n_stations: int,
@@ -434,7 +418,7 @@ def instance_from_dict(data: dict, source: str = "<dict>") -> Instance:
         if problem == "tsp":
             return TspInstance(coords=np.array(data["coords"], dtype=np.float64), seed=data.get("seed"))
         if problem != "evrp":
-            raise InstanceFormatError(f"{source}: unknown problem kind {problem!r}")
+            raise InstanceFormatError(f"unknown problem kind {problem!r}")
         nodes = tuple(
             Node(int(n["id"]), NodeKind(n["kind"]), float(n["x"]), float(n["y"]), float(n.get("demand", 0.0)))
             for n in data["nodes"]
@@ -452,9 +436,9 @@ def instance_from_dict(data: dict, source: str = "<dict>") -> Instance:
             objective_mode=data["objective_mode"],
             seed=data.get("seed"),
         )
+    except InstanceError as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InstanceError):
-            raise
         raise InstanceFormatError(f"{source}: bad instance data: {exc}") from exc
 
 

@@ -21,6 +21,12 @@ tape gives the gradients; `forward` passes `_ARRAY_OPS`, the same op names
 on plain numpy arrays, so inference records nothing, wraps nothing and
 returns the tape path's outputs bit for bit.  There is no external ML
 runtime, which keeps checkpoints exact and runs reproducible.
+
+A net is its config, parameters and batch-norm running statistics, and
+nothing else.  The optimizer is the caller's: `train_step` updates the
+parameters through the `Adam` it is given, and only the trainer keeps one,
+for the learning net.  So the historical best, a `save_net` dump and every
+net `routezero eval` loads carry weights only.
 """
 
 from __future__ import annotations
@@ -76,10 +82,6 @@ class NetConfig:
     @property
     def node_features(self) -> int:
         return TSP_NODE_FEATURES if self.problem == "tsp" else EVRP_NODE_FEATURES
-
-    @property
-    def global_features(self) -> int:
-        return 0 if self.problem == "tsp" else EVRP_GLOBAL_FEATURES
 
     @property
     def context_features(self) -> int:
@@ -215,16 +217,38 @@ def _stat_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
     return {f"{k}{stat}": (config.embed_dim,) for k in gammas for stat in ("mean", "var")}
 
 
+@dataclass
+class Adam:
+    """Adam moments of one parameter set; ``update`` applies one step in place."""
+
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    t: int = 0
+
+    @classmethod
+    def zeros(cls, params: dict[str, np.ndarray]) -> "Adam":
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        return cls(m, {k: np.zeros_like(p) for k, p in m.items()})
+
+    def update(self, params, grads: dict[str, np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+        self.t += 1
+        c1 = 1.0 - beta1**self.t
+        c2 = 1.0 - beta2**self.t
+        for k, g in grads.items():
+            m = self.m[k]
+            v = self.v[k]
+            m += (1.0 - beta1) * (g - m)
+            v += (1.0 - beta2) * (g * g - v)
+            params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 class PolicyValueNet:
-    """Shared-trunk policy and value network with its own Adam state."""
+    """Shared-trunk policy and value network: config, weights and BN statistics."""
 
     def __init__(self, config: NetConfig, params: dict[str, np.ndarray], bn_stats: dict[str, np.ndarray]):
         self.config = config
         self.params = params
         self.bn_stats = bn_stats
-        self.adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.adam_v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.adam_t = 0
 
     @classmethod
     def create(cls, config: NetConfig, seed: int = 0) -> "PolicyValueNet":
@@ -239,16 +263,12 @@ class PolicyValueNet:
         return cls(config, params, stats)
 
     def copy(self) -> "PolicyValueNet":
-        """Deep snapshot including optimizer state and running statistics."""
-        twin = PolicyValueNet(
+        """Deep snapshot of the weights and running statistics."""
+        return PolicyValueNet(
             self.config,
             {k: v.copy() for k, v in self.params.items()},
             {k: v.copy() for k, v in self.bn_stats.items()},
         )
-        twin.adam_m = {k: v.copy() for k, v in self.adam_m.items()}
-        twin.adam_v = {k: v.copy() for k, v in self.adam_v.items()}
-        twin.adam_t = self.adam_t
-        return twin
 
     def _tensors(self, train: bool) -> dict[str, ad.Tensor]:
         return {k: ad.Tensor(v, requires_grad=train) for k, v in self.params.items()}
@@ -349,8 +369,9 @@ class PolicyValueNet:
         self,
         policy_batch: dict[str, np.ndarray] | None,
         value_batch: dict[str, np.ndarray] | None,
+        adam: Adam,
     ) -> tuple[float, float]:
-        """One Adam update on cross-entropy (policy) plus MSE (value).
+        """One ``adam`` update on cross-entropy (policy) plus MSE (value).
 
         ``policy_batch`` holds stacked features with ``legal`` and
         ``target``; ``value_batch`` holds ``own_*``/``opp_*`` feature stacks
@@ -375,20 +396,9 @@ class PolicyValueNet:
             return 0.0, 0.0
         total = losses[0] if len(losses) == 1 else ad.add(losses[0], losses[1])
         total.backward()
-        self._adam({k: tt.grad for k, tt in t.items() if tt.grad is not None})
+        grads = {k: tt.grad for k, tt in t.items() if tt.grad is not None}
+        adam.update(self.params, grads, self.config.learning_rate)
         return p_loss_val, v_loss_val
-
-    def _adam(self, grads: dict[str, np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8) -> None:
-        self.adam_t += 1
-        lr = self.config.learning_rate
-        c1 = 1.0 - beta1**self.adam_t
-        c2 = 1.0 - beta2**self.adam_t
-        for k, g in grads.items():
-            m = self.adam_m[k]
-            v = self.adam_v[k]
-            m += (1.0 - beta1) * (g - m)
-            v += (1.0 - beta2) * (g * g - v)
-            self.params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def greedy_actions(net: PolicyValueNet, states: list[PlayerState], legal: np.ndarray) -> np.ndarray:
@@ -403,43 +413,43 @@ def greedy_actions(net: PolicyValueNet, states: list[PlayerState], legal: np.nda
 
 
 def net_to_arrays(net: PolicyValueNet, prefix: str = "") -> dict[str, np.ndarray]:
-    """Flatten one net (weights, BN stats, Adam state, config) to arrays."""
+    """Flatten one net (weights, BN stats, config) to arrays."""
     arrays = {f"{prefix}param/{k}": v for k, v in net.params.items()}
     arrays |= {f"{prefix}stat/{k}": v for k, v in net.bn_stats.items()}
-    arrays |= {f"{prefix}adam_m/{k}": v for k, v in net.adam_m.items()}
-    arrays |= {f"{prefix}adam_v/{k}": v for k, v in net.adam_v.items()}
-    arrays[f"{prefix}meta/adam_t"] = np.array(net.adam_t, dtype=np.int64)
     arrays[f"{prefix}meta/config"] = np.frombuffer(json.dumps(asdict(net.config)).encode(), dtype=np.uint8)
     return arrays
+
+
+def checked_array(arrays: dict[str, np.ndarray], key: str, shape: tuple[int, ...] | None) -> np.ndarray:
+    """``arrays[key]``; CheckpointError names the key if it is missing or not of ``shape`` (None: any)."""
+    if key not in arrays:
+        raise CheckpointError(f"missing array {key!r}")
+    if shape is not None and arrays[key].shape != shape:
+        raise CheckpointError(f"array {key!r} has shape {arrays[key].shape}, expected {shape}")
+    return arrays[key]
+
+
+def net_keys(files: list[str], prefix: str = "") -> list[str]:
+    """The keys among ``files`` that `net_from_arrays` reads for ``prefix``, plus ``meta/version``."""
+    exact, groups = ("meta/version", f"{prefix}meta/config"), (f"{prefix}param/", f"{prefix}stat/")
+    return [k for k in files if k in exact or k.startswith(groups)]
 
 
 def net_from_arrays(arrays: dict[str, np.ndarray], prefix: str = "") -> PolicyValueNet:
     """Rebuild a net from a flat array dump produced by net_to_arrays.
 
     A missing array, or one whose shape does not fit the embedded config,
-    raises CheckpointError naming its key.
+    raises CheckpointError naming its key.  Other arrays, such as the Adam
+    moments older dumps carry, are ignored.
     """
-    def get(key: str, shape: tuple[int, ...] | None) -> np.ndarray:
-        if key not in arrays:
-            raise CheckpointError(f"missing array {key!r}")
-        if shape is not None and arrays[key].shape != shape:
-            raise CheckpointError(f"array {key!r} has shape {arrays[key].shape}, expected {shape}")
-        return arrays[key]
-
     try:
-        config = NetConfig(**json.loads(get(f"{prefix}meta/config", None).tobytes().decode()))
+        config = NetConfig(**json.loads(checked_array(arrays, f"{prefix}meta/config", None).tobytes().decode()))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad embedded net config: {exc}") from exc
     groups = {}
     for group, shapes in (("param", _param_shapes(config)), ("stat", _stat_shapes(config))):
-        groups[group] = {k: get(f"{prefix}{group}/{k}", shape) for k, shape in shapes.items()}
-    for group in ("adam_m", "adam_v"):
-        groups[group] = {k: get(f"{prefix}{group}/{k}", v.shape) for k, v in groups["param"].items()}
-    net = PolicyValueNet(config, groups["param"], groups["stat"])
-    net.adam_m = groups["adam_m"]
-    net.adam_v = groups["adam_v"]
-    net.adam_t = int(get(f"{prefix}meta/adam_t", ()))
-    return net
+        groups[group] = {k: checked_array(arrays, f"{prefix}{group}/{k}", shape) for k, shape in shapes.items()}
+    return PolicyValueNet(config, groups["param"], groups["stat"])
 
 
 def check_version(arrays: dict[str, np.ndarray], version: int) -> None:
@@ -474,14 +484,11 @@ def save_net(net: PolicyValueNet, path) -> None:
     write_arrays(path, arrays)
 
 
-def load_net(path, expected_config: NetConfig | None = None) -> PolicyValueNet:
-    """Read a tensor dump; rejects malformed dumps and version or config mismatches."""
-    arrays = read_arrays(path)
+def load_net(path) -> PolicyValueNet:
+    """Read a tensor dump's weights; rejects malformed dumps and version mismatches."""
+    arrays = read_arrays(path, lambda data: net_keys(data.files))
     try:
         check_version(arrays, CHECKPOINT_VERSION)
-        net = net_from_arrays(arrays)
+        return net_from_arrays(arrays)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    if expected_config is not None and net.config != expected_config:
-        raise CheckpointError(f"{path}: checkpoint config {net.config} does not match {expected_config}")
-    return net

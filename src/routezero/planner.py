@@ -35,7 +35,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .env import RoutingGame
+from .env import RoutingGame, game_outcome
 from .net import featurize, greedy_actions, stack_features
 
 
@@ -195,7 +195,7 @@ class _Search:
         for own, depth in leaves:
             opp = self.opponent(depth)
             if self.game.is_terminal(own) and self.game.is_terminal(opp):
-                z = 1.0 if self.game.terminal_reward(own) >= self.game.terminal_reward(opp) else -1.0
+                z = float(game_outcome(self.game.terminal_reward(own), self.game.terminal_reward(opp)))
                 nodes.append(TreeNode(own, None, z, terminal=True))
             else:
                 pending.append((len(nodes), own, opp))

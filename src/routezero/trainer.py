@@ -34,11 +34,13 @@ from .env import (
 )
 from .instance import EvrpInstance, Instance, generate_evrp, generate_tsp
 from .net import (
+    Adam,
     CheckpointError,
     NetConfig,
     PolicyValueNet,
     StateFeatures,
     check_version,
+    checked_array,
     featurize,
     net_from_arrays,
     net_to_arrays,
@@ -404,16 +406,20 @@ class TrainerState:
     policy_buffer: PolicyBuffer
     value_buffer: ValueBuffer
     episode: int
+    adam: Adam  # theta's optimizer; the best net is only ever evaluated and has none
 
 
 def save_checkpoint(path, cfg: TrainConfig, state: TrainerState) -> None:
-    """Atomically write the complete trainer state."""
+    """Atomically write the complete trainer state: both nets' weights, theta's Adam moments, both buffers."""
     arrays = {
         "meta/version": np.array(TRAINER_CHECKPOINT_VERSION, dtype=np.int64),
         "meta/episode": np.array(state.episode, dtype=np.int64),
         "meta/config": np.frombuffer(json.dumps(train_config_to_dict(cfg)).encode(), dtype=np.uint8),
     }
     arrays |= net_to_arrays(state.theta, "theta/")
+    arrays |= {f"theta/adam_m/{k}": v for k, v in state.adam.m.items()}
+    arrays |= {f"theta/adam_v/{k}": v for k, v in state.adam.v.items()}
+    arrays["theta/meta/adam_t"] = np.array(state.adam.t, dtype=np.int64)
     arrays |= net_to_arrays(state.theta_best, "best/")
     arrays |= state.policy_buffer.to_arrays("pol/")
     arrays |= state.value_buffer.to_arrays("val/")
@@ -421,18 +427,24 @@ def save_checkpoint(path, cfg: TrainConfig, state: TrainerState) -> None:
 
 
 def load_checkpoint(path) -> tuple[TrainConfig, TrainerState]:
-    """Read a trainer checkpoint; CheckpointError names a missing or malformed array."""
+    """Read a trainer checkpoint, ignoring older ``best/adam_*`` arrays; CheckpointError names a bad array."""
     arrays = read_arrays(path)
     try:
         check_version(arrays, TRAINER_CHECKPOINT_VERSION)
         episode = int(arrays["meta/episode"])
         cfg = train_config_from_dict(json.loads(arrays["meta/config"].tobytes().decode()))
+        theta = net_from_arrays(arrays, "theta/")
+        moments = [
+            {k: checked_array(arrays, f"theta/{group}/{k}", p.shape) for k, p in theta.params.items()}
+            for group in ("adam_m", "adam_v")
+        ]
         state = TrainerState(
-            theta=net_from_arrays(arrays, "theta/"),
+            theta=theta,
             theta_best=net_from_arrays(arrays, "best/"),
             policy_buffer=PolicyBuffer.from_arrays(arrays, "pol/", cfg.policy_buffer_capacity),
             value_buffer=ValueBuffer.from_arrays(arrays, "val/", cfg.value_buffer_capacity),
             episode=episode,
+            adam=Adam(*moments, int(checked_array(arrays, "theta/meta/adam_t", ()))),
         )
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing array {exc}") from exc
@@ -494,14 +506,15 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
         _truncate_events(events_path, start)
         _append_event(events_path, {"event": "resume", "episode": start})
     else:
+        theta = PolicyValueNet.create(cfg.net, seed=cfg.seed)
         state = TrainerState(
-            theta=PolicyValueNet.create(cfg.net, seed=cfg.seed),
-            theta_best=None,  # type: ignore[arg-type]
+            theta=theta,
+            theta_best=theta.copy(),
             policy_buffer=PolicyBuffer(cfg.policy_buffer_capacity),
             value_buffer=ValueBuffer(cfg.value_buffer_capacity),
             episode=0,
+            adam=Adam.zeros(theta.params),
         )
-        state.theta_best = state.theta.copy()
         start = 0
         (run_dir / "config.json").write_text(json.dumps(train_config_to_dict(cfg), indent=2) + "\n")
         metrics_path.write_text(METRICS_HEADER + "\n")
@@ -530,7 +543,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
         for _ in range(cfg.train_steps_per_episode):
             policy_batch = state.policy_buffer.sample(cfg.net.batch_size, rng)
             value_batch = state.value_buffer.sample(cfg.net.batch_size, rng)
-            p_loss, v_loss = state.theta.train_step(policy_batch, value_batch)
+            p_loss, v_loss = state.theta.train_step(policy_batch, value_batch, state.adam)
             policy_losses.append(p_loss)
             value_losses.append(v_loss)
         p_mean = float(np.mean(policy_losses)) if policy_losses else 0.0

@@ -195,16 +195,16 @@ class TestEval:
         assert main(["eval", str(ckpt), str(inst_dir)]) == 2
         assert "missing array 'meta/config'" in capsys.readouterr().err
 
-    def test_net_dump_without_adam_step_is_data_error(self, tmp_path, capsys):
+    def test_net_dump_missing_array_is_data_error(self, tmp_path, capsys):
         inst_dir = self.gen_instances(tmp_path, n=1)
         ckpt = tmp_path / "net.npz"
         net = PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"]))
         save_net(net, ckpt)
         arrays = dict(np.load(ckpt))
-        del arrays["meta/adam_t"]
+        del arrays["stat/layer0/bn1/mean"]
         np.savez(ckpt, **arrays)
         assert main(["eval", str(ckpt), str(inst_dir)]) == 2
-        assert "missing array 'meta/adam_t'" in capsys.readouterr().err
+        assert "missing array 'stat/layer0/bn1/mean'" in capsys.readouterr().err
 
     def test_version_1_trainer_checkpoint_is_data_error(self, tmp_path, trained_run, capsys):
         inst_dir = self.gen_instances(tmp_path, n=1)
@@ -231,7 +231,22 @@ class TestEval:
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", lambda self, key: keys.append(key) or real(self, key))
         assert main(["eval", str(trained_run / "checkpoint.npz"), str(inst_dir)]) == 0
         assert any(k.startswith("theta/param/") for k in keys)
-        assert not [k for k in keys if k.startswith(("pol/", "val/", "best/"))]
+        assert not [k for k in keys if k.startswith(("pol/", "val/", "best/", "theta/adam_", "theta/meta/adam_t"))]
+
+    def test_older_net_dump_is_read_without_its_moments(self, tmp_path, monkeypatch):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        ckpt = tmp_path / "net.npz"
+        net = PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"]))
+        save_net(net, ckpt)
+        arrays = dict(np.load(ckpt))
+        arrays |= {f"adam_{g}/{k}": np.zeros_like(v) for g in "mv" for k, v in net.params.items()}
+        arrays["meta/adam_t"] = np.array(3, dtype=np.int64)
+        np.savez(ckpt, **arrays)
+        keys = []
+        real = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", lambda self, key: keys.append(key) or real(self, key))
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 0
+        assert any(k.startswith("param/") for k in keys) and not [k for k in keys if "adam" in k]
 
     def evrp_net_eval(self, tmp_path):
         # this untrained net finishes evrp seed 7 greedily (seed 8 cycles)
@@ -321,6 +336,27 @@ class TestEval:
         save_net(PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"])), ckpt)
         assert main(["eval", str(ckpt), str(inst_dir)]) == 2
         assert "coords must be finite" in capsys.readouterr().err
+        assert not (inst_dir / "results.csv").exists()
+
+    def test_bad_instance_error_names_the_file(self, tmp_path, trained_run, capsys):
+        inst_dir = self.gen_instances(tmp_path, n=2)
+        path = inst_dir / "tsp_n5_seed1.json"
+        data = json.loads(path.read_text())
+        data["coords"][3][1] = float("inf")
+        path.write_text(json.dumps(data))
+        assert json.loads(path.read_text())["coords"][3][1] == float("inf")
+        assert main(["eval", str(trained_run / "checkpoint.npz"), str(inst_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "tsp_n5_seed1.json: coords must be finite" in err and "seed0" not in err
+
+    def test_mcts_dead_end_names_the_instance(self, tmp_path, trained_run, monkeypatch, capsys):
+        inst_dir = tmp_path / "instances"
+        main(["gen", "tsp", "--nodes", "6", "--count", "1", "--seed", "3", "--out", str(inst_dir)])
+        monkeypatch.setattr(cli, "step_limit", lambda inst: 3)  # a 6-city tour takes 6 moves
+        capsys.readouterr()
+        argv = ["eval", str(trained_run / "checkpoint.npz"), str(inst_dir), "--mode", "mcts", "--budget", "4"]
+        assert main([*argv, "--m-root", "2"]) == 2
+        assert "tsp_n6_seed3.json: search rollout failed to terminate" in capsys.readouterr().err
         assert not (inst_dir / "results.csv").exists()
 
     def test_empty_instance_dir(self, tmp_path, trained_run):

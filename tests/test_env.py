@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import routezero.env as env_mod
 from routezero.env import (
     VIOLATION_BATTERY,
     VIOLATION_CARGO,
@@ -21,7 +22,6 @@ from routezero.env import (
     game_outcome,
     initial_state,
     legal_actions,
-    mech_power,
     objective,
     rollout,
     step,
@@ -458,10 +458,11 @@ class TestRoutingGame:
         with pytest.raises(TerminalStateError):
             game.terminal_reward(game.initial_state())
 
-    def test_step_cap_turns_into_dead_end(self):
+    def test_step_cap_turns_into_dead_end(self, monkeypatch):
+        monkeypatch.setattr(env_mod, "step_limit", lambda inst: 2)
         game = RoutingGame(generate_tsp(5, seed=9))
-        with pytest.raises(DeadEndError, match="exceeded"):
-            rollout(game, lambda s, m: int(np.argmax(m)), step_cap=2)
+        with pytest.raises(DeadEndError, match="exceeded 2 steps"):
+            rollout(game, lambda s, m: int(np.argmax(m)))
 
     @pytest.mark.parametrize("mode", ["DM", "EM"])
     def test_evrp_nearest_customer_rollout_is_feasible(self, mode):
@@ -479,6 +480,14 @@ class TestRoutingGame:
         assert validate_route(inst, state.route) == []
 
 
+def flat_edge_power_w(inst, mass_kg):
+    """Tractive power on the flat 10 km edge 0 -> 1, read back from the model's edge energy."""
+    veh = inst.vehicle
+    assert inst.dist_km[0, 1] == 10.0 and inst.speed_kmh == 60.0
+    eff = veh.motor_discharge_factor * veh.battery_discharge_factor
+    return float(inst.energy_row_kwh(0, mass_kg, 1)) * 1000.0 / (10.0 / 60.0) / eff
+
+
 class TestEnergyHelpers:
     def test_mech_power_flat_at_curb_mass(self):
         inst = line_instance([(NodeKind.CUSTOMER, 10.0, 0.5)])
@@ -486,13 +495,13 @@ class TestEnergyHelpers:
         v = 60.0 / 3.6
         drag = 0.5 * veh.drag_coefficient * veh.air_density * veh.frontal_area_m2 * v * v
         expect = (veh.curb_mass_kg * veh.rolling_resistance + drag) * v
-        assert mech_power(inst, veh.curb_mass_kg) == pytest.approx(expect, rel=1e-12)
-        assert mech_power(inst, veh.curb_mass_kg) == pytest.approx(8290.0, abs=1e-9)
+        assert flat_edge_power_w(inst, veh.curb_mass_kg) == pytest.approx(expect, rel=1e-12)
+        assert flat_edge_power_w(inst, veh.curb_mass_kg) == pytest.approx(8290.0, abs=1e-9)
 
     def test_physical_rolling_resistance_scales_by_gravity(self):
         veh = VehicleParams(physical_rolling_resistance=True)
         inst = line_instance([(NodeKind.CUSTOMER, 10.0, 0.5)], vehicle=veh)
-        assert mech_power(inst, veh.curb_mass_kg) == pytest.approx(
+        assert flat_edge_power_w(inst, veh.curb_mass_kg) == pytest.approx(
             manual_edge_energy(inst, 0, 1, veh.curb_mass_kg) / (10.0 / 60.0) / (1.18 * 1.11) * 1000.0,
             rel=1e-12,
         )

@@ -13,13 +13,11 @@ from routezero.instance import (
     NodeKind,
     TspInstance,
     VehicleParams,
-    distance,
     generate_evrp,
     generate_tsp,
     instance_to_dict,
     load_instance,
     save_instance,
-    travel_time,
 )
 
 
@@ -142,11 +140,9 @@ class TestGeometry:
 
     def test_distance_and_travel_time_helpers(self):
         inst = flat_instance()
-        d = distance(inst, 0, 2)
+        d = inst.dist_km[0, 2]
         assert d == pytest.approx(math.hypot(50.0 - 30.0, 50.0 - 10.0))
-        assert travel_time(inst, 0, 2) == pytest.approx(d / 60.0)
-        with pytest.raises(InstanceError):
-            distance(inst, 0, 99)
+        assert inst.travel_h[0, 2] == pytest.approx(d / 60.0)
 
 
 class TestGenerators:
@@ -311,6 +307,19 @@ class TestSerialization:
         p = tmp_path / "cut.json"
         p.write_text(json.dumps(data))
         with pytest.raises(InstanceFormatError):
+            load_instance(p)
+
+    def test_constructor_error_names_the_file(self, tmp_path):
+        data = instance_to_dict(generate_tsp(4, seed=1))
+        data["coords"][2][1] = math.inf
+        p = tmp_path / "inf.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(InstanceError, match=r"^.*inf\.json: coords must be finite$") as err:
+            load_instance(p)
+        assert type(err.value) is InstanceError
+        data = instance_to_dict(generate_tsp(4, seed=1)) | {"problem": "knapsack"}
+        p.write_text(json.dumps(data))
+        with pytest.raises(InstanceFormatError, match=r"^[^:]*inf\.json: unknown problem kind 'knapsack'$"):
             load_instance(p)
 
     def test_rejects_unknown_kind(self, tmp_path):

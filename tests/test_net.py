@@ -8,6 +8,7 @@ from routezero.env import initial_state, legal_actions, step
 from routezero.instance import TspInstance, generate_evrp, generate_tsp
 from routezero.net import (
     LOGIT_CLIP,
+    Adam,
     CheckpointError,
     NetConfig,
     PolicyValueNet,
@@ -19,6 +20,7 @@ from routezero.net import (
     save_net,
     stack_features,
 )
+from routezero.trainer import PolicyBuffer, TrainConfig, TrainerState, ValueBuffer, load_checkpoint, save_checkpoint
 
 TINY = dict(embed_dim=16, n_heads=2, n_layers=1, ffn_dim=32, batch_size=8, learning_rate=1e-2)
 
@@ -81,7 +83,7 @@ class TestNetConfig:
     def test_feature_layout_follows_problem(self):
         tsp = NetConfig(problem="tsp")
         evrp = NetConfig(problem="evrp")
-        assert tsp.global_features == 0 and evrp.global_features == 4
+        assert tsp.context_features == 3 * tsp.embed_dim and evrp.context_features == 2 * evrp.embed_dim + 4
         assert evrp.node_features == tsp.node_features + 2
 
 
@@ -274,9 +276,10 @@ class TestTrainStep:
         inst = generate_tsp(5, seed=13)
         net = tiny_net("tsp")
         batch = one_hot_policy_batch(inst, action=3)
-        first_loss = net.train_step(batch, None)[0]
+        adam = Adam.zeros(net.params)
+        first_loss = net.train_step(batch, None, adam)[0]
         for _ in range(150):
-            p_loss, _ = net.train_step(batch, None)
+            p_loss, _ = net.train_step(batch, None, adam)
         assert p_loss < min(0.05, first_loss)
         state = initial_state(inst)
         assert int(np.argmax(logits_of(net, state))) == 3
@@ -291,15 +294,17 @@ class TestTrainStep:
             "opp_nodes": np.stack([b.nodes, a.nodes]),
             "z": np.array([1.0, -1.0]),
         }
+        adam = Adam.zeros(net.params)
         for _ in range(200):
-            _, v_loss = net.train_step(None, batch)
+            _, v_loss = net.train_step(None, batch, adam)
         assert v_loss < 0.05
 
     def test_noop_step_changes_nothing(self):
         net = tiny_net("tsp")
         before = {k: v.copy() for k, v in net.params.items()}
-        assert net.train_step(None, None) == (0.0, 0.0)
-        assert net.adam_t == 0
+        adam = Adam.zeros(net.params)
+        assert net.train_step(None, None, adam) == (0.0, 0.0)
+        assert adam.t == 0
         for k in before:
             np.testing.assert_array_equal(net.params[k], before[k])
 
@@ -307,16 +312,44 @@ class TestTrainStep:
         inst = generate_tsp(5, seed=15)
         net = tiny_net("tsp")
         before = {k: v.copy() for k, v in net.params.items()}
-        net.train_step(one_hot_policy_batch(inst, 2), None)
-        assert net.adam_t == 1
+        adam = Adam.zeros(net.params)
+        net.train_step(one_hot_policy_batch(inst, 2), None, adam)
+        assert adam.t == 1
         assert any((net.params[k] != before[k]).any() for k in net.params)
 
     def test_training_moves_running_stats(self):
         inst = generate_tsp(5, seed=16)
         net = tiny_net("tsp")
         before = {k: v.copy() for k, v in net.bn_stats.items()}
-        net.train_step(one_hot_policy_batch(inst, 1), None)
+        net.train_step(one_hot_policy_batch(inst, 1), None, Adam.zeros(net.params))
         assert any((net.bn_stats[k] != before[k]).any() for k in net.bn_stats)
+
+    def test_adam_update_follows_the_formula(self):
+        # bias-corrected Adam, beta1 0.9, beta2 0.999, eps 1e-8, written out by hand over three steps
+        rng = np.random.default_rng(21)
+        params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+        expect = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v2 = {k: np.zeros_like(v) for k, v in params.items()}
+        adam = Adam.zeros(params)
+        for t in (1, 2, 3):
+            grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+            adam.update(params, grads, 0.01)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + 0.1 * g
+                v2[k] = 0.999 * v2[k] + 0.001 * g * g
+                expect[k] -= 0.01 * (m[k] / (1 - 0.9**t)) / (np.sqrt(v2[k] / (1 - 0.999**t)) + 1e-8)
+        assert adam.t == 3
+        for k in params:
+            np.testing.assert_allclose(params[k], expect[k], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(adam.m[k], m[k], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(adam.v[k], v2[k], rtol=1e-12, atol=1e-15)
+
+    def test_net_carries_no_optimizer_state(self):
+        net = tiny_net("tsp")
+        net.train_step(one_hot_policy_batch(generate_tsp(5, seed=15), 2), None, Adam.zeros(net.params))
+        assert set(vars(net)) == {"config", "params", "bn_stats"}
+        assert set(vars(net.copy())) == {"config", "params", "bn_stats"}
 
 
 class TestCheckpoint:
@@ -331,24 +364,33 @@ class TestCheckpoint:
         assert loaded.config == net.config
 
     def test_optimizer_state_survives_reload(self, tmp_path):
+        # the optimizer is the trainer's: its checkpoint carries theta's moments
         inst = generate_tsp(5, seed=18)
         batch = one_hot_policy_batch(inst, 1)
         net = tiny_net("tsp")
-        net.train_step(batch, None)
-        path = tmp_path / "net.npz"
-        save_net(net, path)
-        twin = load_net(path)
-        assert twin.adam_t == net.adam_t
-        net.train_step(batch, None)
-        twin.train_step(batch, None)
+        adam = Adam.zeros(net.params)
+        net.train_step(batch, None, adam)
+        path = tmp_path / "ckpt.npz"
+        cfg = TrainConfig(net=net.config)
+        save_checkpoint(path, cfg, TrainerState(net, net.copy(), PolicyBuffer(1), ValueBuffer(1), 1, adam))
+        twin = load_checkpoint(path)[1]
+        assert twin.adam.t == adam.t == 1
+        net.train_step(batch, None, adam)
+        twin.theta.train_step(batch, None, twin.adam)
         for k in net.params:
-            np.testing.assert_array_equal(twin.params[k], net.params[k])
+            np.testing.assert_array_equal(twin.theta.params[k], net.params[k])
+            np.testing.assert_array_equal(twin.adam.m[k], adam.m[k])
+            np.testing.assert_array_equal(twin.adam.v[k], adam.v[k])
 
     def test_config_mismatch_rejected(self, tmp_path):
+        # a dump whose embedded config does not fit its arrays
         path = tmp_path / "net.npz"
         save_net(tiny_net("tsp"), path)
-        with pytest.raises(CheckpointError, match="config"):
-            load_net(path, expected_config=NetConfig(problem="evrp", **TINY))
+        data = dict(np.load(path))
+        data["meta/config"] = net_to_arrays(tiny_net("evrp"))["meta/config"]
+        np.savez(path, **data)
+        with pytest.raises(CheckpointError, match="'param/embed/W' has shape"):
+            load_net(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "net.npz"
@@ -361,13 +403,35 @@ class TestCheckpoint:
 
     def test_missing_or_misshapen_array_names_the_key(self):
         arrays = net_to_arrays(tiny_net("tsp"))
-        del arrays["meta/adam_t"]
-        with pytest.raises(CheckpointError, match="missing array 'meta/adam_t'"):
+        del arrays["stat/layer0/bn2/var"]
+        with pytest.raises(CheckpointError, match="missing array 'stat/layer0/bn2/var'"):
             net_from_arrays(arrays)
         arrays = net_to_arrays(tiny_net("tsp"))
-        arrays["adam_v/embed/W"] = arrays["adam_v/embed/W"][:, :3]
-        with pytest.raises(CheckpointError, match="'adam_v/embed/W' has shape"):
+        arrays["param/embed/W"] = arrays["param/embed/W"][:, :3]
+        with pytest.raises(CheckpointError, match="'param/embed/W' has shape"):
             net_from_arrays(arrays)
+
+    def test_dump_holds_weights_only(self, tmp_path):
+        path = tmp_path / "net.npz"
+        save_net(tiny_net("tsp"), path)
+        keys = set(np.load(path).files)
+        assert keys == {k for k in keys if k.startswith(("param/", "stat/"))} | {"meta/config", "meta/version"}
+
+    def test_older_dump_with_moments_loads_without_reading_them(self, tmp_path, monkeypatch):
+        net = tiny_net("tsp", seed=22)
+        path = tmp_path / "net.npz"
+        save_net(net, path)
+        data = dict(np.load(path))
+        data |= {f"adam_{g}/{k}": np.zeros_like(v) for g in "mv" for k, v in net.params.items()}
+        data["meta/adam_t"] = np.array(4, dtype=np.int64)
+        np.savez(path, **data)
+        read = []
+        real = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", lambda self, key: read.append(key) or real(self, key))
+        loaded = load_net(path)
+        assert read and not [k for k in read if "adam" in k]
+        for k in net.params:
+            np.testing.assert_array_equal(loaded.params[k], net.params[k])
 
     def test_save_leaves_no_temp_file(self, tmp_path):
         save_net(tiny_net("tsp"), tmp_path / "net.npz")

@@ -6,7 +6,7 @@ import pytest
 import routezero.trainer as trainer_mod
 from routezero.env import DeadEndError, game_outcome, initial_state, legal_actions, objective, step
 from routezero.instance import EvrpInstance, TspInstance, generate_tsp
-from routezero.net import CheckpointError, NetConfig, PolicyValueNet, featurize
+from routezero.net import Adam, CheckpointError, NetConfig, PolicyValueNet, featurize
 from routezero.planner import PlannerConfig
 from routezero.trainer import (
     METRICS_HEADER,
@@ -353,7 +353,7 @@ class TestArena:
 class TestCheckpoint:
     def fresh_state(self, cfg):
         theta = PolicyValueNet.create(cfg.net, seed=cfg.seed)
-        return TrainerState(theta, theta.copy(), PolicyBuffer(8), ValueBuffer(8), episode=3)
+        return TrainerState(theta, theta.copy(), PolicyBuffer(8), ValueBuffer(8), 3, Adam.zeros(theta.params))
 
     def test_round_trip(self, tmp_path):
         cfg = tiny_cfg()
@@ -424,6 +424,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "key, corrupt, message",
+        [
+            ("theta/adam_v/embed/W", lambda a: a[:, :3], "'theta/adam_v/embed/W' has shape .*, expected"),
+            ("theta/adam_m/value/b2", None, "missing array 'theta/adam_m/value/b2'"),
+            ("theta/meta/adam_t", None, "missing array 'theta/meta/adam_t'"),
+        ],
+    )
+    def test_malformed_moments(self, tmp_path, key, corrupt, message):
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(self.corrupted(tmp_path, key, corrupt))
+
+    def test_only_theta_carries_moments(self, tmp_path):
+        ckpt = train(tiny_cfg(total_episodes=2, checkpoint_interval=2), tmp_path / "run")
+        keys = set(np.load(ckpt).files)
+        assert not [k for k in keys if "adam" in k and not k.startswith(("theta/adam_", "theta/meta/adam_t"))]
+        _, state = load_checkpoint(ckpt)
+        assert state.adam.t == 2  # one train step per episode
+        assert {f"theta/adam_{g}/{k}" for g in "mv" for k in state.theta.params} | {"theta/meta/adam_t"} <= keys
+
 
 def read_metrics(run_dir):
     lines = (run_dir / "metrics.csv").read_text().splitlines()
@@ -467,7 +487,20 @@ class TestTrainLoop:
         episodes = [e for e in read_events(tmp_path / "full") if e["event"] == "episode" and e["episode"] <= 2]
         assert sum(len(e["learner_sims"]) for e in episodes) > 5, "the policy ring wrapped before the checkpoint"
 
-    def crash_and_resume(self, cfg, tmp_path, monkeypatch):
+    def test_resume_from_a_checkpoint_with_best_moments(self, tmp_path, monkeypatch):
+        # older releases also saved the best net's Adam moments; a resume ignores them
+        added = []
+
+        def add_best_moments(arrays):
+            for k in [k for k in arrays if k.startswith(("theta/adam_", "theta/meta/adam_t"))]:
+                added.append("best/" + k.removeprefix("theta/"))
+                arrays[added[-1]] = np.full_like(arrays[k], 7)
+            return arrays
+
+        self.crash_and_resume(tiny_cfg(), tmp_path, monkeypatch, add_best_moments)
+        assert {"best/adam_m/embed/W", "best/adam_v/value/b2", "best/meta/adam_t"} <= set(added)
+
+    def crash_and_resume(self, cfg, tmp_path, monkeypatch, edit=None):
         train(cfg, tmp_path / "full")
 
         real = trainer_mod.run_episode
@@ -483,6 +516,9 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match="simulated crash"):
             train(cfg, tmp_path / "broken")
         monkeypatch.setattr(trainer_mod, "run_episode", real)
+        if edit is not None:
+            ckpt = tmp_path / "broken" / "checkpoint.npz"
+            np.savez(ckpt, **edit(dict(np.load(ckpt))))
         _, resumed = load_checkpoint(tmp_path / "broken" / "checkpoint.npz")
 
         train(cfg, tmp_path / "broken", resume=True)
