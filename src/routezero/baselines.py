@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import DeadEndError, RoutingGame, initial_state, legal_actions, objective, rollout, step, step_limit
+from .env import DeadEndError, RoutingGame, initial_state, legal_actions, objective, play, rollout, step
 from .instance import _KIND_CUSTOMER, EvrpInstance, Instance, TspInstance
 from .net import greedy_actions
 
@@ -212,13 +212,15 @@ def greedy_rollouts(insts: Sequence[Instance], net) -> list[SolveResult | DeadEn
     """Roll the network's argmax policy on every instance in lockstep, no search.
 
     Instances of one type and node count go in chunks of at most
-    ``net.config.batch_size``; each step of a chunk makes one ``forward``
-    over its live rollouts.  Each slot keeps the rules of ``env.rollout``:
-    a route finished within ``step_limit`` moves is a ``SolveResult``, and an
-    empty mask or the cap makes that slot's result a ``DeadEndError``
-    without stopping the others.  ``wall_time_s`` runs from the start of
-    the slot's chunk, and ``expansions`` counts the slot's forward rows.
+    ``net.config.batch_size``, each played by one ``env.play`` with one
+    ``forward`` per round over its live slots; a slot's dead end is its
+    ``DeadEndError``.  ``wall_time_s`` runs from the start of the slot's
+    chunk, and ``expansions`` counts the slot's forward rows.
     """
+
+    def moves(states, live):
+        return greedy_actions(net, [states[i] for i in live], np.stack([legal_actions(states[i]) for i in live]))
+
     results: list[SolveResult | DeadEndError | None] = [None] * len(insts)
     groups: dict[tuple, list[int]] = {}
     for slot, inst in enumerate(insts):
@@ -226,34 +228,15 @@ def greedy_rollouts(insts: Sequence[Instance], net) -> list[SolveResult | DeadEn
     size = net.config.batch_size
     for slots in groups.values():
         for lo in range(0, len(slots), size):
-            _lockstep(insts, slots[lo : lo + size], net, results)
+            chunk = slots[lo : lo + size]
+            start = time.perf_counter()
+            starts = [initial_state(insts[slot]) for slot in chunk]
+            for i, end in play(starts, moves):
+                if not isinstance(end, DeadEndError):
+                    route, steps = end.route, len(end.route) - len(starts[i].route)
+                    end = SolveResult(route, objective(end.instance, route), False, steps, time.perf_counter() - start)
+                results[chunk[i]] = end
     return results
-
-
-def _lockstep(insts: Sequence[Instance], slots: list[int], net, results: list) -> None:
-    """Play one chunk of same-shape instances to the end, writing each slot's result."""
-    start = time.perf_counter()
-    live = {slot: initial_state(insts[slot]) for slot in slots}
-    cap = step_limit(insts[slots[0]])
-    for moves in range(cap + 1):
-        masks = {}
-        for slot, state in live.items():
-            if state.done:
-                route = state.route
-                elapsed = time.perf_counter() - start
-                results[slot] = SolveResult(route, objective(insts[slot], route), False, moves, elapsed)
-            elif moves == cap:
-                results[slot] = DeadEndError(f"rollout exceeded {cap} steps without terminating")
-            elif (mask := legal_actions(state)).any():
-                masks[slot] = mask
-            else:
-                results[slot] = DeadEndError(f"no legal action at node {state.position}, route so far {state.route}")
-        live = {slot: live[slot] for slot in masks}
-        if not live:
-            return
-        actions = greedy_actions(net, list(live.values()), np.stack(list(masks.values())))
-        for slot, action in zip(masks, actions):
-            live[slot] = step(live[slot], int(action))
 
 
 def greedy_rollout(inst: Instance, net) -> SolveResult:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import SearchBudgetError, SizeLimitError, SolveResult, exact_evrp, exact_tsp, gap, greedy_rollouts
-from .env import DeadEndError, RoutingGame, objective, step_limit, validate_route
+from .env import DeadEndError, RoutingGame, objective, play, validate_route
 from .instance import (
     Instance,
     InstanceError,
@@ -160,18 +160,20 @@ def _plan_route(path: Path, inst: Instance, net: PolicyValueNet, planner_cfg: Pl
     game = RoutingGame(inst)
     evaluator = NetEvaluator(net, game)
     shadow = GreedyNetPolicy(net, game)
-    own = game.initial_state()
     opp = game.initial_state()
-    guard = evaluations = 0
-    while not own.done:
-        guard += 1
-        if guard > step_limit(inst):
-            raise DeadEndError(f"{path.name}: search rollout failed to terminate")
-        result = plan(own, opp, evaluator, shadow, planner_cfg, game, rng=rng)
+    evaluations = 0
+
+    def moves(states, live):
+        nonlocal opp, evaluations
+        result = plan(states[0], opp, evaluator, shadow, planner_cfg, game, rng=rng)
         evaluations += result.evaluations
-        own = game.step(own, result.action)
         if not opp.done:
             opp = game.step(opp, shadow(opp))
+        return [result.action]
+
+    ((_, own),) = play([game.initial_state()], moves)
+    if isinstance(own, DeadEndError):
+        raise DeadEndError(f"{path.name}: {own}")
     route = own.route
     return SolveResult(route, objective(inst, route), False, evaluations, time.perf_counter() - start)
 

@@ -19,8 +19,9 @@ additionally restocks cargo and starts a fresh driver clock.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -484,25 +485,48 @@ class RoutingGame:
 
 
 def step_limit(inst: Instance) -> int:
-    """Moves after which any rollout on ``inst`` counts as a dead end.
+    """Moves after which a route on ``inst`` counts as a dead end.
 
-    Legal moves can cycle forever between recharge points, so every loop
-    that plays a route to its end stops here instead of hanging.
+    Legal moves can cycle forever between recharge points, so `play` stops
+    every route here instead of hanging.
     """
     return 60 * inst.n_nodes + 200
 
 
+def play(states: Sequence[PlayerState], moves: Callable) -> Iterator[tuple[int, PlayerState | DeadEndError]]:
+    """Play every state to its end in rounds, yielding ``(index, result)`` as each slot ends.
+
+    Each round ``moves(states, live)`` returns one action per unfinished
+    index in ``live``, all chosen from the states as they stood at the top
+    of the round; finished slots keep their final state in ``states``.  A
+    slot's result is its finished state, or a ``DeadEndError`` when its mask
+    is empty or it has made ``step_limit`` moves of its own instance (a
+    route finished on the cap-th move counts).  The other slots play on.
+    """
+    states = list(states)
+    live = range(len(states))
+    for moved in itertools.count():
+        playing = []
+        for i in live:
+            state = states[i]
+            if state.done:
+                yield i, state
+            elif moved == (cap := step_limit(state.instance)):
+                yield i, DeadEndError(f"rollout exceeded {cap} steps without terminating")
+            elif not legal_actions(state).any():
+                yield i, DeadEndError(f"no legal action at node {state.position}, route so far {state.route}")
+            else:
+                playing.append(i)
+        live = playing
+        if not live:
+            return
+        for i, action in zip(live, moves(states, live), strict=True):
+            states[i] = step(states[i], action)
+
+
 def rollout(game: RoutingGame, policy: Callable[[PlayerState, np.ndarray], int]) -> PlayerState:
-    """Drive ``policy(state, legal_mask) -> action`` from the initial state to termination."""
-    state = game.initial_state()
-    step_cap = step_limit(game.instance)
-    for _ in range(step_cap):
-        if state.done:
-            return state
-        mask = game.legal_actions(state)
-        if not mask.any():
-            raise DeadEndError(f"no legal action at node {state.position}, route so far {state.route}")
-        state = game.step(state, policy(state, mask))
-    if not state.done:
-        raise DeadEndError(f"rollout exceeded {step_cap} steps without terminating")
-    return state
+    """Drive ``policy(state, legal_mask) -> action`` from the initial state to its end; a dead end raises."""
+    ((_, end),) = play([game.initial_state()], lambda states, live: [policy(states[0], legal_actions(states[0]))])
+    if isinstance(end, DeadEndError):
+        raise end
+    return end

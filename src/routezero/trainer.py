@@ -30,7 +30,7 @@ from .env import (
     game_outcome,
     legal_actions,
     objective,
-    step_limit,
+    play,
 )
 from .instance import EvrpInstance, Instance, generate_evrp, generate_tsp
 from .net import (
@@ -292,9 +292,9 @@ def run_episode(
 
     The learner seat is drawn uniformly; the opponent model used inside
     the learner's search is the current net with probability
-    ``self_play_prob``, otherwise the historical best.  Both seats act on
-    states frozen at the top of the round, so within a round neither sees
-    the other's move early.
+    ``self_play_prob``, otherwise the historical best.  Both seats play
+    through one ``env.play``, so within a round neither sees the other's
+    move early, and a seat's dead end raises a ``DeadEndError`` naming it.
     """
     theta, theta_best = nets
     game = RoutingGame(inst)
@@ -306,37 +306,33 @@ def run_episode(
     competitor_eval = NetEvaluator(theta_best, game, value_net=theta)
     competitor_opp_model = GreedyNetPolicy(theta, game)
 
-    states = {1: game.initial_state(), -1: game.initial_state()}
-    trajs: dict[int, list[PlayerState]] = {1: [states[1]], -1: [states[-1]]}
+    seats = (1, -1)
+    trajs: dict[int, list[PlayerState]] = {1: [], -1: []}
     sims: dict[int, list[int]] = {1: [], -1: []}
     samples: list[tuple[PlayerState, np.ndarray]] = []
 
-    rounds = 0
-    cap = step_limit(inst)
-    while not (states[1].done and states[-1].done):
-        rounds += 1
-        if rounds > cap:
-            raise PlannerError(f"episode exceeded {cap} rounds without terminating")
-        frozen = dict(states)
-        for seat in (1, -1):
-            if frozen[seat].done:
-                continue
-            own, opp = frozen[seat], frozen[-seat]
+    def moves(states, live):
+        actions = []
+        for i in live:
+            seat, own, opp = seats[i], states[i], states[1 - i]
+            trajs[seat].append(own)
             if stage == 1 and seat != learner_seat:
-                action = mu_policy(own)
+                actions.append(mu_policy(own))
                 sims[seat].append(0)
-            else:
-                if seat == learner_seat:
-                    result = plan(own, opp, learner_eval, mu_policy, cfg.planner, game, rng=rng)
-                else:
-                    result = plan(own, opp, competitor_eval, competitor_opp_model, cfg.planner, game, rng=rng)
-                action = result.action
-                sims[seat].append(result.simulations)
-                samples.append((own, result.improved_policy))
-            states[seat] = game.step(states[seat], action)
-            trajs[seat].append(states[seat])
+                continue
+            search = (learner_eval, mu_policy) if seat == learner_seat else (competitor_eval, competitor_opp_model)
+            result = plan(own, opp, *search, cfg.planner, game, rng=rng)
+            actions.append(result.action)
+            sims[seat].append(result.simulations)
+            samples.append((own, result.improved_policy))
+        return actions
 
-    obj = {seat: objective(inst, states[seat].route) for seat in (1, -1)}
+    for i, end in play([game.initial_state() for _ in seats], moves):
+        if isinstance(end, DeadEndError):
+            raise DeadEndError(f"{'learner' if seats[i] == learner_seat else 'competitor'} seat: {end}")
+        trajs[seats[i]].append(end)
+
+    obj = {seat: objective(inst, trajs[seat][-1].route) for seat in seats}
     outcome = game_outcome(-obj[1], -obj[-1])
     return EpisodeRecord(
         learner=learner_seat,
@@ -379,8 +375,8 @@ def arena_evaluate(
 ) -> tuple[bool, float, dict[str, int]]:
     """Greedy-rollout showdown on the fixed arena set; returns (update, reward_sum, dead_ends).
 
-    A greedy EVRP net can cycle between recharge points until the step cap;
-    that rollout dead-ends and scores nothing.  reward_sum totals the edge of
+    A rollout that ``env.play`` ends in a dead end scores nothing (a greedy
+    EVRP net can cycle between recharge points).  reward_sum totals the edge of
     theta over the best on instances both finish; dead_ends counts failed
     rollouts per side.  Update only if theta finishes every instance and
     either reward_sum > 0 or the best dead-ends somewhere.
@@ -484,10 +480,11 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
 
     Artifacts in ``run_dir``: ``config.json`` (resolved config),
     ``metrics.csv`` (one row per episode, deterministic given the seed),
-    ``events.log`` (JSON lines: episodes, arena showdowns, checkpoints;
-    carries wall times, so not byte-stable), ``checkpoint.npz``.  A resume
-    rewinds both logs to the checkpointed episode and replays from there,
-    which reproduces the uninterrupted run byte for byte in metrics.csv.
+    ``events.log`` (JSON lines: episodes, arena showdowns, checkpoints, a
+    self-play dead end; carries wall times, so not byte-stable),
+    ``checkpoint.npz``.  A resume rewinds both logs to the checkpointed
+    episode and replays from there, which reproduces the uninterrupted run
+    byte for byte in metrics.csv.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -531,6 +528,9 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
         try:
             record = run_episode(inst, (state.theta, state.theta_best), cfg, stage, rng)
         except (PlannerError, DeadEndError) as exc:
+            if isinstance(exc, DeadEndError):
+                event = {"event": "dead_end", "episode": episode + 1, "instance_seed": inst_seed, "error": str(exc)}
+                _append_event(events_path, event)
             raise TrainerError(f"episode {episode + 1} (instance seed {inst_seed}): {exc}") from exc
 
         for played_state, improved in record.policy_samples:

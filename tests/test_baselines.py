@@ -222,12 +222,12 @@ class TestGreedyRollout:
         assert [r.expansions for r in results] == [4, 4, 4, 5]
 
     def test_route_finished_on_the_cap_th_move_counts(self, monkeypatch):
-        import routezero.baselines as baselines
+        import routezero.env as env_mod
 
         insts = [generate_tsp(5, seed=1), generate_tsp(5, seed=2)]
         net = self.tiny_net("tsp")
-        monkeypatch.setattr(baselines, "step_limit", lambda inst: inst.n_nodes)
+        monkeypatch.setattr(env_mod, "step_limit", lambda inst: inst.n_nodes)
         assert [sorted(r.route) for r in greedy_rollouts(insts, net)] == [list(range(5))] * 2
-        monkeypatch.setattr(baselines, "step_limit", lambda inst: inst.n_nodes - 1)
+        monkeypatch.setattr(env_mod, "step_limit", lambda inst: inst.n_nodes - 1)
         for r in greedy_rollouts(insts, net):
             assert isinstance(r, DeadEndError) and "exceeded 4 steps" in str(r)

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import routezero.env as env_mod
 from routezero import cli
 from routezero.baselines import SearchBudgetError
 from routezero.cli import RESULTS_HEADER, TIMING_HEADER, main
@@ -352,11 +353,11 @@ class TestEval:
     def test_mcts_dead_end_names_the_instance(self, tmp_path, trained_run, monkeypatch, capsys):
         inst_dir = tmp_path / "instances"
         main(["gen", "tsp", "--nodes", "6", "--count", "1", "--seed", "3", "--out", str(inst_dir)])
-        monkeypatch.setattr(cli, "step_limit", lambda inst: 3)  # a 6-city tour takes 6 moves
+        monkeypatch.setattr(env_mod, "step_limit", lambda inst: 3)  # a 6-city tour takes 6 moves
         capsys.readouterr()
         argv = ["eval", str(trained_run / "checkpoint.npz"), str(inst_dir), "--mode", "mcts", "--budget", "4"]
         assert main([*argv, "--m-root", "2"]) == 2
-        assert "tsp_n6_seed3.json: search rollout failed to terminate" in capsys.readouterr().err
+        assert "tsp_n6_seed3.json: rollout exceeded 3 steps without terminating" in capsys.readouterr().err
         assert not (inst_dir / "results.csv").exists()
 
     def test_empty_instance_dir(self, tmp_path, trained_run):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from routezero.env import (
     initial_state,
     legal_actions,
     objective,
+    play,
     rollout,
     step,
     validate_route,
@@ -478,6 +480,47 @@ class TestRoutingGame:
         state = rollout(game, policy)
         assert state.done
         assert validate_route(inst, state.route) == []
+
+
+
+def argmax_moves(states, live):
+    return [int(np.argmax(legal_actions(states[i]))) for i in live]
+
+
+class TestPlay:
+    def test_empty_mask_ends_its_slot_while_the_other_finishes(self):
+        inst = generate_evrp(4, 2, seed=3)
+        customer = int(inst.customer_ids[0])
+        # an empty battery and a spent trip clock away from the depot leave no move
+        stuck = replace(initial_state(inst), position=customer, route=(0, customer), battery_kwh=0.0)
+        stuck = replace(stuck, clock_h=inst.t_max_h)
+        assert not legal_actions(stuck).any()
+        (i, dead), (j, end) = play([initial_state(generate_tsp(5, seed=1)), stuck], argmax_moves)
+        assert i == 1 and isinstance(dead, DeadEndError)
+        assert str(dead) == f"no legal action at node {customer}, route so far (0, {customer})"
+        assert j == 0 and end.done and end.route == (0, 1, 2, 3, 4)
+
+    def test_moves_see_every_slot_as_it_stood_at_the_top_of_the_round(self):
+        seen = []
+
+        def recording(states, live):
+            seen.append((list(live), [s.route for s in states]))
+            return argmax_moves(states, live)
+
+        ends = dict(play([initial_state(generate_tsp(3, seed=1)), initial_state(generate_tsp(5, seed=2))], recording))
+        assert [live for live, _ in seen] == [[0, 1]] * 3 + [[1]] * 2
+        for k, (_, routes) in enumerate(seen):
+            assert routes == [tuple(range(min(k, 3))), tuple(range(k))]
+        assert ends[0].route == (0, 1, 2) and ends[1].route == (0, 1, 2, 3, 4)
+
+    def test_route_finished_on_the_cap_th_move_counts(self, monkeypatch):
+        start = initial_state(generate_tsp(5, seed=4))
+        monkeypatch.setattr(env_mod, "step_limit", lambda inst: inst.n_nodes)
+        [(_, end)] = play([start], argmax_moves)
+        assert end.done and len(end.route) == 5
+        monkeypatch.setattr(env_mod, "step_limit", lambda inst: inst.n_nodes - 1)
+        [(_, end)] = play([start], argmax_moves)
+        assert isinstance(end, DeadEndError) and str(end) == "rollout exceeded 4 steps without terminating"
 
 
 def flat_edge_power_w(inst, mass_kg):

@@ -529,6 +529,34 @@ class TestTrainLoop:
         assert stages == sorted(stages), "stage never reverts"
         return resumed
 
+    def test_dead_end_stops_the_run_and_logs_the_seat(self, tmp_path, monkeypatch, capsys):
+        import routezero.env as env_mod
+        from routezero.cli import main
+
+        monkeypatch.setattr(env_mod, "step_limit", lambda inst: 3)  # a 6-city tour takes 6 moves
+        desk_net = NetConfig(problem="tsp", embed_dim=32, n_heads=4, n_layers=2, ffn_dim=64, batch_size=64)
+        cfg = tiny_cfg(n_nodes=6, net=desk_net, planner=PlannerConfig(n_simulations=20, m_root=8))
+        inst_seed = derived_seed(cfg.seed, trainer_mod._STREAM_INSTANCE, 0)
+        # both seats reach the cap in round 3; play reports seat 1 first
+        seat_one_learns = np.random.default_rng([cfg.seed, trainer_mod._STREAM_EPISODE, 0]).random() < 0.5
+        error = f"{'learner' if seat_one_learns else 'competitor'} seat: rollout exceeded 3 steps without terminating"
+        with pytest.raises(TrainerError) as raised:
+            train(cfg, tmp_path / "run")
+        assert str(raised.value) == f"episode 1 (instance seed {inst_seed}): {error}"
+        assert read_events(tmp_path / "run")[-1] == {
+            "event": "dead_end",
+            "episode": 1,
+            "instance_seed": inst_seed,
+            "error": error,
+        }
+        assert read_metrics(tmp_path / "run") == []
+
+        config = tmp_path / "desk.json"
+        config.write_text(json.dumps(train_config_to_dict(cfg)))
+        capsys.readouterr()
+        assert main(["train", str(config), "--run-dir", str(tmp_path / "cli")]) == 2
+        assert f"episode 1 (instance seed {inst_seed}): {error}" in capsys.readouterr().err
+
     def test_resume_needs_a_checkpoint(self, tmp_path):
         with pytest.raises(TrainerError, match="no checkpoint"):
             train(tiny_cfg(), tmp_path / "nothing", resume=True)
