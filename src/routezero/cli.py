@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import SearchBudgetError, SizeLimitError, SolveResult, exact_evrp, exact_tsp, gap, greedy_rollouts
-from .env import DeadEndError, RoutingGame, objective, play, validate_route
+from .env import DeadEndError, RoutingGame, objective, validate_route
 from .instance import (
     Instance,
     InstanceError,
@@ -36,7 +36,7 @@ from .net import (
     net_keys,
     read_arrays,
 )
-from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, plan
+from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, play_seats
 from .trainer import TRAINER_CHECKPOINT_VERSION, TrainerError, train, train_config_from_dict
 
 RESULTS_HEADER = "instance,method,objective,oracle,gap_pct,feasible"
@@ -152,29 +152,20 @@ def _is_feasible(inst: Instance, route) -> bool:
 
 
 def _plan_route(path: Path, inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig, rng) -> SolveResult:
-    """Search-guided route: plan each own move against a greedy shadow.
+    """Search-guided route: slot 0 plans each move against a greedy shadow of the same net in slot 1.
 
-    ``expansions`` is the sum of the plans' evaluation counts; a dead end names ``path``.
+    Both slots play through ``planner.play_seats`` under the one step cap.
+    ``expansions`` is the sum of slot 0's plan evaluation counts; its dead
+    end names ``path``.
     """
     start = time.perf_counter()
     game = RoutingGame(inst)
-    evaluator = NetEvaluator(net, game)
     shadow = GreedyNetPolicy(net, game)
-    opp = game.initial_state()
-    evaluations = 0
-
-    def moves(states, live):
-        nonlocal opp, evaluations
-        result = plan(states[0], opp, evaluator, shadow, planner_cfg, game, rng=rng)
-        evaluations += result.evaluations
-        if not opp.done:
-            opp = game.step(opp, shadow(opp))
-        return [result.action]
-
-    ((_, own),) = play([game.initial_state()], moves)
-    if isinstance(own, DeadEndError):
-        raise DeadEndError(f"{path.name}: {own}")
-    route = own.route
+    moves, ends = play_seats(game, ((NetEvaluator(net, game), shadow), shadow), planner_cfg, rng)
+    if isinstance(ends[0], DeadEndError):
+        raise DeadEndError(f"{path.name}: {ends[0]}")
+    route = ends[0].route
+    evaluations = sum(result.evaluations for slot, _, result in moves if slot == 0)
     return SolveResult(route, objective(inst, route), False, evaluations, time.perf_counter() - start)
 
 

@@ -459,8 +459,9 @@ def game_outcome(reward_first: float, reward_second: float) -> int:
 class RoutingGame:
     """Bundles the transition functions for one instance behind one object.
 
-    The search and training code only touches this interface, so test
-    doubles with the same four methods can stand in for a real instance.
+    The search (``planner.plan`` and its net adapters) reads a game through
+    these methods, so test doubles can stand in for a real instance there;
+    play loops take only the initial state from it.
     """
 
     def __init__(self, inst: Instance):

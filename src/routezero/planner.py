@@ -35,7 +35,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .env import RoutingGame, game_outcome
+from .env import RoutingGame, game_outcome, play
 from .net import featurize, greedy_actions, stack_features
 
 
@@ -58,15 +58,14 @@ class PlannerConfig:
 
 
 class Evaluator(Protocol):
-    """Maps an (own, opponent) state pair to (masked logits, value).
+    """Maps (own, opponent) state pairs to (masked logits, value).
 
-    The search evaluates the new leaves of a sweep together: an evaluator
-    that also defines ``evaluate_batch(pairs)``, returning one (logits,
-    value) per pair in order, gets them in one call; a plain callable is
-    mapped over them.  Logits of a finished own state are never read.
+    An evaluator is either a plain ``(own, opp)`` callable or an object
+    whose ``evaluate_batch(pairs)`` returns one (logits, value) per pair in
+    order.  The search evaluates the new leaves of a sweep together: an
+    ``evaluate_batch`` gets them in one call, a plain callable is mapped
+    over them.  Logits of a finished own state are never read.
     """
-
-    def __call__(self, own, opp) -> tuple[np.ndarray, float]: ...
 
 
 @dataclass
@@ -296,6 +295,32 @@ def plan(
     )
 
 
+def play_seats(game: RoutingGame, seats, config: PlannerConfig, rng: np.random.Generator) -> tuple[list, dict]:
+    """Play a two-seat game on ``game`` from the initial state through one ``env.play``.
+
+    A seat is a greedy policy ``state -> action`` or an ``(evaluator,
+    opponent_model)`` pair that plans each move against the other seat's
+    state.  Returns ``(moves, ends)``: ``moves`` lists every move in play
+    order as ``(slot, state, PlanResult | None)``, ``None`` marking a greedy
+    move; ``ends`` maps each slot to its finished state or ``DeadEndError``
+    in the order the slots ended.  The slots of a round move in slot order,
+    and only ``plan`` draws from ``rng``.
+    """
+    moves = []
+
+    def choose(states, live):
+        actions = []
+        for i in live:
+            own, seat = states[i], seats[i]
+            result = plan(own, states[1 - i], *seat, config, game, rng=rng) if isinstance(seat, tuple) else None
+            moves.append((i, own, result))
+            actions.append(seat(own) if result is None else result.action)
+        return actions
+
+    ends = dict(play([game.initial_state() for _ in seats], choose))
+    return moves, ends
+
+
 class NetEvaluator:
     """Adapter: a policy/value network as the search's evaluator."""
 
@@ -303,9 +328,6 @@ class NetEvaluator:
         self.policy_net = policy_net
         self.value_net = value_net if value_net is not None else policy_net
         self.game = game
-
-    def __call__(self, own, opp) -> tuple[np.ndarray, float]:
-        return self.evaluate_batch([(own, opp)])[0]
 
     def evaluate_batch(self, pairs: list[tuple]) -> list[tuple[np.ndarray, float]]:
         """(logits, value) of each (own, opp) pair, from one forward per net.

@@ -30,7 +30,6 @@ from .env import (
     game_outcome,
     legal_actions,
     objective,
-    play,
 )
 from .instance import EvrpInstance, Instance, generate_evrp, generate_tsp
 from .net import (
@@ -47,7 +46,7 @@ from .net import (
     read_arrays,
     write_arrays,
 )
-from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, plan
+from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, play_seats
 
 TRAINER_CHECKPOINT_VERSION = 2
 
@@ -106,10 +105,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.train_steps_per_episode < 0:
             raise ValueError("train_steps_per_episode must be nonnegative")
-        if self.problem == "tsp" and self.n_nodes < 2:
-            raise ValueError("n_nodes must be at least 2")
-        if self.problem != "tsp" and (self.n_customers < 1 or self.n_stations < 0):
-            raise ValueError("need at least one customer and nonnegative stations")
+        if self.problem == "tsp" and self.n_nodes < 3:
+            raise ValueError("n_nodes must be at least 3")
+        if self.problem != "tsp" and (self.n_customers < 1 or self.n_stations < 1):
+            raise ValueError("need at least one customer and one station")
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
@@ -293,57 +292,35 @@ def run_episode(
     The learner seat is drawn uniformly; the opponent model used inside
     the learner's search is the current net with probability
     ``self_play_prob``, otherwise the historical best.  Both seats play
-    through one ``env.play``, so within a round neither sees the other's
-    move early, and a seat's dead end raises a ``DeadEndError`` naming it.
+    through one ``planner.play_seats``, so within a round neither sees the
+    other's move early.  Both seats play to their end; then the first seat
+    to dead-end raises a ``DeadEndError`` naming it.
     """
     theta, theta_best = nets
     game = RoutingGame(inst)
     learner_seat = 1 if rng.random() < 0.5 else -1
-    mu_net = theta if rng.random() < cfg.self_play_prob else theta_best
-
-    mu_policy = GreedyNetPolicy(mu_net, game)
-    learner_eval = NetEvaluator(theta, game)
-    competitor_eval = NetEvaluator(theta_best, game, value_net=theta)
-    competitor_opp_model = GreedyNetPolicy(theta, game)
-
-    seats = (1, -1)
-    trajs: dict[int, list[PlayerState]] = {1: [], -1: []}
-    sims: dict[int, list[int]] = {1: [], -1: []}
-    samples: list[tuple[PlayerState, np.ndarray]] = []
-
-    def moves(states, live):
-        actions = []
-        for i in live:
-            seat, own, opp = seats[i], states[i], states[1 - i]
-            trajs[seat].append(own)
-            if stage == 1 and seat != learner_seat:
-                actions.append(mu_policy(own))
-                sims[seat].append(0)
-                continue
-            search = (learner_eval, mu_policy) if seat == learner_seat else (competitor_eval, competitor_opp_model)
-            result = plan(own, opp, *search, cfg.planner, game, rng=rng)
-            actions.append(result.action)
-            sims[seat].append(result.simulations)
-            samples.append((own, result.improved_policy))
-        return actions
-
-    for i, end in play([game.initial_state() for _ in seats], moves):
+    mu_policy = GreedyNetPolicy(theta if rng.random() < cfg.self_play_prob else theta_best, game)
+    learner = (NetEvaluator(theta, game), mu_policy)
+    competitor_search = (NetEvaluator(theta_best, game, value_net=theta), GreedyNetPolicy(theta, game))
+    seats = (learner, mu_policy if stage == 1 else competitor_search)[::learner_seat]  # seat 1 plays slot 0
+    moves, ends = play_seats(game, seats, cfg.planner, rng)
+    for slot, end in ends.items():
         if isinstance(end, DeadEndError):
-            raise DeadEndError(f"{'learner' if seats[i] == learner_seat else 'competitor'} seat: {end}")
-        trajs[seats[i]].append(end)
+            raise DeadEndError(f"{'learner' if seats[slot] is learner else 'competitor'} seat: {end}")
 
-    obj = {seat: objective(inst, trajs[seat][-1].route) for seat in seats}
-    outcome = game_outcome(-obj[1], -obj[-1])
+    trajs = [tuple(own for i, own, _ in moves if i == slot) + (ends[slot],) for slot in (0, 1)]
+    sims = [tuple(0 if r is None else r.simulations for i, _, r in moves if i == slot) for slot in (0, 1)]
+    obj = [objective(inst, traj[-1].route) for traj in trajs]
     return EpisodeRecord(
         learner=learner_seat,
-        traj_first=tuple(trajs[1]),
-        traj_second=tuple(trajs[-1]),
-        outcome=outcome,
-        objective_first=obj[1],
-        objective_second=obj[-1],
-        policy_samples=tuple(samples),
-        sims_first=tuple(sims[1]),
-        sims_second=tuple(sims[-1]),
+        traj_first=trajs[0],
+        traj_second=trajs[1],
+        outcome=game_outcome(-obj[0], -obj[1]),
+        objective_first=obj[0],
+        objective_second=obj[1],
+        policy_samples=tuple((own, result.improved_policy) for _, own, result in moves if result is not None),
+        sims_first=sims[0],
+        sims_second=sims[1],
     )
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import routezero.env as env_mod
+import routezero.planner as planner_mod
 from routezero import cli
 from routezero.baselines import SearchBudgetError
 from routezero.cli import RESULTS_HEADER, TIMING_HEADER, main
@@ -146,6 +147,17 @@ class TestTrain:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({**TINY_TRAIN, "self_play_prob": 2.0}))
         assert main(["train", str(config)]) == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"n_nodes": 2}, {"problem": "dm-evrp", "n_stations": 0, "net": {**TINY_TRAIN["net"], "problem": "evrp"}}],
+    )
+    def test_size_the_generator_rejects_is_usage_error_before_any_file(self, tmp_path, overrides, capsys):
+        config = tmp_path / "small.json"
+        config.write_text(json.dumps({**TINY_TRAIN, **overrides}))
+        assert main(["train", str(config), "--run-dir", str(tmp_path / "run")]) == 1
+        assert "at least" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEval:
@@ -297,14 +309,14 @@ class TestEval:
     def test_mcts_timing_counts_plan_evaluations(self, tmp_path, trained_run, monkeypatch):
         inst_dir = self.gen_instances(tmp_path, n=2)
         counted = []
-        real_plan = cli.plan
+        real_plan = planner_mod.plan
 
         def spy(*args, **kwargs):
             result = real_plan(*args, **kwargs)
             counted.append(result.evaluations)
             return result
 
-        monkeypatch.setattr(cli, "plan", spy)
+        monkeypatch.setattr(planner_mod, "plan", spy)
         out = tmp_path / "mcts.csv"
         argv = ["eval", str(trained_run / "checkpoint.npz"), str(inst_dir), "--mode", "mcts", "--budget", "8"]
         assert main([*argv, "--m-root", "4", "--out", str(out)]) == 0

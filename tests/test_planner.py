@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from routezero.env import RoutingGame, initial_state, legal_actions, step
+import routezero.env as env_mod
+from routezero.env import DeadEndError, RoutingGame, initial_state, legal_actions, step
 from routezero.instance import generate_evrp, generate_tsp
 from routezero.net import NetConfig, PolicyValueNet, featurize, stack_features
 from routezero.planner import (
@@ -15,6 +16,7 @@ from routezero.planner import (
     _max_child_visits,
     _select_action,
     plan,
+    play_seats,
     sample_gumbel_topm,
     sequential_halving_schedule,
     sigma,
@@ -381,9 +383,10 @@ class TestSweeps:
             theta, best = tiny_net(problem, seed=k), tiny_net(problem, seed=k + 50)
             evaluator = NetEvaluator(best, game, value_net=theta) if k % 2 else NetEvaluator(theta, game)
             own, opp = random_root(inst, rng)
-            args = (own, opp, evaluator, GreedyNetPolicy(theta, game), PlannerConfig(n_simulations=24, m_root=8), game)
-            got = plan(*args, rng=np.random.default_rng(k))
-            ref, _ = sequential_plan(*args, rng=np.random.default_rng(k))
+            rest = (GreedyNetPolicy(theta, game), PlannerConfig(n_simulations=24, m_root=8), game)
+            got = plan(own, opp, evaluator, *rest, rng=np.random.default_rng(k))
+            one_pair = lambda own, opp: evaluator.evaluate_batch([(own, opp)])[0]
+            ref, _ = sequential_plan(own, opp, one_pair, *rest, rng=np.random.default_rng(k))
             assert got.action == ref.action
             np.testing.assert_allclose(got.improved_policy, ref.improved_policy, rtol=0, atol=1e-12)
             assert (got.simulations, got.evaluations) == (ref.simulations, ref.evaluations)
@@ -437,7 +440,7 @@ class TestNetAdapters:
         game = RoutingGame(inst)
         evaluator = NetEvaluator(tiny_net("tsp"), game)
         own = game.initial_state()
-        logits, value = evaluator(own, own)
+        logits, value = evaluator.evaluate_batch([(own, own)])[0]
         assert np.isfinite(logits).sum() == legal_actions(own).sum()
         assert -1.0 <= value <= 1.0
 
@@ -448,7 +451,7 @@ class TestNetAdapters:
         value_net = tiny_net("evrp", seed=2)
         evaluator = NetEvaluator(policy_net, game, value_net=value_net)
         own = game.initial_state()
-        logits, value = evaluator(own, own)
+        logits, value = evaluator.evaluate_batch([(own, own)])[0]
         batch = stack_features([featurize(own)])
         batch["legal"] = legal_actions(own)[None]
         assert value == pytest.approx(value_net.forward(batch, batch)[1][0], rel=1e-12)
@@ -465,7 +468,7 @@ class TestNetAdapters:
         pairs = [(states[0], states[1]), (states[2], states[1]), (states[5], states[1]), (states[3], states[4])]
         batched = evaluator.evaluate_batch(pairs)
         for (own, opp), (logits, value) in zip(pairs, batched):
-            single_logits, single_value = evaluator(own, opp)
+            single_logits, single_value = evaluator.evaluate_batch([(own, opp)])[0]
             np.testing.assert_allclose(logits, single_logits, rtol=1e-12)
             assert value == pytest.approx(single_value, rel=1e-12)
         assert np.isneginf(batched[2][0]).all()
@@ -479,7 +482,7 @@ class TestNetAdapters:
         for a in range(4):
             own = step(own, a)
         opp = game.initial_state()
-        logits, value = evaluator(own, opp)
+        logits, value = evaluator.evaluate_batch([(own, opp)])[0]
         assert np.isneginf(logits).all()
         own_batch = stack_features([featurize(own)])
         own_batch["legal"] = np.zeros((1, 4), dtype=bool)
@@ -495,3 +498,65 @@ class TestNetAdapters:
         batch["legal"] = legal_actions(own)[None]
         expect = int(np.argmax(net.forward(batch)[0]))
         assert policy(own) == expect
+
+
+def highest_legal(state):
+    return int(np.flatnonzero(legal_actions(state))[-1])
+
+
+def customers_first(state):
+    """Lowest legal customer, else the lowest legal node."""
+    legal = np.flatnonzero(legal_actions(state))
+    customers = legal[state.instance.kinds[legal] == 2]
+    return int(customers[0] if customers.size else legal[0])
+
+
+class TestPlaySeats:
+    def evrp_case(self):
+        """An EVRP-4 game on which ``highest_legal`` (slot 0) takes more moves than ``customers_first``."""
+        inst, game = routing_case("evrp", seed=4)
+        moves, ends = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
+        lengths = [len(ends[slot].route) - 1 for slot in (0, 1)]
+        assert lengths[0] > lengths[1]
+        return game, lengths
+
+    def test_moves_come_round_major_and_plans_draw_rng_in_slot_order(self):
+        inst, game = routing_case("tsp", seed=800)
+        cfg = PlannerConfig(n_simulations=8, m_root=4)
+        seats = ((hashed_evaluator(game), lowest_legal(game)), (hashed_evaluator(game), highest_legal))
+        moves, ends = play_seats(game, seats, cfg, np.random.default_rng(5))
+        assert [slot for slot, _, _ in moves] == [0, 1] * inst.n_nodes
+        assert [len(state.route) for _, state, _ in moves] == [k for k in range(inst.n_nodes) for _ in seats]
+        replay = np.random.default_rng(5)
+        for k, (slot, own, got) in enumerate(moves):
+            opp = moves[k + 1 - 2 * slot][1]  # the other slot's state in the same round
+            ref = plan(own, opp, *seats[slot], cfg, game, rng=replay)
+            assert (got.action, got.improved_policy.tobytes()) == (ref.action, ref.improved_policy.tobytes())
+        assert all(end.done for end in ends.values())
+
+    def test_greedy_seat_moves_are_none_and_draw_nothing(self):
+        inst, game = routing_case("tsp", seed=801)
+        cfg = PlannerConfig(n_simulations=8, m_root=4)
+        rng = np.random.default_rng(6)
+        moves, _ = play_seats(game, (lowest_legal(game), lowest_legal(game)), cfg, rng)
+        assert len(moves) == 2 * inst.n_nodes and all(result is None for _, _, result in moves)
+        assert rng.random() == np.random.default_rng(6).random()
+        moves, _ = play_seats(game, ((hashed_evaluator(game), lowest_legal(game)), highest_legal), cfg, rng)
+        assert [result is None for _, _, result in moves] == [False, True] * inst.n_nodes
+
+    def test_ends_come_in_end_order(self):
+        game, lengths = self.evrp_case()
+        moves, ends = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
+        assert list(ends) == [1, 0]
+        assert [sum(slot == i for slot, _, _ in moves) for i in (0, 1)] == lengths
+
+    def test_step_cap_ends_the_longer_seat_while_the_other_finishes(self, monkeypatch):
+        game, lengths = self.evrp_case()
+        cap = lengths[1] + 1
+        monkeypatch.setattr(env_mod, "step_limit", lambda inst: cap)
+        moves, ends = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
+        assert list(ends) == [1, 0]
+        assert ends[1].done and len(ends[1].route) - 1 == lengths[1]
+        assert isinstance(ends[0], DeadEndError)
+        assert str(ends[0]) == f"rollout exceeded {cap} steps without terminating"
+        assert sum(slot == 0 for slot, _, _ in moves) == cap

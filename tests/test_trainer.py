@@ -78,6 +78,8 @@ class TestTrainConfig:
             {"total_episodes": 0},
             {"train_steps_per_episode": -1},
             {"n_nodes": 1},
+            {"n_nodes": 2},
+            {"problem": "dm-evrp", "n_stations": 0, "net": NetConfig(problem="evrp", **TINY_NET)},
             {"net": NetConfig(problem="evrp", **TINY_NET)},
         ],
     )
