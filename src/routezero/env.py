@@ -110,41 +110,6 @@ def _served_full(state: PlayerState) -> np.ndarray:
     return full
 
 
-def _homing_feasible(inst: EvrpInstance, battery_kwh, clock_h, escape, station_home) -> np.ndarray:
-    """Per-node test that a vehicle parked at ``j`` can still finish its trip.
-
-    ``battery_kwh``/``clock_h`` describe the vehicle right after settling at
-    each node ``j`` (post service or recharge); ``escape`` and
-    ``station_home`` are the `LoadTables` escape and station drive-home
-    charges at its mass there.  Node ``j`` passes when the depot is
-    reachable directly, or via a single recharge stop, with the battery and
-    the trip clock both covering the same path.  Checking one path on both
-    resources at once is what keeps the mask free of dead ends; independent
-    per-resource bounds can certify two different escapes and admit a state
-    that has none.
-    """
-    t_max = inst.t_max_h
-    home_h = inst.travel_h[:, 0]
-    battery = np.asarray(battery_kwh, dtype=np.float64)
-    ok = (battery >= np.maximum(escape[:, 0], 0.0)) & (clock_h + home_h <= t_max)
-    if inst.station_ids.size:
-        full = inst.vehicle.battery_capacity_kwh
-        stations = inst.station_ids
-        via_clock = (
-            clock_h[:, None]
-            + inst.travel_h[:, stations]
-            + inst.recharge_dwell_h
-            + home_h[stations][None, :]
-        )
-        via = (
-            (battery[:, None] >= np.maximum(escape[:, 1:], 0.0))
-            & (full >= np.maximum(station_home, 0.0))
-            & (via_clock <= t_max)
-        )
-        ok |= via.any(axis=1)
-    return ok
-
-
 def legal_actions(state: PlayerState) -> np.ndarray:
     """Boolean mask over node ids of the moves allowed from ``state``.
 
@@ -175,41 +140,38 @@ def _legal_mask(state: PlayerState) -> np.ndarray:
         served since the last depot visit, every customer is served, or no
         other move is legal (empty trips are a last resort, never a dead
         end).
+
+    Each homing test asks one path to fit both resources at once, which is
+    what keeps the mask free of dead ends: independent per-resource bounds
+    can certify two different escapes and admit a state that has none.  The
+    battery side is read from `LoadTables`, the clock side from
+    ``path_legs_h``.
     """
     inst = state.instance
     if isinstance(inst, TspInstance):
         return ~state.served
 
     i = state.position
-    veh = inst.vehicle
     tables = inst.load_tables(state.load_kg)
     e_after = state.battery_kwh - tables.energy[i]
     arrive_h = state.clock_h + inst.travel_h[i]
-    t_max = inst.t_max_h
+    first_h, dwell_h, final_h = inst.path_legs_h
+
+    def homing(battery_ok, clock_h):
+        # legs added in route order, so each path's clock is the float a route along it would read
+        return (battery_ok & (((clock_h[:, None] + first_h) + dwell_h) + final_h <= inst.t_max_h)).any(axis=1)
 
     legal = np.zeros(inst.n_nodes, dtype=bool)
-
-    is_customer = inst.kinds == _KIND_CUSTOMER
-    open_customers = is_customer & ~_served_full(state) & (inst.demands <= state.load_kg)
+    open_customers = inst.is_customer & ~_served_full(state) & (inst.demands <= state.load_kg)
     if open_customers.any():
-        settled = _homing_feasible(
-            inst, e_after, arrive_h + inst.service_time_h, tables.settled_escape, tables.settled_home
-        )
+        settled = homing(e_after[:, None] >= tables.settled_need, arrive_h + inst.service_time_h)
         legal |= open_customers & settled
-
-    is_station = inst.kinds == _KIND_STATION
-    if is_station.any():
-        recharged = _homing_feasible(
-            inst,
-            np.full(inst.n_nodes, veh.battery_capacity_kwh),
-            arrive_h + inst.recharge_dwell_h,
-            tables.escape,
-            tables.home,
-        )
-        legal |= is_station & (e_after >= 0.0) & recharged
+    if inst.n_stations:
+        recharged = homing(tables.station_ok, arrive_h + inst.recharge_dwell_h)
+        legal |= inst.is_station & (e_after >= 0.0) & recharged
 
     legal[i] = False
-    depot_reachable = e_after[0] >= 0.0 and arrive_h[0] <= t_max and i != 0
+    depot_reachable = e_after[0] >= 0.0 and arrive_h[0] <= inst.t_max_h and i != 0
     if state.served_since_depot or bool(state.served.all()) or not legal.any():
         legal[0] = depot_reachable
     return legal
@@ -298,7 +260,7 @@ def step(state: PlayerState, action: int) -> PlayerState:
         clock += inst.service_time_h
         load -= float(inst.demands[action])
         served = served.copy()
-        served[np.searchsorted(inst.customer_ids, action)] = True
+        served[inst.customer_slot[action]] = True
         served_since_depot = True
     elif kind == _KIND_STATION:
         clock += inst.recharge_dwell_h
@@ -317,7 +279,7 @@ def step(state: PlayerState, action: int) -> PlayerState:
         load_kg=load,
         route=state.route + (action,),
         served_since_depot=served_since_depot,
-        done=bool(served.all()) and action == 0,
+        done=action == 0 and bool(served.all()),
         distance_km=state.distance_km + float(inst.dist_km[i, action]),
         energy_kwh=state.energy_kwh + e_edge,
     )
@@ -480,8 +442,16 @@ class RoutingGame:
         return state.done
 
     def terminal_reward(self, state: PlayerState) -> float:
+        """Minus the route's `objective`.
+
+        For EM instances that is the state's accumulated ``energy_kwh``:
+        `step` adds the edge charges `objective` re-simulates, in the same
+        order, so the float is the same without the re-simulation.
+        """
         if not state.done:
             raise TerminalStateError("reward of a live state is undefined")
+        if isinstance(self.instance, EvrpInstance) and self.instance.objective_mode == "EM":
+            return -state.energy_kwh
         return -objective(self.instance, state.route)
 
 

@@ -104,18 +104,19 @@ class LoadTables(NamedTuple):
     """An instance's energy tables at one cargo load; every array is read-only.
 
     ``energy`` is the n x n edge-energy matrix at the total mass
-    ``curb + load``.  ``settled_escape``/``settled_home`` are the escape
-    table and the stations' drive-home charges at the mass left after
-    serving each node (``mass - demands``, one row per node);
-    ``escape``/``home`` are the same at the unchanged mass, as after a
-    station stop.  The home tables keep only the station columns.
+    ``curb + load``.  The other two cover the homing paths of each node
+    ``j``, one column per path as in ``recharge_ids``: straight to the
+    depot, or via one station and then home.  ``settled_need`` is the
+    battery each path needs from ``j`` after serving it, at the mass
+    ``mass - demands[j]``: its first leg's charge, at least zero, or
+    ``inf`` when the path's station cannot reach the depot on a full
+    battery.  ``station_ok`` marks the paths a full battery covers at the
+    unchanged mass, as after a station stop.
     """
 
     energy: np.ndarray
-    settled_escape: np.ndarray
-    settled_home: np.ndarray
-    escape: np.ndarray
-    home: np.ndarray
+    settled_need: np.ndarray
+    station_ok: np.ndarray
 
 
 @dataclass(eq=False)
@@ -129,10 +130,13 @@ class EvrpInstance:
     The legal-move mask and ``step`` read the energy model through
     `load_tables`, evaluated once per cargo load the instance meets: a
     search reaches only the loads ``capacity - sum(subset of demands)``.
+    The clock side of the homing paths does not depend on the load, so it
+    is built once here: ``path_legs_h`` holds each path's first leg, dwell
+    and final leg, which the mask adds to the clock in that order.
     ``exact_evrp`` on a 6-customer, 2-station instance makes 300-1800
-    expansions and takes 0.05-0.46 s (2-CPU host, BLAS 1 thread); ten such
-    instances take 2.1 s, against 3.6 s when every mask and step evaluated
-    the model afresh.
+    expansions and takes 0.03-0.23 s (2-CPU host, BLAS 1 thread); ten such
+    instances take 1.1-1.6 s, against 1.6-2.3 s when the mask rebuilt the
+    homing paths on every call.
     """
 
     nodes: tuple[Node, ...]
@@ -178,15 +182,26 @@ class EvrpInstance:
         self.kinds = kinds
         self.coords = np.array([(node.x, node.y) for node in self.nodes], dtype=np.float64)
         self.demands = demands
-        self.customer_ids = np.flatnonzero(kinds == _KIND_CUSTOMER)
-        self.station_ids = np.flatnonzero(kinds == _KIND_STATION)
+        self.is_customer = kinds == _KIND_CUSTOMER
+        self.is_station = kinds == _KIND_STATION
+        self.customer_ids = np.flatnonzero(self.is_customer)
+        self.station_ids = np.flatnonzero(self.is_station)
         if self.customer_ids.size == 0:
             raise InstanceError("instance needs at least one customer")
+        # a customer's position in ``customer_ids`` (and so in a state's served flags); -1 elsewhere
+        self.customer_slot = np.full(n, -1)
+        self.customer_slot[self.customer_ids] = np.arange(self.customer_ids.size)
         self.recharge_ids = np.concatenate(([0], self.station_ids))
 
         diff = self.coords[:, None, :] - self.coords[None, :, :]
         self.dist_km = np.sqrt((diff**2).sum(axis=-1))
         self.travel_h = self.dist_km / self.speed_kmh
+        # homing path legs from every node, columns as in recharge_ids; the direct path's dwell and final leg are 0.0
+        self.path_legs_h = (
+            self.travel_h[:, self.recharge_ids],
+            np.where(self.recharge_ids == 0, 0.0, self.recharge_dwell_h),
+            self.travel_h[self.recharge_ids, 0],
+        )
 
         if self.slope is not None:
             self.slope = np.asarray(self.slope, dtype=np.float64)
@@ -232,13 +247,17 @@ class EvrpInstance:
         tables = self._load_tables.get(load_kg)
         if tables is None:
             mass = self.vehicle.curb_mass_kg + load_kg
-            settled = mass - self.demands
+            full = self.vehicle.battery_capacity_kwh
+
+            def homing_need(mass_kg):
+                need = np.maximum(self.escape_table_kwh(mass_kg), 0.0)
+                home = np.maximum(self.recharge_home_energy_kwh(mass_kg), 0.0)
+                return np.where(full >= home, need, np.inf)
+
             tables = LoadTables(
                 energy=self.energy_matrix_kwh(mass),
-                settled_escape=self.escape_table_kwh(settled),
-                settled_home=self.recharge_home_energy_kwh(settled)[:, 1:],
-                escape=self.escape_table_kwh(mass),
-                home=self.recharge_home_energy_kwh(mass)[:, 1:],
+                settled_need=homing_need(mass - self.demands),
+                station_ok=homing_need(mass) <= full,
             )
             for table in tables:
                 table.flags.writeable = False

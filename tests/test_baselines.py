@@ -151,6 +151,14 @@ class TestExactEvrp:
         [
             (0, (0, 7, 5, 6, 8, 4, 3, 0), 40.77941961342975, 301),
             (9, (0, 7, 3, 8, 6, 4, 5, 0), 57.901332925939656, 311),
+            (1, (0, 5, 3, 4, 8, 7, 6, 0), 42.83933669308434, 637),
+            (2, (0, 4, 7, 6, 8, 5, 3, 0), 47.930441764460106, 1119),
+            (3, (0, 5, 6, 8, 7, 4, 3, 0), 45.89496597516701, 1089),
+            (4, (0, 3, 7, 5, 4, 8, 6, 0), 42.54556335263246, 924),
+            (5, (0, 5, 3, 8, 4, 6, 7, 0), 57.989192505790705, 781),
+            (6, (0, 3, 4, 8, 5, 6, 7, 0), 61.00496779663775, 1829),
+            (7, (0, 3, 6, 5, 7, 4, 8, 0), 52.103118457612474, 1314),
+            (8, (0, 8, 4, 6, 5, 3, 7, 0), 37.27360048001111, 773),
         ],
     )
     def test_pinned_em_6_customer_optima(self, tmp_path, seed, route, value, expansions):
