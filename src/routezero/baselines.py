@@ -126,7 +126,6 @@ def exact_evrp(inst: EvrpInstance, expansion_cap: int = 2_000_000) -> SolveResul
     np.fill_diagonal(edge_lb, np.inf)
     min_into = edge_lb.min(axis=0)
     min_home = float(edge_lb[:, 0].min())
-    min_into_customer = min_into[inst.customer_ids]
     slack = 0.0
     finite_min = float(min_into.min())
     if finite_min < 0.0 or min_home < 0.0:
@@ -135,7 +134,7 @@ def exact_evrp(inst: EvrpInstance, expansion_cap: int = 2_000_000) -> SolveResul
     def bound(state) -> float:
         if state.done:
             return 0.0
-        return float(min_into_customer[~state.served].sum()) + min_home + slack
+        return float(min_into[~state.served].sum()) + min_home + slack
 
     root = initial_state(inst)
     counter = 0

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,9 +115,9 @@ def cmd_train(args) -> int:
         raise DataError(f"{config_path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{config_path}: invalid JSON: {exc}") from exc
-    if args.seed is not None:
-        raw["seed"] = args.seed
     cfg = train_config_from_dict(raw)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     root = os.environ.get("ROUTEZERO_RUN_ROOT", "runs")
     run_dir = Path(args.run_dir) if args.run_dir else Path(root) / config_path.stem
     ckpt = train(cfg, run_dir, resume=args.resume)
@@ -339,20 +340,29 @@ def _read_metrics(path: Path) -> list[dict]:
     if not lines:
         raise DataError(f"{path}: empty metrics file")
     header = lines[0].split(",")
+    missing = [name for name in ("episode", "stage", "learner_obj", "competitor_obj") if name not in header]
+    if missing:
+        raise DataError(f"{path}: line 1: header lacks {', '.join(missing)}")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        cells = dict(zip(header, line.split(",")))
-        rows.append(
-            {
-                "episode": int(cells["episode"]),
-                "stage": int(cells["stage"]),
-                "learner_obj": float(cells["learner_obj"]),
-                "competitor_obj": float(cells["competitor_obj"]),
-                "soc_per_customer": float(cells["soc_per_customer"]) if cells.get("soc_per_customer") else None,
-            }
-        )
+        values = line.split(",")
+        if len(values) != len(header):
+            raise DataError(f"{path}: line {lineno}: {len(values)} cells, header has {len(header)}")
+        cells = dict(zip(header, values))
+        try:
+            rows.append(
+                {
+                    "episode": int(cells["episode"]),
+                    "stage": int(cells["stage"]),
+                    "learner_obj": float(cells["learner_obj"]),
+                    "competitor_obj": float(cells["competitor_obj"]),
+                    "soc_per_customer": float(cells["soc_per_customer"]) if cells.get("soc_per_customer") else None,
+                }
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no metric rows")
     return rows

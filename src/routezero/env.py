@@ -54,9 +54,11 @@ class RouteError(ValueError):
 class PlayerState:
     """One player's immutable rollout state.
 
-    For TSP, ``position`` is -1 before the first city is chosen and
-    ``served`` marks visited cities; battery, clock and load stay zero.
-    For EVRP, ``served`` is indexed over ``instance.customer_ids`` order and
+    ``served`` is indexed by node id.  For TSP, ``position`` is -1 before
+    the first city is chosen and ``served`` marks visited cities; battery,
+    clock and load stay zero.  For EVRP, ``served`` starts true at the depot
+    and the stations, which have nothing to serve, so ``served.all()`` means
+    every customer is served and ``~served`` marks the open customers;
     ``route`` always starts at the depot.  ``legal_actions`` keeps the
     state's mask in ``_mask`` on first use; it takes no part in comparisons,
     and successors (``step``, ``dataclasses.replace``) start without one.
@@ -93,7 +95,7 @@ def initial_state(inst: Instance) -> PlayerState:
     return PlayerState(
         instance=inst,
         position=0,
-        served=np.zeros(inst.n_customers, dtype=bool),
+        served=~inst.is_customer,
         battery_kwh=inst.vehicle.battery_capacity_kwh,
         clock_h=0.0,
         load_kg=inst.vehicle.cargo_capacity_kg,
@@ -101,13 +103,6 @@ def initial_state(inst: Instance) -> PlayerState:
         served_since_depot=False,
         done=False,
     )
-
-
-def _served_full(state: PlayerState) -> np.ndarray:
-    inst = state.instance
-    full = np.zeros(inst.n_nodes, dtype=bool)
-    full[inst.customer_ids] = state.served
-    return full
 
 
 def legal_actions(state: PlayerState) -> np.ndarray:
@@ -145,7 +140,7 @@ def _legal_mask(state: PlayerState) -> np.ndarray:
     what keeps the mask free of dead ends: independent per-resource bounds
     can certify two different escapes and admit a state that has none.  The
     battery side is read from `LoadTables`, the clock side from
-    ``path_legs_h``.
+    `_paths_in_time`.
     """
     inst = state.instance
     if isinstance(inst, TspInstance):
@@ -155,20 +150,14 @@ def _legal_mask(state: PlayerState) -> np.ndarray:
     tables = inst.load_tables(state.load_kg)
     e_after = state.battery_kwh - tables.energy[i]
     arrive_h = state.clock_h + inst.travel_h[i]
-    first_h, dwell_h, final_h = inst.path_legs_h
-
-    def homing(battery_ok, clock_h):
-        # legs added in route order, so each path's clock is the float a route along it would read
-        return (battery_ok & (((clock_h[:, None] + first_h) + dwell_h) + final_h <= inst.t_max_h)).any(axis=1)
-
     legal = np.zeros(inst.n_nodes, dtype=bool)
-    open_customers = inst.is_customer & ~_served_full(state) & (inst.demands <= state.load_kg)
+    open_customers = ~state.served & (inst.demands <= state.load_kg)
     if open_customers.any():
-        settled = homing(e_after[:, None] >= tables.settled_need, arrive_h + inst.service_time_h)
-        legal |= open_customers & settled
+        in_time = _paths_in_time(inst, arrive_h + inst.service_time_h)
+        legal |= open_customers & ((e_after[:, None] >= tables.settled_need) & in_time).any(axis=1)
     if inst.n_stations:
-        recharged = homing(tables.station_ok, arrive_h + inst.recharge_dwell_h)
-        legal |= inst.is_station & (e_after >= 0.0) & recharged
+        in_time = _paths_in_time(inst, arrive_h + inst.recharge_dwell_h)
+        legal |= inst.is_station & (e_after >= 0.0) & (tables.station_ok & in_time).any(axis=1)
 
     legal[i] = False
     depot_reachable = e_after[0] >= 0.0 and arrive_h[0] <= inst.t_max_h and i != 0
@@ -177,40 +166,48 @@ def _legal_mask(state: PlayerState) -> np.ndarray:
     return legal
 
 
+def _paths_in_time(inst: EvrpInstance, clock_h: np.ndarray) -> np.ndarray:
+    """Which homing paths from each node ``j`` end inside the trip limit when left at ``clock_h[j]``.
+
+    Columns as in ``recharge_ids``.  The legs are added in route order, so
+    each path's clock is the float a route along it would read.
+    """
+    first_h, dwell_h, final_h = inst.path_legs_h
+    return ((clock_h[:, None] + first_h) + dwell_h) + final_h <= inst.t_max_h
+
+
 def _explain_illegal(state: PlayerState, j: int) -> str:
+    """The rule that masks move ``j``, read from the same tables and clock test as `_legal_mask`."""
     inst = state.instance
     if isinstance(inst, TspInstance):
         return f"city {j} already visited" if state.served[j] else f"city {j} out of range"
     if j == state.position:
         return f"self-move at node {j}"
     kind = int(inst.kinds[j])
-    i = state.position
-    mass_now = inst.vehicle.curb_mass_kg + state.load_kg
-    e_after = state.battery_kwh - float(inst.energy_row_kwh(i, mass_now, j))
-    arrive = state.clock_h + inst.travel_h[i, j]
+    tables = inst.load_tables(state.load_kg)
+    e_after = state.battery_kwh - tables.energy[state.position]
+    arrive_h = state.clock_h + inst.travel_h[state.position]
     if kind == _KIND_CUSTOMER:
-        if _served_full(state)[j]:
+        if state.served[j]:
             return f"customer {j} already served"
         if inst.demands[j] > state.load_kg:
             return f"customer {j} demand exceeds remaining cargo"
-        escape = float(inst.escape_energy_kwh(mass_now - inst.demands)[j])
-        if e_after < max(escape, 0.0):
+        if not (e_after[j] >= tables.settled_need[j]).any():
             return f"move to customer {j} strands the battery"
-        if arrive + inst.service_time_h + inst.travel_h[j, 0] > inst.t_max_h:
+        if not _paths_in_time(inst, arrive_h + inst.service_time_h)[j].any():
             return f"serving customer {j} breaks the trip time limit"
         return f"after customer {j} no single route home fits both battery and clock"
     if kind == _KIND_STATION:
-        if e_after < 0.0:
+        if e_after[j] < 0.0:
             return f"station {j} unreachable on current battery"
-        onward = float(inst.escape_energy_kwh(mass_now)[j])
-        if inst.vehicle.battery_capacity_kwh < max(onward, 0.0):
+        if not tables.station_ok[j].any():
             return f"station {j} has no onward recharge within a full battery"
-        if arrive + inst.recharge_dwell_h + inst.travel_h[j, 0] > inst.t_max_h:
+        if not _paths_in_time(inst, arrive_h + inst.recharge_dwell_h)[j].any():
             return f"station {j} breaks the trip time limit"
         return f"after station {j} no single route home fits both battery and clock"
     if not (state.served_since_depot or bool(state.served.all())):
         return "depot return before serving any customer while other moves exist"
-    if e_after < 0.0:
+    if e_after[0] < 0.0:
         return "depot unreachable on current battery"
     return "depot return breaks the trip time limit"
 
@@ -260,7 +257,7 @@ def step(state: PlayerState, action: int) -> PlayerState:
         clock += inst.service_time_h
         load -= float(inst.demands[action])
         served = served.copy()
-        served[inst.customer_slot[action]] = True
+        served[action] = True
         served_since_depot = True
     elif kind == _KIND_STATION:
         clock += inst.recharge_dwell_h

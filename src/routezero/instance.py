@@ -109,9 +109,11 @@ class LoadTables(NamedTuple):
     depot, or via one station and then home.  ``settled_need`` is the
     battery each path needs from ``j`` after serving it, at the mass
     ``mass - demands[j]``: its first leg's charge, at least zero, or
-    ``inf`` when the path's station cannot reach the depot on a full
-    battery.  ``station_ok`` marks the paths a full battery covers at the
-    unchanged mass, as after a station stop.
+    ``inf`` when the path's recharge point is ``j`` itself or its station
+    cannot reach the depot on a full battery.  ``station_ok`` marks the
+    paths a full battery covers at the unchanged mass, as after a station
+    stop.  These and ``path_legs_h`` are the whole homing rule: the mask
+    and the illegal-move message both read it from here.
     """
 
     energy: np.ndarray
@@ -188,9 +190,6 @@ class EvrpInstance:
         self.station_ids = np.flatnonzero(self.is_station)
         if self.customer_ids.size == 0:
             raise InstanceError("instance needs at least one customer")
-        # a customer's position in ``customer_ids`` (and so in a state's served flags); -1 elsewhere
-        self.customer_slot = np.full(n, -1)
-        self.customer_slot[self.customer_ids] = np.arange(self.customer_ids.size)
         self.recharge_ids = np.concatenate(([0], self.station_ids))
 
         diff = self.coords[:, None, :] - self.coords[None, :, :]
@@ -240,23 +239,28 @@ class EvrpInstance:
     def load_tables(self, load_kg: float) -> LoadTables:
         """The energy tables at cargo ``load_kg``, computed on first use and kept.
 
-        Keyed by the exact float, and filled from `energy_matrix_kwh`,
-        `escape_table_kwh` and `recharge_home_energy_kwh`, so each entry is
-        the value those give at that load.
+        Keyed by the exact float.  Every entry is an `_edge_energy_kwh`
+        value, so it is the float `energy_row_kwh` gives for that edge and
+        mass: a homing path's first leg at the row's mass, ``inf`` on a
+        recharge point's own column so it never counts as its own escape,
+        and its station's drive home at the same mass.
         """
         tables = self._load_tables.get(load_kg)
         if tables is None:
             mass = self.vehicle.curb_mass_kg + load_kg
             full = self.vehicle.battery_capacity_kwh
+            rids = self.recharge_ids
+            first_h, _, final_h = self.path_legs_h
 
             def homing_need(mass_kg):
-                need = np.maximum(self.escape_table_kwh(mass_kg), 0.0)
-                home = np.maximum(self.recharge_home_energy_kwh(mass_kg), 0.0)
-                return np.where(full >= home, need, np.inf)
+                first = self._edge_energy_kwh(self.mass_coef[:, rids], first_h, mass_kg)
+                first[rids, np.arange(rids.size)] = np.inf
+                home = self._edge_energy_kwh(self.mass_coef[rids, 0], final_h, mass_kg)
+                return np.where(full >= np.maximum(home, 0.0), np.maximum(first, 0.0), np.inf)
 
             tables = LoadTables(
                 energy=self.energy_matrix_kwh(mass),
-                settled_need=homing_need(mass - self.demands),
+                settled_need=homing_need((mass - self.demands)[:, None]),
                 station_ok=homing_need(mass) <= full,
             )
             for table in tables:
@@ -282,41 +286,6 @@ class EvrpInstance:
     def energy_matrix_kwh(self, mass_kg: float) -> np.ndarray:
         """Full signed edge-energy table at one total mass."""
         return self._edge_energy_kwh(self.mass_coef, self.travel_h, mass_kg)
-
-    def escape_table_kwh(self, mass_kg) -> np.ndarray:
-        """Edge energies from every node to every recharge point.
-
-        Column ``p`` follows ``recharge_ids`` (depot first, then stations);
-        row ``j`` uses ``mass_kg`` (scalar or per-origin vector).  A recharge
-        point's own column is ``inf`` so it never counts as its own escape.
-        """
-        mass = np.asarray(mass_kg, dtype=np.float64)
-        coef = self.mass_coef[:, self.recharge_ids]
-        travel = self.travel_h[:, self.recharge_ids]
-        energy = self._edge_energy_kwh(coef, travel, mass.reshape(-1, 1))
-        energy[self.recharge_ids, np.arange(self.recharge_ids.size)] = np.inf
-        return energy
-
-    def escape_energy_kwh(self, mass_kg) -> np.ndarray:
-        """Cheapest battery charge to reach a recharge point from each node.
-
-        Entry ``j`` is the minimum over stations and the depot (excluding
-        ``j`` itself) of the edge energy ``j -> p`` at mass ``mass_kg``
-        (scalar or per-origin vector).  Used by the feasibility mask as a
-        one-hop strand-avoidance bound.
-        """
-        return self.escape_table_kwh(mass_kg).min(axis=1)
-
-    def recharge_home_energy_kwh(self, mass_kg) -> np.ndarray:
-        """Charge for each recharge point's direct drive to the depot.
-
-        Rows follow ``mass_kg`` (scalar or per-origin vector), columns follow
-        ``recharge_ids``; the depot's own column is zero by construction.
-        """
-        mass = np.asarray(mass_kg, dtype=np.float64)
-        coef = self.mass_coef[self.recharge_ids, 0]
-        travel = self.travel_h[self.recharge_ids, 0]
-        return self._edge_energy_kwh(coef, travel, mass.reshape(-1, 1))
 
 
 @dataclass(eq=False)

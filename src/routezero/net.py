@@ -127,7 +127,7 @@ def featurize(state: PlayerState) -> StateFeatures:
     feats[:, 0:2] = inst.coords / COORD_RANGE_KM
     feats[:, 2] = inst.demands / veh.cargo_capacity_kg
     feats[np.arange(n), 3 + inst.kinds] = 1.0
-    feats[inst.customer_ids, 6] = state.served
+    feats[inst.customer_ids, 6] = state.served[inst.customer_ids]
     globals_ = np.array(
         [
             state.battery_kwh / veh.battery_capacity_kwh,

@@ -105,6 +105,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.train_steps_per_episode < 0:
             raise ValueError("train_steps_per_episode must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.problem == "tsp" and self.n_nodes < 3:
             raise ValueError("n_nodes must be at least 3")
         if self.problem != "tsp" and (self.n_customers < 1 or self.n_stations < 1):
@@ -115,28 +117,37 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
-def _reject_unknown_keys(cls, data, what: str) -> None:
-    unknown = sorted(set(data) - {f.name for f in fields(cls)}) if isinstance(data, dict) else []
+# JSON value types accepted per field annotation (a string, as the module postpones annotations):
+# bools are not numbers here, ints count as floats
+_FIELD_TYPES = {"int": ("an integer", int), "float": ("a number", (int, float)), "str": ("a string", str)}
+
+
+def _check_fields(cls, data, what: str) -> None:
+    """Reject ``data`` unless it is an object whose keys are fields of ``cls`` holding values of their types."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    for name, value in data.items():
+        if types[name] in _FIELD_TYPES:
+            kind, accepted = _FIELD_TYPES[types[name]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{what} field {name} must be {kind}, got {value!r}")
 
 
-def train_config_from_dict(raw: dict) -> TrainConfig:
-    """Build a TrainConfig; ValueError names an unknown key, at the top level or in ``planner``/``net``."""
+def train_config_from_dict(raw) -> TrainConfig:
+    """Build a TrainConfig; ValueError names an unknown key or mistyped field, at the top or in ``planner``/``net``."""
+    _check_fields(TrainConfig, raw, "config")
     data = dict(raw)
-    _reject_unknown_keys(TrainConfig, data, "config")
-    _reject_unknown_keys(PlannerConfig, data.get("planner"), "planner config")
-    _reject_unknown_keys(NetConfig, data.get("net"), "net config")
-    try:
-        if "planner" in data:
-            data["planner"] = PlannerConfig(**data["planner"])
-        if "net" in data:
-            data["net"] = NetConfig(**data["net"])
-        elif "problem" in data:
-            data["net"] = NetConfig(problem="tsp" if data["problem"] == "tsp" else "evrp")
-        return TrainConfig(**data)
-    except TypeError as exc:
-        raise ValueError(f"bad config: {exc}") from exc
+    for key, cls in (("planner", PlannerConfig), ("net", NetConfig)):
+        if key in data:
+            _check_fields(cls, data[key], f"{key} config")
+            data[key] = cls(**data[key])
+    if "net" not in data and "problem" in data:
+        data["net"] = NetConfig(problem="tsp" if data["problem"] == "tsp" else "evrp")
+    return TrainConfig(**data)
 
 
 def derived_seed(*key: int) -> int:

@@ -13,6 +13,7 @@ from routezero.baselines import SearchBudgetError
 from routezero.cli import RESULTS_HEADER, TIMING_HEADER, main
 from routezero.instance import load_instance
 from routezero.net import NetConfig, PolicyValueNet, save_net
+from routezero.trainer import METRICS_HEADER
 
 TINY_TRAIN = {
     "problem": "tsp",
@@ -157,6 +158,28 @@ class TestTrain:
         config.write_text(json.dumps({**TINY_TRAIN, **overrides}))
         assert main(["train", str(config), "--run-dir", str(tmp_path / "run")]) == 1
         assert "at least" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        ("config", "named"),
+        [
+            ([1, 2], "config must be a JSON object"),
+            ({**TINY_TRAIN, "total_episodes": 1.5}, "config field total_episodes must be an integer"),
+            ({**TINY_TRAIN, "seed": "a"}, "config field seed must be an integer"),
+            ({**TINY_TRAIN, "seed": -1}, "seed must be nonnegative"),
+            ({**TINY_TRAIN, "checkpoint_interval": 2.5}, "config field checkpoint_interval must be an integer"),
+            ({**TINY_TRAIN, "arena_size": True}, "config field arena_size must be an integer"),
+            ({**TINY_TRAIN, "self_play_prob": "0.5"}, "config field self_play_prob must be a number"),
+            ({**TINY_TRAIN, "planner": None}, "planner config must be a JSON object"),
+            ({**TINY_TRAIN, "planner": {"n_simulations": 6.0}}, "planner config field n_simulations"),
+            ({**TINY_TRAIN, "net": {**TINY_TRAIN["net"], "n_layers": "1"}}, "net config field n_layers"),
+        ],
+    )
+    def test_mistyped_config_is_usage_error_naming_the_field_before_any_file(self, tmp_path, config, named, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", str(path), "--run-dir", str(tmp_path / "run")]) == 1
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 
@@ -395,6 +418,21 @@ class TestPlot:
         metrics = tmp_path / "m.csv"
         metrics.write_text("episode,stage,learner_obj,competitor_obj,z,policy_loss,value_loss,soc_per_customer\n")
         assert main(["plot", str(metrics), str(tmp_path / "o.svg")]) == 2
+
+    @pytest.mark.parametrize(
+        ("text", "where"),
+        [
+            ("a,b\n1,2\n", "line 1: header lacks episode, stage, learner_obj, competitor_obj"),
+            (f"{METRICS_HEADER}\n1,1,3.0\n", "line 2: 3 cells, header has 8"),
+            (f"{METRICS_HEADER}\n1,1,3.0,4.0,1,0.5,0.5,\nx,1,3.0,4.0,1,0.5,0.5,\n", "line 3: invalid literal"),
+        ],
+    )
+    def test_malformed_metrics_is_data_error_naming_the_line(self, tmp_path, text, where, capsys):
+        metrics = tmp_path / "m.csv"
+        metrics.write_text(text)
+        assert main(["plot", str(metrics), str(tmp_path / "o.svg")]) == 2
+        assert f"m.csv: {where}" in capsys.readouterr().err
+        assert not (tmp_path / "o.svg").exists()
 
     def test_soc_panel_for_evrp_rows(self, tmp_path):
         metrics = tmp_path / "m.csv"

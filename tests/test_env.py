@@ -83,7 +83,8 @@ class TestInitialState:
         assert state.load_kg == inst.vehicle.cargo_capacity_kg
         assert state.clock_h == 0.0
         assert state.route == (0,)
-        assert not state.served.any()
+        # served is indexed by node id: the depot and the station have nothing to serve
+        np.testing.assert_array_equal(state.served, ~inst.is_customer)
 
 
 class TestTsp:

@@ -221,40 +221,6 @@ class TestEnergyTables:
         for i in range(inst.n_nodes):
             assert np.allclose(mat[i], inst.energy_row_kwh(i, 5000.0), rtol=1e-15)
 
-    def test_escape_energy_is_min_over_recharge_points(self):
-        inst = generate_evrp(4, 2, seed=1)
-        esc = inst.escape_energy_kwh(6000.0)
-        for j in range(inst.n_nodes):
-            best = min(
-                float(inst.energy_row_kwh(j, 6000.0, p))
-                for p in inst.recharge_ids
-                if p != j
-            )
-            assert esc[j] == pytest.approx(best, rel=1e-12)
-
-    def test_escape_table_blocks_self_escape(self):
-        inst = generate_evrp(3, 2, seed=2)
-        masses = np.linspace(4100.0, 8100.0, inst.n_nodes)
-        table = inst.escape_table_kwh(masses)
-        assert table.shape == (inst.n_nodes, inst.recharge_ids.size)
-        for col, p in enumerate(inst.recharge_ids):
-            assert table[p, col] == np.inf
-            for j in range(inst.n_nodes):
-                if j != p:
-                    want = float(inst.energy_row_kwh(j, masses[j], p))
-                    assert table[j, col] == pytest.approx(want, rel=1e-12)
-
-    def test_recharge_home_energy_rows_follow_origin_mass(self):
-        inst = generate_evrp(3, 2, seed=2)
-        masses = np.linspace(4100.0, 8100.0, inst.n_nodes)
-        home = inst.recharge_home_energy_kwh(masses)
-        assert home.shape == (inst.n_nodes, inst.recharge_ids.size)
-        assert np.all(home[:, 0] == 0.0), "depot to depot is free"
-        for col, p in enumerate(inst.recharge_ids):
-            for j in range(inst.n_nodes):
-                want = float(inst.energy_row_kwh(p, masses[j], 0))
-                assert home[j, col] == pytest.approx(want, rel=1e-12, abs=1e-15)
-
 
 class TestSerialization:
     def test_evrp_round_trip(self, tmp_path):

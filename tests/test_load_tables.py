@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from routezero.env import (
     DeadEndError,
+    IllegalActionError,
     RoutingGame,
-    _served_full,
     initial_state,
     legal_actions,
     objective,
@@ -77,43 +77,52 @@ def twin(inst):
     return replace(inst)
 
 
-def reference_homing(inst, battery_kwh, clock_h, mass_kg):
-    """The per-edge homing test: energy tables evaluated at ``mass_kg`` on every call."""
-    home_h = inst.travel_h[:, 0]
-    escape = inst.escape_table_kwh(mass_kg)
-    ok = (battery_kwh >= np.maximum(escape[:, 0], 0.0)) & (clock_h + home_h <= inst.t_max_h)
-    if inst.station_ids.size:
-        stations = inst.station_ids
-        via_clock = clock_h[:, None] + inst.travel_h[:, stations] + inst.recharge_dwell_h + home_h[stations][None, :]
-        station_home = inst.recharge_home_energy_kwh(mass_kg)[:, 1:]
-        via = (
-            (battery_kwh[:, None] >= np.maximum(escape[:, 1:], 0.0))
-            & (inst.vehicle.battery_capacity_kwh >= np.maximum(station_home, 0.0))
-            & (via_clock <= inst.t_max_h)
-        )
-        ok |= via.any(axis=1)
-    return ok
+def reference_paths(inst, battery_kwh, clock_h, mass_kg):
+    """The homing paths from every node, one edge energy at a time: which fit the battery, which the clock.
+
+    Columns as in ``recharge_ids``.  ``mass_kg`` is a scalar or one mass per
+    node; a path's first leg and its station's drive home both use the mass
+    of the node it leaves from.  A recharge point is never its own path.
+    """
+    full = inst.vehicle.battery_capacity_kwh
+    mass = np.broadcast_to(mass_kg, (inst.n_nodes,))
+    battery_ok = np.zeros((inst.n_nodes, inst.recharge_ids.size), dtype=bool)
+    clock_ok = np.zeros_like(battery_ok)
+    for j in range(inst.n_nodes):
+        for col, p in enumerate(inst.recharge_ids):
+            if p == j:
+                continue
+            first = float(inst.energy_row_kwh(j, mass[j], p))
+            home = float(inst.energy_row_kwh(p, mass[j], 0))
+            battery_ok[j, col] = battery_kwh[j] >= max(first, 0.0) and full >= max(home, 0.0)
+            dwell = 0.0 if p == 0 else inst.recharge_dwell_h
+            clock_ok[j, col] = clock_h[j] + inst.travel_h[j, p] + dwell + inst.travel_h[p, 0] <= inst.t_max_h
+    return battery_ok, clock_ok
+
+
+def reference_moves(state):
+    """Per-edge view of the moves from ``state``: the battery left at each node and, as `reference_paths`
+    gives them, its homing paths after serving it and after a full recharge there."""
+    inst = state.instance
+    mass_now = inst.vehicle.curb_mass_kg + state.load_kg
+    e_after = state.battery_kwh - inst.energy_row_kwh(state.position, mass_now)
+    arrive_h = state.clock_h + inst.travel_h[state.position]
+    full = np.full(inst.n_nodes, inst.vehicle.battery_capacity_kwh)
+    settled = reference_paths(inst, e_after, arrive_h + inst.service_time_h, mass_now - inst.demands)
+    recharged = reference_paths(inst, full, arrive_h + inst.recharge_dwell_h, mass_now)
+    return e_after, settled, recharged
 
 
 def reference_mask(state):
-    """The EVRP legal mask from the per-edge helpers, one energy evaluation per call."""
+    """The EVRP legal mask from per-edge energies, one evaluation per edge."""
     inst = state.instance
     i = state.position
-    mass_now = inst.vehicle.curb_mass_kg + state.load_kg
-    e_after = state.battery_kwh - inst.energy_row_kwh(i, mass_now)
-    arrive_h = state.clock_h + inst.travel_h[i]
-    legal = np.zeros(inst.n_nodes, dtype=bool)
-    open_customers = (inst.kinds == _KIND_CUSTOMER) & ~_served_full(state) & (inst.demands <= state.load_kg)
-    if open_customers.any():
-        settled = reference_homing(inst, e_after, arrive_h + inst.service_time_h, mass_now - inst.demands)
-        legal |= open_customers & settled
-    is_station = inst.kinds == _KIND_STATION
-    if is_station.any():
-        full = np.full(inst.n_nodes, inst.vehicle.battery_capacity_kwh)
-        recharged = reference_homing(inst, full, arrive_h + inst.recharge_dwell_h, mass_now)
-        legal |= is_station & (e_after >= 0.0) & recharged
+    e_after, settled, recharged = reference_moves(state)
+    open_customers = (inst.kinds == _KIND_CUSTOMER) & ~state.served & (inst.demands <= state.load_kg)
+    legal = open_customers & (settled[0] & settled[1]).any(axis=1)
+    legal |= (inst.kinds == _KIND_STATION) & (e_after >= 0.0) & (recharged[0] & recharged[1]).any(axis=1)
     legal[i] = False
-    depot_reachable = e_after[0] >= 0.0 and arrive_h[0] <= inst.t_max_h and i != 0
+    depot_reachable = e_after[0] >= 0.0 and state.clock_h + inst.travel_h[i, 0] <= inst.t_max_h and i != 0
     if state.served_since_depot or bool(state.served.all()) or not legal.any():
         legal[0] = depot_reachable
     return legal
@@ -167,25 +176,30 @@ def test_loads_one_ulp_apart_are_separate_entries():
 
 
 def test_tables_are_read_only_and_match_the_helpers():
-    # at 6 kWh some stations cannot drive home on a full battery, so their paths need inf
+    # each entry against energy_row_kwh on its own edges; at 6 kWh some stations cannot drive home on a
+    # full battery, so their paths need inf
     for battery_kwh in (80.0, 6.0):
         inst = generate_evrp(4, 2, seed=3, vehicle=VehicleParams(battery_capacity_kwh=battery_kwh))
         load = 3000.25
         tables = inst.load_tables(load)
         mass = inst.vehicle.curb_mass_kg + load
         full = inst.vehicle.battery_capacity_kwh
-        paths = range(inst.recharge_ids.size)
+        own = (inst.recharge_ids, np.arange(inst.recharge_ids.size))
 
-        def need(escape, home):
-            return max(escape, 0.0) if full >= max(home, 0.0) else np.inf
+        def need(j, p, mass_kg):
+            if p == j:
+                return np.inf
+            first, home = float(inst.energy_row_kwh(j, mass_kg, p)), float(inst.energy_row_kwh(p, mass_kg, 0))
+            return max(first, 0.0) if full >= max(home, 0.0) else np.inf
 
         np.testing.assert_array_equal(tables.energy, inst.energy_matrix_kwh(mass))
-        escape, home = inst.escape_table_kwh(mass - inst.demands), inst.recharge_home_energy_kwh(mass - inst.demands)
-        settled = [[need(escape[j, p], home[j, p]) for p in paths] for j in range(inst.n_nodes)]
+        nodes = range(inst.n_nodes)
+        settled = [[need(j, p, mass - inst.demands[j]) for p in inst.recharge_ids] for j in nodes]
         np.testing.assert_array_equal(tables.settled_need, settled)
-        escape, home = inst.escape_table_kwh(mass), inst.recharge_home_energy_kwh(mass)[0]
-        station = [[need(escape[j, p], home[p]) <= full for p in paths] for j in range(inst.n_nodes)]
+        station = [[need(j, p, mass) <= full for p in inst.recharge_ids] for j in nodes]
         np.testing.assert_array_equal(tables.station_ok, station)
+        # a recharge point is never its own homing path
+        assert np.isinf(tables.settled_need[own]).all() and not tables.station_ok[own].any()
         stranded = np.isinf(tables.settled_need[:, 1:]).all(axis=0)
         assert stranded.any() == (battery_kwh == 6.0)
         for table in tables:
@@ -204,8 +218,9 @@ def test_via_station_clock_equal_to_t_max_keeps_the_station_legal():
     )
     loose = EvrpInstance(nodes=nodes, vehicle=VehicleParams(battery_capacity_kwh=9.0), recharge_dwell_h=0.3)
     full = loose.vehicle.battery_capacity_kwh
-    escape = loose.escape_table_kwh(loose.vehicle.curb_mass_kg + loose.vehicle.cargo_capacity_kg)
-    assert escape[1, 0] > full and escape[1, 2] <= full and escape[2, 0] <= full
+    mass = loose.vehicle.curb_mass_kg + loose.vehicle.cargo_capacity_kg
+    assert loose.energy_row_kwh(1, mass, 0) > full and loose.energy_row_kwh(1, mass, 2) <= full
+    assert loose.energy_row_kwh(2, mass, 0) <= full
     at_2 = step(initial_state(loose), 2)
     travel, dwell = loose.travel_h, loose.recharge_dwell_h
     # the path's clock in route order: arrive at 1, recharge, back to 2, recharge, home
@@ -228,3 +243,50 @@ def test_terminal_reward_is_minus_the_objective_bit_for_bit(inst, move_seed):
         except DeadEndError:
             continue
         assert game.terminal_reward(end) == -objective(inst, end.route)
+
+
+def expected_message(state, j, moves):
+    """The part of the illegal-move message for masked move ``j`` that names the rule, from `reference_moves`."""
+    inst = state.instance
+    e_after, settled, recharged = moves
+    if j == state.position:
+        return "self-move"
+    if j == 0:
+        if not (state.served_since_depot or bool(state.served.all())):
+            return "before serving any customer"
+        return "depot unreachable on current battery" if e_after[0] < 0.0 else "depot return breaks the trip time limit"
+    if inst.kinds[j] == _KIND_CUSTOMER:
+        if j in state.route:
+            return "already served"
+        if inst.demands[j] > state.load_kg:
+            return "demand exceeds remaining cargo"
+        (battery_ok, clock_ok), battery_message = settled, "strands the battery"
+    else:
+        if e_after[j] < 0.0:
+            return "unreachable on current battery"
+        (battery_ok, clock_ok), battery_message = recharged, "no onward recharge"
+    if not battery_ok[j].any():
+        return battery_message
+    if not clock_ok[j].any():
+        return "trip time limit"
+    return "no single route home fits both"
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=evrp_instances(), move_seed=SEEDS)
+def test_illegal_move_message_names_the_rule_the_mask_applied(inst, move_seed):
+    rng = np.random.default_rng(move_seed)
+    state = initial_state(inst)
+    for _ in range(40):
+        mask = legal_actions(state)
+        moves = reference_moves(state)
+        for j in np.flatnonzero(~mask):
+            expected = expected_message(state, int(j), moves)
+            with pytest.raises(IllegalActionError) as excinfo:
+                step(state, int(j))
+            assert expected in str(excinfo.value), (int(j), state.route)
+        if not mask.any():
+            return
+        state = step(state, int(rng.choice(np.flatnonzero(mask))))
+        if state.done:
+            return
