@@ -8,12 +8,17 @@ topological order and frees it as it goes: once a node has passed its
 gradient on, its gradient, closure and parent links are dropped, so the
 activations of later layers are released while earlier layers are still
 being differentiated.  Only leaves keep ``.grad``, and a graph can be
-backpropagated once.  Results of operations on constant inputs record no
-tape, but every op still allocates a result ``Tensor`` and a backward
-closure: at the desk network size (embed 32, 2 layers, TSP-6 or EVRP-6,
-batch 1-2) a forward through this module takes 2.1-2.4x as long as the
-same ops on plain arrays (2-CPU x86-64 host, one BLAS thread), so the
-network runs inference on plain arrays instead.
+backpropagated once.  A leaf adds up the gradients of every graph it is
+backpropagated through, in call order.  For two graphs that share only
+leaves, ``a.backward(); b.backward()`` gives each leaf the same floats as
+``add(a, b).backward()``, which walks ``a``'s graph first.
+``PolicyValueNet.train_step`` relies on this to free its policy tape
+before it builds the value graph.  Results of operations on constant
+inputs record no tape, but every op still allocates a result ``Tensor``
+and a backward closure: at the desk network size (embed 32, 2 layers,
+TSP-6 or EVRP-6, batch 1-2) a forward through this module takes 2.1-2.4x
+as long as the same ops on plain arrays (2-CPU x86-64 host, one BLAS
+thread), so the network runs inference on plain arrays instead.
 """
 
 from __future__ import annotations

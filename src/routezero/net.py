@@ -32,6 +32,7 @@ net `routezero eval` loads carry weights only.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import zipfile
@@ -76,8 +77,8 @@ class NetConfig:
             raise ValueError("embed_dim must be divisible by n_heads")
         if min(self.embed_dim, self.n_heads, self.n_layers, self.ffn_dim, self.batch_size) < 1:
             raise ValueError("architecture sizes must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
 
     @property
     def node_features(self) -> int:
@@ -365,6 +366,16 @@ class PolicyValueNet:
             return logits
         return logits, self._value(t, pooled, pooled_opp, ops)
 
+    def _policy_loss(self, t, batch: dict[str, np.ndarray]) -> ad.Tensor:
+        h, pooled = self._encode(t, batch["nodes"], training=True, update_stats=True)
+        logits = self._policy_logits(t, h, pooled, batch)
+        return ad.masked_cross_entropy(logits, batch["legal"], batch["target"])
+
+    def _value_loss(self, t, batch: dict[str, np.ndarray]) -> ad.Tensor:
+        _, pooled_own = self._encode(t, batch["own_nodes"], training=True, update_stats=True)
+        _, pooled_opp = self._encode(t, batch["opp_nodes"], training=True, update_stats=True)
+        return ad.mse(self._value(t, pooled_own, pooled_opp), batch["z"])
+
     def train_step(
         self,
         policy_batch: dict[str, np.ndarray] | None,
@@ -376,29 +387,24 @@ class PolicyValueNet:
         ``policy_batch`` holds stacked features with ``legal`` and
         ``target``; ``value_batch`` holds ``own_*``/``opp_*`` feature stacks
         and ``z``.  Either side may be ``None``.  Returns the two losses.
+
+        Each loss is backpropagated as soon as it is built, policy first, so
+        the policy tape is freed before the value graph exists.  The
+        parameter leaves sum the two gradients, and Adam steps once on the
+        sum: the same floats as one ``backward()`` of the summed loss.
         """
-        t = self._tensors(train=True)
-        losses = []
-        p_loss_val = v_loss_val = 0.0
-        if policy_batch is not None:
-            h, pooled = self._encode(t, policy_batch["nodes"], training=True, update_stats=True)
-            logits = self._policy_logits(t, h, pooled, policy_batch)
-            p_loss = ad.masked_cross_entropy(logits, policy_batch["legal"], policy_batch["target"])
-            losses.append(p_loss)
-            p_loss_val = float(p_loss.data)
-        if value_batch is not None:
-            _, pooled_own = self._encode(t, value_batch["own_nodes"], training=True, update_stats=True)
-            _, pooled_opp = self._encode(t, value_batch["opp_nodes"], training=True, update_stats=True)
-            v_loss = ad.mse(self._value(t, pooled_own, pooled_opp), value_batch["z"])
-            losses.append(v_loss)
-            v_loss_val = float(v_loss.data)
-        if not losses:
+        if policy_batch is None and value_batch is None:
             return 0.0, 0.0
-        total = losses[0] if len(losses) == 1 else ad.add(losses[0], losses[1])
-        total.backward()
+        t = self._tensors(train=True)
+        losses = [0.0, 0.0]
+        for i, (batch, loss_of) in enumerate(((policy_batch, self._policy_loss), (value_batch, self._value_loss))):
+            if batch is not None:
+                loss = loss_of(t, batch)
+                loss.backward()
+                losses[i] = float(loss.data)
         grads = {k: tt.grad for k, tt in t.items() if tt.grad is not None}
         adam.update(self.params, grads, self.config.learning_rate)
-        return p_loss_val, v_loss_val
+        return losses[0], losses[1]
 
 
 def greedy_actions(net: PolicyValueNet, states: list[PlayerState], legal: np.ndarray) -> np.ndarray:

@@ -53,8 +53,10 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.n_simulations < 1 or self.m_root < 1:
             raise ValueError("n_simulations and m_root must be >= 1")
-        if self.c_scale <= 0:
-            raise ValueError("c_scale must be positive")
+        if not (math.isfinite(self.c_scale) and self.c_scale > 0):
+            raise ValueError(f"c_scale must be finite and positive, got {self.c_scale!r}")
+        if not (math.isfinite(self.c_visit) and self.c_visit >= 0):
+            raise ValueError(f"c_visit must be finite and nonnegative, got {self.c_visit!r}")
 
 
 class Evaluator(Protocol):

@@ -119,6 +119,26 @@ class TestTensorMechanics:
         np.testing.assert_array_equal(y.grad, w_data)
         np.testing.assert_array_equal(y.data, y_data)
 
+    def test_leaves_accumulate_across_graphs_in_call_order(self):
+        # two graphs sharing leaves, backpropagated one after the other, give each leaf
+        # the same floats as one backward() of their sum, which walks the first graph first
+        w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=3)
+        x1, x2 = rng.normal(size=(5, 2, 4)), rng.normal(size=(6, 4))
+
+        def losses(w, b):
+            first = sum_(tanh(add(matmul(Tensor(x1), w), b)))
+            second = sum_(mul(sigmoid(matmul(Tensor(x2), reshape(w, (4, 3)))), scale(b, 1e3)))
+            return first, second
+
+        w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+        first, second = losses(w, b)
+        first.backward()
+        second.backward()
+        w_sum, b_sum = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+        add(*losses(w_sum, b_sum)).backward()
+        assert w.grad.tobytes() == w_sum.grad.tobytes()
+        assert b.grad.tobytes() == b_sum.grad.tobytes()
+
     def test_diamond_graph(self):
         def fn(x):
             y = tanh(x)

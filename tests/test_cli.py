@@ -173,6 +173,9 @@ class TestTrain:
             ({**TINY_TRAIN, "planner": None}, "planner config must be a JSON object"),
             ({**TINY_TRAIN, "planner": {"n_simulations": 6.0}}, "planner config field n_simulations"),
             ({**TINY_TRAIN, "net": {**TINY_TRAIN["net"], "n_layers": "1"}}, "net config field n_layers"),
+            ({**TINY_TRAIN, "net": {**TINY_TRAIN["net"], "learning_rate": float("nan")}}, "learning_rate must be"),
+            ({**TINY_TRAIN, "planner": {"c_visit": -5}}, "c_visit must be finite and nonnegative"),
+            ({**TINY_TRAIN, "planner": {"c_scale": float("inf")}}, "c_scale must be finite and positive"),
         ],
     )
     def test_mistyped_config_is_usage_error_naming_the_field_before_any_file(self, tmp_path, config, named, capsys):

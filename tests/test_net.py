@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +80,11 @@ class TestNetConfig:
             NetConfig(n_layers=0)
         with pytest.raises(ValueError):
             NetConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1e-3])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            NetConfig(learning_rate=rate)
 
     def test_feature_layout_follows_problem(self):
         tsp = NetConfig(problem="tsp")
@@ -260,6 +266,50 @@ class TestForward:
             state = step(state, a)
 
 
+def training_batches(inst, size, rng):
+    """A policy batch (random targets on the legal moves) and a value batch (random pairs, z = +-1)."""
+    policy = stack(random_states(inst, size, rng))
+    target = rng.uniform(0.1, 1.0, policy["legal"].shape) * policy["legal"]
+    policy["target"] = target / target.sum(axis=1, keepdims=True)
+    value = {
+        "own_nodes": stack(random_states(inst, size, rng), legal=False)["nodes"],
+        "opp_nodes": stack(random_states(inst, size, rng), legal=False)["nodes"],
+        "z": rng.choice([-1.0, 1.0], size),
+    }
+    return policy, value
+
+
+def one_tape_train_step(net, policy_batch, value_batch, adam):
+    """`train_step` with all three encodes on one tape and one ``backward()`` of the summed loss."""
+    t = net._tensors(train=True)
+    p_loss = v_loss = None
+    if policy_batch is not None:
+        h, pooled = net._encode(t, policy_batch["nodes"], training=True, update_stats=True)
+        logits = net._policy_logits(t, h, pooled, policy_batch)
+        p_loss = ad.masked_cross_entropy(logits, policy_batch["legal"], policy_batch["target"])
+    if value_batch is not None:
+        _, pooled_own = net._encode(t, value_batch["own_nodes"], training=True, update_stats=True)
+        _, pooled_opp = net._encode(t, value_batch["opp_nodes"], training=True, update_stats=True)
+        v_loss = ad.mse(net._value(t, pooled_own, pooled_opp), value_batch["z"])
+    losses = [loss for loss in (p_loss, v_loss) if loss is not None]
+    (losses[0] if len(losses) == 1 else ad.add(*losses)).backward()
+    adam.update(net.params, {k: tt.grad for k, tt in t.items() if tt.grad is not None}, net.config.learning_rate)
+    return tuple(0.0 if loss is None else float(loss.data) for loss in (p_loss, v_loss))
+
+
+def train_step_peak_bytes(net, policy_batch, value_batch):
+    """Peak traced allocation of one `train_step` above what was allocated before it."""
+    adam = Adam.zeros(net.params)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        net.train_step(policy_batch, value_batch, adam)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def one_hot_policy_batch(inst, action):
     state = initial_state(inst)
     legal = legal_actions(state)
@@ -344,6 +394,35 @@ class TestTrainStep:
             np.testing.assert_allclose(params[k], expect[k], rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(adam.m[k], m[k], rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(adam.v[k], v2[k], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    @pytest.mark.parametrize("heads", ["both", "policy", "value"])
+    def test_matches_one_tape_of_the_summed_loss_bit_for_bit(self, problem, heads):
+        inst = generate_tsp(7, seed=17) if problem == "tsp" else generate_evrp(5, 2, seed=17)
+        net = tiny_net(problem, n_layers=2)
+        reference = net.copy()
+        adam, reference_adam = Adam.zeros(net.params), Adam.zeros(reference.params)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            policy, value = training_batches(inst, 6, rng)
+            policy = None if heads == "value" else policy
+            value = None if heads == "policy" else value
+            assert net.train_step(policy, value, adam) == one_tape_train_step(reference, policy, value, reference_adam)
+        for mine, theirs in ((net.params, reference.params), (net.bn_stats, reference.bn_stats)):
+            assert all(np.array_equal(mine[k], theirs[k]) for k in theirs)
+        for mine, theirs in ((adam.m, reference_adam.m), (adam.v, reference_adam.v)):
+            assert all(np.array_equal(mine[k], theirs[k]) for k in theirs)
+        assert adam.t == reference_adam.t == 3
+
+    def test_only_one_loss_tape_is_alive_at_a_time(self):
+        # the policy tape is freed before the value graph is built, so both heads together
+        # peak near the value head alone; holding both tapes would add the policy peak to it
+        net = PolicyValueNet.create(NetConfig(problem="tsp", embed_dim=64, n_heads=4, n_layers=2, ffn_dim=128))
+        policy, value = training_batches(generate_tsp(10, seed=18), 64, np.random.default_rng(18))
+        policy_only = train_step_peak_bytes(net.copy(), policy, None)
+        value_only = train_step_peak_bytes(net.copy(), None, value)
+        both = train_step_peak_bytes(net.copy(), policy, value)
+        assert both < value_only + policy_only / 2
 
     def test_net_carries_no_optimizer_state(self):
         net = tiny_net("tsp")

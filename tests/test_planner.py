@@ -175,6 +175,24 @@ class TestPlannerConfig:
         with pytest.raises(ValueError):
             PlannerConfig(c_scale=0.0)
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("c_scale", float("nan"), "c_scale must be finite and positive"),
+            ("c_scale", float("inf"), "c_scale must be finite and positive"),
+            ("c_scale", -1.0, "c_scale must be finite and positive"),
+            ("c_visit", float("nan"), "c_visit must be finite and nonnegative"),
+            ("c_visit", float("inf"), "c_visit must be finite and nonnegative"),
+            ("c_visit", -5.0, "c_visit must be finite and nonnegative"),
+        ],
+    )
+    def test_float_fields_must_be_finite_and_in_range(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PlannerConfig(**{field: value})
+
+    def test_zero_visit_constant_is_allowed(self):
+        assert PlannerConfig(c_visit=0.0).c_visit == 0.0
+
 
 class TestGumbelTopM:
     def test_returns_distinct_legal_actions(self):
