@@ -220,7 +220,7 @@ def greedy_rollouts(insts: Sequence[Instance], net) -> list[SolveResult | DeadEn
     """
 
     def moves(states, live):
-        return greedy_actions(net, [states[i] for i in live], np.stack([legal_actions(states[i]) for i in live]))
+        return greedy_actions(net, [states[i] for i in live])
 
     results: list[SolveResult | DeadEndError | None] = [None] * len(insts)
     groups: dict[tuple, list[int]] = {}

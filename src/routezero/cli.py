@@ -160,9 +160,8 @@ def _plan_route(path: Path, inst: Instance, net: PolicyValueNet, planner_cfg: Pl
     end names ``path``.
     """
     start = time.perf_counter()
-    game = RoutingGame(inst)
-    shadow = GreedyNetPolicy(net, game)
-    moves, ends = play_seats(game, ((NetEvaluator(net, game), shadow), shadow), planner_cfg, rng)
+    shadow = GreedyNetPolicy(net)
+    moves, ends = play_seats(RoutingGame(inst), ((NetEvaluator(net), shadow), shadow), planner_cfg, rng)
     if isinstance(ends[0], DeadEndError):
         raise DeadEndError(f"{path.name}: {ends[0]}")
     route = ends[0].route
@@ -210,6 +209,10 @@ def cmd_eval(args) -> int:
     if not paths:
         raise DataError(f"{inst_dir}: no instance files")
     insts = [load_instance(path) for path in paths]
+    problem = net.config.problem
+    other = next((path for path, inst in zip(paths, insts) if isinstance(inst, TspInstance) != (problem == "tsp")), None)
+    if other is not None:
+        raise DataError(f"{args.checkpoint}: the net plays {problem} instances, {other} is not one")
     if args.mode == "greedy":
         solved = _greedy_routes(paths, insts, net)
     else:

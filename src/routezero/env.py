@@ -418,9 +418,9 @@ def game_outcome(reward_first: float, reward_second: float) -> int:
 class RoutingGame:
     """Bundles the transition functions for one instance behind one object.
 
-    The search (``planner.plan`` and its net adapters) reads a game through
-    these methods, so test doubles can stand in for a real instance there;
-    play loops take only the initial state from it.
+    The search (``planner.plan``) reads a game through these methods, so
+    test doubles can stand in for a real instance there; play loops take
+    only the initial state from it.
     """
 
     def __init__(self, inst: Instance):
@@ -428,9 +428,6 @@ class RoutingGame:
 
     def initial_state(self) -> PlayerState:
         return initial_state(self.instance)
-
-    def legal_actions(self, state: PlayerState) -> np.ndarray:
-        return legal_actions(state)
 
     def step(self, state: PlayerState, action: int) -> PlayerState:
         return step(state, action)

@@ -109,11 +109,13 @@ class LoadTables(NamedTuple):
     depot, or via one station and then home.  ``settled_need`` is the
     battery each path needs from ``j`` after serving it, at the mass
     ``mass - demands[j]``: its first leg's charge, at least zero, or
-    ``inf`` when the path's recharge point is ``j`` itself or its station
-    cannot reach the depot on a full battery.  ``station_ok`` marks the
-    paths a full battery covers at the unchanged mass, as after a station
-    stop.  These and ``path_legs_h`` are the whole homing rule: the mask
-    and the illegal-move message both read it from here.
+    ``inf`` when its station cannot reach the depot on a full battery.
+    ``station_ok`` marks the paths a full battery covers at the unchanged
+    mass, as after a station stop.  A recharge point's own column (no first
+    leg, then the dwell and the drive home) never decides a move: its direct
+    path home needs the same battery and less time.  These and
+    ``path_legs_h`` are the whole homing rule: the mask and the
+    illegal-move message both read it from here.
     """
 
     energy: np.ndarray
@@ -241,9 +243,8 @@ class EvrpInstance:
 
         Keyed by the exact float.  Every entry is an `_edge_energy_kwh`
         value, so it is the float `energy_row_kwh` gives for that edge and
-        mass: a homing path's first leg at the row's mass, ``inf`` on a
-        recharge point's own column so it never counts as its own escape,
-        and its station's drive home at the same mass.
+        mass: a homing path's first leg at the row's mass and its station's
+        drive home at the same mass.
         """
         tables = self._load_tables.get(load_kg)
         if tables is None:
@@ -254,7 +255,6 @@ class EvrpInstance:
 
             def homing_need(mass_kg):
                 first = self._edge_energy_kwh(self.mass_coef[:, rids], first_h, mass_kg)
-                first[rids, np.arange(rids.size)] = np.inf
                 home = self._edge_energy_kwh(self.mass_coef[rids, 0], final_h, mass_kg)
                 return np.where(full >= np.maximum(home, 0.0), np.maximum(first, 0.0), np.inf)
 

@@ -43,7 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autodiff as ad
-from .env import PlayerState
+from .env import PlayerState, legal_actions
 from .instance import COORD_RANGE_KM, EvrpInstance, TspInstance
 
 LOGIT_CLIP = 10.0
@@ -148,6 +148,13 @@ def stack_features(batch: list[StateFeatures]) -> dict[str, np.ndarray]:
         "current": np.array([f.current for f in batch], dtype=np.int64),
         "first": np.array([f.first for f in batch], dtype=np.int64),
     }
+
+
+def stack_states(states: list[PlayerState]) -> dict[str, np.ndarray]:
+    """`stack_features` of ``states`` plus their (B, N) ``legal`` masks, a finished state's all False."""
+    batch = stack_features([featurize(s) for s in states])
+    batch["legal"] = np.stack([np.zeros(s.served.shape, bool) if s.done else legal_actions(s) for s in states])
+    return batch
 
 
 def _softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -407,15 +414,13 @@ class PolicyValueNet:
         return losses[0], losses[1]
 
 
-def greedy_actions(net: PolicyValueNet, states: list[PlayerState], legal: np.ndarray) -> np.ndarray:
-    """Highest-logit move of each state under its row of the (B, N) ``legal`` mask.
+def greedy_actions(net: PolicyValueNet, states: list[PlayerState]) -> np.ndarray:
+    """Highest-logit legal move of each live state.
 
     One ``forward`` over the whole stack, so the states must share a problem
     type and node count; ties resolve to the lowest node id.
     """
-    batch = stack_features([featurize(s) for s in states])
-    batch["legal"] = legal
-    return np.argmax(net.forward(batch), axis=1)
+    return np.argmax(net.forward(stack_states(states)), axis=1)
 
 
 def net_to_arrays(net: PolicyValueNet, prefix: str = "") -> dict[str, np.ndarray]:

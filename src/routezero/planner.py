@@ -36,7 +36,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .env import RoutingGame, game_outcome, play
-from .net import featurize, greedy_actions, stack_features
+from .net import featurize, greedy_actions, stack_features, stack_states
 
 
 class PlannerError(RuntimeError):
@@ -326,10 +326,9 @@ def play_seats(game: RoutingGame, seats, config: PlannerConfig, rng: np.random.G
 class NetEvaluator:
     """Adapter: a policy/value network as the search's evaluator."""
 
-    def __init__(self, policy_net, game: RoutingGame, value_net=None):
+    def __init__(self, policy_net, value_net=None):
         self.policy_net = policy_net
         self.value_net = value_net if value_net is not None else policy_net
-        self.game = game
 
     def evaluate_batch(self, pairs: list[tuple]) -> list[tuple[np.ndarray, float]]:
         """(logits, value) of each (own, opp) pair, from one forward per net.
@@ -339,16 +338,10 @@ class NetEvaluator:
         """
         opps = list({id(opp): opp for _, opp in pairs}.values())
         rows = {id(opp): row for row, opp in enumerate(opps)}
-        n = pairs[0][0].instance.n_nodes
-        legal = np.stack(
-            [np.zeros(n, dtype=bool) if self.game.is_terminal(own) else self.game.legal_actions(own)
-             for own, _ in pairs]
-        )
-        own_batch = stack_features([featurize(own) for own, _ in pairs])
-        own_batch["legal"] = legal
+        own_batch = stack_states([own for own, _ in pairs])
         own_batch["opp_row"] = np.array([rows[id(opp)] for _, opp in pairs], dtype=np.int64)
         logits, values = self.value_net.forward(own_batch, stack_features([featurize(opp) for opp in opps]))
-        if legal.any() and self.policy_net is not self.value_net:
+        if own_batch["legal"].any() and self.policy_net is not self.value_net:
             logits = self.policy_net.forward(own_batch)
         return [(logits[i], float(values[i])) for i in range(len(pairs))]
 
@@ -356,9 +349,8 @@ class NetEvaluator:
 class GreedyNetPolicy:
     """Adapter: a policy network as the in-tree opponent move source."""
 
-    def __init__(self, net, game: RoutingGame):
+    def __init__(self, net):
         self.net = net
-        self.game = game
 
     def __call__(self, state) -> int:
-        return int(greedy_actions(self.net, [state], self.game.legal_actions(state)[None])[0])
+        return int(greedy_actions(self.net, [state])[0])

@@ -267,23 +267,18 @@ class ValueBuffer(_Ring):
 
 @dataclass(frozen=True)
 class EpisodeRecord:
+    """One episode's results; ``trajs``, ``objectives`` and ``sims`` are (learner's, competitor's).
+
+    ``learner`` is the learner's seat, +1 for slot 0 and -1 for slot 1, so
+    ``pair[::learner]`` puts a pair in slot order; ``outcome`` is slot 0's.
+    """
+
     learner: int
-    traj_first: tuple[PlayerState, ...]
-    traj_second: tuple[PlayerState, ...]
+    trajs: tuple[tuple[PlayerState, ...], tuple[PlayerState, ...]]
+    objectives: tuple[float, float]
+    sims: tuple[tuple[int, ...], tuple[int, ...]]
     outcome: int
-    objective_first: float
-    objective_second: float
     policy_samples: tuple[tuple[PlayerState, np.ndarray], ...]
-    sims_first: tuple[int, ...]
-    sims_second: tuple[int, ...]
-
-    @property
-    def learner_objective(self) -> float:
-        return self.objective_first if self.learner == 1 else self.objective_second
-
-    @property
-    def competitor_objective(self) -> float:
-        return self.objective_second if self.learner == 1 else self.objective_first
 
 
 def stage_gate(episode: int, cfg: TrainConfig) -> int:
@@ -308,30 +303,26 @@ def run_episode(
     to dead-end raises a ``DeadEndError`` naming it.
     """
     theta, theta_best = nets
-    game = RoutingGame(inst)
     learner_seat = 1 if rng.random() < 0.5 else -1
-    mu_policy = GreedyNetPolicy(theta if rng.random() < cfg.self_play_prob else theta_best, game)
-    learner = (NetEvaluator(theta, game), mu_policy)
-    competitor_search = (NetEvaluator(theta_best, game, value_net=theta), GreedyNetPolicy(theta, game))
-    seats = (learner, mu_policy if stage == 1 else competitor_search)[::learner_seat]  # seat 1 plays slot 0
-    moves, ends = play_seats(game, seats, cfg.planner, rng)
+    mu_policy = GreedyNetPolicy(theta if rng.random() < cfg.self_play_prob else theta_best)
+    learner = (NetEvaluator(theta), mu_policy)
+    competitor = mu_policy if stage == 1 else (NetEvaluator(theta_best, value_net=theta), GreedyNetPolicy(theta))
+    seats = (learner, competitor)[::learner_seat]  # seat 1 plays slot 0
+    moves, ends = play_seats(RoutingGame(inst), seats, cfg.planner, rng)
     for slot, end in ends.items():
         if isinstance(end, DeadEndError):
             raise DeadEndError(f"{'learner' if seats[slot] is learner else 'competitor'} seat: {end}")
 
-    trajs = [tuple(own for i, own, _ in moves if i == slot) + (ends[slot],) for slot in (0, 1)]
-    sims = [tuple(0 if r is None else r.simulations for i, _, r in moves if i == slot) for slot in (0, 1)]
-    obj = [objective(inst, traj[-1].route) for traj in trajs]
+    slots = (0, 1)[::learner_seat]  # (learner's slot, competitor's slot)
+    trajs = tuple(tuple(own for i, own, _ in moves if i == slot) + (ends[slot],) for slot in slots)
+    objectives = tuple(objective(inst, traj[-1].route) for traj in trajs)
     return EpisodeRecord(
         learner=learner_seat,
-        traj_first=trajs[0],
-        traj_second=trajs[1],
-        outcome=game_outcome(-obj[0], -obj[1]),
-        objective_first=obj[0],
-        objective_second=obj[1],
+        trajs=trajs,
+        objectives=objectives,
+        sims=tuple(tuple(0 if r is None else r.simulations for i, _, r in moves if i == slot) for slot in slots),
+        outcome=game_outcome(*(-obj for obj in objectives[::learner_seat])),
         policy_samples=tuple((own, result.improved_policy) for _, own, result in moves if result is not None),
-        sims_first=sims[0],
-        sims_second=sims[1],
     )
 
 
@@ -523,7 +514,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
 
         for played_state, improved in record.policy_samples:
             state.policy_buffer.push(featurize(played_state), legal_actions(played_state), improved)
-        for own, opp, label in value_tuples(record.traj_first, record.traj_second, record.outcome):
+        for own, opp, label in value_tuples(*record.trajs[::record.learner], record.outcome):
             state.value_buffer.push(featurize(own), featurize(opp), label)
 
         policy_losses = []
@@ -556,8 +547,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
             )
 
         if isinstance(inst, EvrpInstance):
-            learner_traj = record.traj_first if record.learner == 1 else record.traj_second
-            soc = _format_float(learner_traj[-1].energy_kwh / inst.n_customers)
+            soc = _format_float(record.trajs[0][-1].energy_kwh / inst.n_customers)
         else:
             soc = ""
         _append_line(
@@ -566,8 +556,8 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
                 (
                     str(episode + 1),
                     str(stage),
-                    _format_float(record.learner_objective),
-                    _format_float(record.competitor_objective),
+                    _format_float(record.objectives[0]),
+                    _format_float(record.objectives[1]),
                     str(record.outcome),
                     _format_float(p_mean),
                     _format_float(v_mean),
@@ -584,8 +574,8 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
                 "learner": record.learner,
                 "instance_seed": inst_seed,
                 "z": record.outcome,
-                "learner_sims": list(record.sims_first if record.learner == 1 else record.sims_second),
-                "competitor_sims": list(record.sims_second if record.learner == 1 else record.sims_first),
+                "learner_sims": list(record.sims[0]),
+                "competitor_sims": list(record.sims[1]),
                 "wall_time_s": time.perf_counter() - started,
             },
         )

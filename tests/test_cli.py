@@ -398,6 +398,30 @@ class TestEval:
         assert "tsp_n6_seed3.json: rollout exceeded 3 steps without terminating" in capsys.readouterr().err
         assert not (inst_dir / "results.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["greedy", "mcts"])
+    @pytest.mark.parametrize("net_problem, other", [("tsp", "evrp_c4_s2_em_seed7.json"), ("evrp", "tsp_n5_seed0.json")])
+    def test_net_of_the_other_problem_is_data_error_before_any_route(
+        self, tmp_path, monkeypatch, capsys, net_problem, other, mode
+    ):
+        # both problems in one directory; the first file of the other problem in sorted order is named
+        inst_dir = self.gen_instances(tmp_path, n=2)
+        main(["gen", "evrp", "--customers", "4", "--stations", "2", "--objective", "EM", "--count", "2",
+              "--seed", "7", "--out", str(inst_dir)])
+        ckpt = tmp_path / "net.npz"
+        save_net(PolicyValueNet.create(NetConfig(**{**TINY_TRAIN["net"], "problem": net_problem})), ckpt)
+
+        def no_route(*args, **kwargs):
+            raise AssertionError("a route was played")
+
+        monkeypatch.setattr(cli, "greedy_rollouts", no_route)
+        monkeypatch.setattr(cli, "play_seats", no_route)
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), str(inst_dir), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: the net plays {net_problem} instances, {inst_dir / other} is not one" in err
+        assert "Traceback" not in err and "seed1" not in err and "seed8" not in err
+        assert not list(inst_dir.glob("*.csv"))
+
     def test_empty_instance_dir(self, tmp_path, trained_run):
         empty = tmp_path / "empty"
         empty.mkdir()

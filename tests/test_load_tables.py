@@ -187,8 +187,6 @@ def test_tables_are_read_only_and_match_the_helpers():
         own = (inst.recharge_ids, np.arange(inst.recharge_ids.size))
 
         def need(j, p, mass_kg):
-            if p == j:
-                return np.inf
             first, home = float(inst.energy_row_kwh(j, mass_kg, p)), float(inst.energy_row_kwh(p, mass_kg, 0))
             return max(first, 0.0) if full >= max(home, 0.0) else np.inf
 
@@ -198,8 +196,10 @@ def test_tables_are_read_only_and_match_the_helpers():
         np.testing.assert_array_equal(tables.settled_need, settled)
         station = [[need(j, p, mass) <= full for p in inst.recharge_ids] for j in nodes]
         np.testing.assert_array_equal(tables.station_ok, station)
-        # a recharge point is never its own homing path
-        assert np.isinf(tables.settled_need[own]).all() and not tables.station_ok[own].any()
+        # a recharge point's own path has no first leg, and a full battery covers it exactly when it covers
+        # the direct path home, which takes no dwell: that column never decides a move
+        assert set(tables.settled_need[own]) <= {0.0, np.inf}
+        np.testing.assert_array_equal(tables.station_ok[own], tables.station_ok[inst.recharge_ids, 0])
         stranded = np.isinf(tables.settled_need[:, 1:]).all(axis=0)
         assert stranded.any() == (battery_kwh == 6.0)
         for table in tables:

@@ -20,6 +20,7 @@ from routezero.net import (
     net_to_arrays,
     save_net,
     stack_features,
+    stack_states,
 )
 from routezero.trainer import PolicyBuffer, TrainConfig, TrainerState, ValueBuffer, load_checkpoint, save_checkpoint
 
@@ -138,6 +139,21 @@ class TestFeaturize:
         batch = stack_features([featurize(initial_state(inst))] * 3)
         assert batch["nodes"].shape == (3, 4, 5)
         assert batch["current"].dtype == np.int64
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    def test_stack_states_adds_each_states_own_mask(self, problem):
+        inst = generate_tsp(5, seed=6) if problem == "tsp" else generate_evrp(3, 1, seed=6)
+        states = random_states(inst, 3, np.random.default_rng(7))
+        finished = initial_state(inst)
+        while not finished.done:
+            finished = step(finished, int(np.flatnonzero(legal_actions(finished))[0]))
+        batch = stack_states([*states, finished])
+        reference = stack_features([featurize(s) for s in (*states, finished)])
+        assert batch.keys() == {*reference, "legal"}
+        for key, value in reference.items():
+            np.testing.assert_array_equal(batch[key], value)
+        np.testing.assert_array_equal(batch["legal"][:3], [legal_actions(s) for s in states])
+        assert batch["legal"].dtype == bool and not batch["legal"][3].any()
 
 
 class TestForward:
@@ -261,7 +277,7 @@ class TestForward:
         for _ in range(40):
             if state.done:
                 break
-            a = int(greedy_actions(net, [state], legal_actions(state)[None])[0])
+            a = int(greedy_actions(net, [state])[0])
             assert legal_actions(state)[a]
             state = step(state, a)
 

@@ -119,14 +119,14 @@ def hashed_evaluator(game):
     def evaluate(own, opp):
         rng = np.random.default_rng([len(own.route), *own.route, 1_000, *opp.route])
         n = own.instance.n_nodes
-        legal = np.zeros(n, dtype=bool) if game.is_terminal(own) else game.legal_actions(own)
+        legal = np.zeros(n, dtype=bool) if game.is_terminal(own) else legal_actions(own)
         return np.where(legal, rng.normal(size=n), -np.inf), float(np.tanh(rng.normal()))
 
     return evaluate
 
 
-def lowest_legal(game):
-    return lambda state: int(np.flatnonzero(game.legal_actions(state))[0])
+def lowest_legal(state):
+    return int(np.flatnonzero(legal_actions(state))[0])
 
 
 def random_root(inst, rng):
@@ -319,7 +319,7 @@ class TestPlanOnRouting:
         inst = generate_tsp(5, seed=seed)
         game = RoutingGame(inst)
         net = tiny_net("tsp")
-        return game, NetEvaluator(net, game), GreedyNetPolicy(net, game)
+        return game, NetEvaluator(net), GreedyNetPolicy(net)
 
     def test_result_shape_and_support(self):
         game, evaluator, opp = self.setup_tsp()
@@ -368,8 +368,8 @@ class TestPlanOnRouting:
         inst = generate_evrp(4, 2, seed=22)
         game = RoutingGame(inst)
         net = tiny_net("evrp")
-        evaluator = NetEvaluator(net, game)
-        opp = GreedyNetPolicy(net, game)
+        evaluator = NetEvaluator(net)
+        opp = GreedyNetPolicy(net)
         own = game.initial_state()
         result = plan(own, own, evaluator, opp, PlannerConfig(n_simulations=20, m_root=8),
                       game, rng=np.random.default_rng(9))
@@ -384,7 +384,7 @@ class TestSweeps:
             inst, game = routing_case(problem, seed=300 + k)
             own, opp = random_root(inst, rng)
             cfg = PlannerConfig(n_simulations=int(rng.integers(1, 40)), m_root=int(rng.integers(1, 9)))
-            args = (own, opp, hashed_evaluator(game), lowest_legal(game), cfg, game)
+            args = (own, opp, hashed_evaluator(game), lowest_legal, cfg, game)
             got = plan(*args, rng=np.random.default_rng(k))
             ref, _ = sequential_plan(*args, rng=np.random.default_rng(k))
             assert got.action == ref.action
@@ -399,9 +399,9 @@ class TestSweeps:
         for k in range(6):
             inst, game = routing_case(problem, seed=400 + k)
             theta, best = tiny_net(problem, seed=k), tiny_net(problem, seed=k + 50)
-            evaluator = NetEvaluator(best, game, value_net=theta) if k % 2 else NetEvaluator(theta, game)
+            evaluator = NetEvaluator(best, value_net=theta) if k % 2 else NetEvaluator(theta)
             own, opp = random_root(inst, rng)
-            rest = (GreedyNetPolicy(theta, game), PlannerConfig(n_simulations=24, m_root=8), game)
+            rest = (GreedyNetPolicy(theta), PlannerConfig(n_simulations=24, m_root=8), game)
             got = plan(own, opp, evaluator, *rest, rng=np.random.default_rng(k))
             one_pair = lambda own, opp: evaluator.evaluate_batch([(own, opp)])[0]
             ref, _ = sequential_plan(own, opp, one_pair, *rest, rng=np.random.default_rng(k))
@@ -418,8 +418,8 @@ class TestSweeps:
             own, opp = random_root(inst, rng)
             cfg = PlannerConfig(n_simulations=int(rng.integers(1, 40)), m_root=int(rng.integers(1, 9)))
             counting = CountingEvaluator(hashed_evaluator(game))
-            got = plan(own, opp, counting, lowest_legal(game), cfg, game, rng=np.random.default_rng(k))
-            _, calls = sequential_plan(own, opp, hashed_evaluator(game), lowest_legal(game), cfg, game,
+            got = plan(own, opp, counting, lowest_legal, cfg, game, rng=np.random.default_rng(k))
+            _, calls = sequential_plan(own, opp, hashed_evaluator(game), lowest_legal, cfg, game,
                                        rng=np.random.default_rng(k))
             assert counting.batches == [n for n in calls if n]
             assert sum(counting.batches) == got.evaluations <= cfg.n_simulations + 1
@@ -435,7 +435,7 @@ class TestSweeps:
             def spy(state):
                 assert not game.is_terminal(state), "opponent policy called on a finished opponent"
                 seen.append(state.route)
-                return lowest_legal(game)(state)
+                return lowest_legal(state)
 
             cfg = PlannerConfig(n_simulations=40, m_root=2)
             plan(own, opp, hashed_evaluator(game), spy, cfg, game, rng=np.random.default_rng(k))
@@ -456,7 +456,7 @@ class TestNetAdapters:
     def test_evaluator_masks_and_bounds(self):
         inst = generate_tsp(5, seed=23)
         game = RoutingGame(inst)
-        evaluator = NetEvaluator(tiny_net("tsp"), game)
+        evaluator = NetEvaluator(tiny_net("tsp"))
         own = game.initial_state()
         logits, value = evaluator.evaluate_batch([(own, own)])[0]
         assert np.isfinite(logits).sum() == legal_actions(own).sum()
@@ -467,7 +467,7 @@ class TestNetAdapters:
         game = RoutingGame(inst)
         policy_net = tiny_net("evrp", seed=1)
         value_net = tiny_net("evrp", seed=2)
-        evaluator = NetEvaluator(policy_net, game, value_net=value_net)
+        evaluator = NetEvaluator(policy_net, value_net=value_net)
         own = game.initial_state()
         logits, value = evaluator.evaluate_batch([(own, own)])[0]
         batch = stack_features([featurize(own)])
@@ -479,7 +479,7 @@ class TestNetAdapters:
         inst = generate_tsp(5, seed=27)
         game = RoutingGame(inst)
         theta, theta_best = tiny_net("tsp", seed=2), tiny_net("tsp", seed=1)
-        evaluator = NetEvaluator(theta_best, game, value_net=theta)
+        evaluator = NetEvaluator(theta_best, value_net=theta)
         states = [game.initial_state()]
         for a in (3, 1, 4, 0, 2):
             states.append(step(states[-1], a))
@@ -495,7 +495,7 @@ class TestNetAdapters:
         inst = generate_tsp(4, seed=26)
         game = RoutingGame(inst)
         value_net = tiny_net("tsp", seed=2)
-        evaluator = NetEvaluator(tiny_net("tsp", seed=1), game, value_net=value_net)
+        evaluator = NetEvaluator(tiny_net("tsp", seed=1), value_net=value_net)
         own = game.initial_state()
         for a in range(4):
             own = step(own, a)
@@ -510,7 +510,7 @@ class TestNetAdapters:
         inst = generate_tsp(5, seed=25)
         game = RoutingGame(inst)
         net = tiny_net("tsp")
-        policy = GreedyNetPolicy(net, game)
+        policy = GreedyNetPolicy(net)
         own = game.initial_state()
         batch = stack_features([featurize(own)])
         batch["legal"] = legal_actions(own)[None]
@@ -541,7 +541,7 @@ class TestPlaySeats:
     def test_moves_come_round_major_and_plans_draw_rng_in_slot_order(self):
         inst, game = routing_case("tsp", seed=800)
         cfg = PlannerConfig(n_simulations=8, m_root=4)
-        seats = ((hashed_evaluator(game), lowest_legal(game)), (hashed_evaluator(game), highest_legal))
+        seats = ((hashed_evaluator(game), lowest_legal), (hashed_evaluator(game), highest_legal))
         moves, ends = play_seats(game, seats, cfg, np.random.default_rng(5))
         assert [slot for slot, _, _ in moves] == [0, 1] * inst.n_nodes
         assert [len(state.route) for _, state, _ in moves] == [k for k in range(inst.n_nodes) for _ in seats]
@@ -556,10 +556,10 @@ class TestPlaySeats:
         inst, game = routing_case("tsp", seed=801)
         cfg = PlannerConfig(n_simulations=8, m_root=4)
         rng = np.random.default_rng(6)
-        moves, _ = play_seats(game, (lowest_legal(game), lowest_legal(game)), cfg, rng)
+        moves, _ = play_seats(game, (lowest_legal, lowest_legal), cfg, rng)
         assert len(moves) == 2 * inst.n_nodes and all(result is None for _, _, result in moves)
         assert rng.random() == np.random.default_rng(6).random()
-        moves, _ = play_seats(game, ((hashed_evaluator(game), lowest_legal(game)), highest_legal), cfg, rng)
+        moves, _ = play_seats(game, ((hashed_evaluator(game), lowest_legal), highest_legal), cfg, rng)
         assert [result is None for _, _, result in moves] == [False, True] * inst.n_nodes
 
     def test_ends_come_in_end_order(self):

@@ -22,7 +22,7 @@ from routezero.env import (
     step_limit,
 )
 from routezero.instance import generate_evrp, generate_tsp
-from routezero.net import NetConfig, PolicyValueNet, greedy_actions
+from routezero.net import NetConfig, PolicyValueNet, featurize, stack_features
 
 SEEDS = st.integers(0, 2**31 - 1)
 TSP = st.builds(generate_tsp, st.integers(3, 8), SEEDS)
@@ -71,9 +71,15 @@ def test_cached_mask_is_a_fresh_compute_that_stays_with_its_state(inst, move_see
 
 
 def serial_greedy(inst, net):
-    """The per-instance reference: env.rollout with the one-state greedy argmax."""
+    """The per-instance reference: env.rollout with the argmax of one state's logits under its mask."""
+
+    def argmax(state, legal):
+        batch = stack_features([featurize(state)])
+        batch["legal"] = legal[None]
+        return int(np.argmax(net.forward(batch)[0]))
+
     try:
-        return rollout(RoutingGame(inst), lambda s, m: int(greedy_actions(net, [s], m[None])[0]))
+        return rollout(RoutingGame(inst), argmax)
     except DeadEndError as exc:
         return exc
 

@@ -263,35 +263,39 @@ class TestRunEpisode:
 
     def test_trajectories_finish_and_score(self):
         inst, record = self.play(stage=1)
-        assert record.traj_first[-1].done and record.traj_second[-1].done
-        assert record.objective_first == pytest.approx(objective(inst, record.traj_first[-1].route))
-        assert record.outcome == game_outcome(-record.objective_first, -record.objective_second)
+        assert all(traj[-1].done for traj in record.trajs)
+        assert record.objectives == tuple(objective(inst, traj[-1].route) for traj in record.trajs)
+        first, second = record.objectives[::record.learner]
+        assert record.outcome == game_outcome(-first, -second)
 
     def test_stage1_competitor_never_searches(self):
         _, record = self.play(stage=1)
-        learner_sims = record.sims_first if record.learner == 1 else record.sims_second
-        competitor_sims = record.sims_second if record.learner == 1 else record.sims_first
+        learner_sims, competitor_sims = record.sims
         assert set(competitor_sims) == {0}
         assert min(learner_sims) > 0
         assert len(record.policy_samples) == len(learner_sims)
 
     def test_stage2_both_search(self):
         _, record = self.play(stage=2)
-        assert min(record.sims_first) > 0 and min(record.sims_second) > 0
-        assert len(record.policy_samples) == len(record.sims_first) + len(record.sims_second)
+        assert min(record.sims[0]) > 0 and min(record.sims[1]) > 0
+        assert len(record.policy_samples) == len(record.sims[0]) + len(record.sims[1])
 
     def test_deterministic_given_rng(self):
         _, a = self.play(stage=2, seed=4)
         _, b = self.play(stage=2, seed=4)
-        assert a.traj_first[-1].route == b.traj_first[-1].route
+        assert [t[-1].route for t in a.trajs] == [t[-1].route for t in b.trajs]
         assert a.learner == b.learner and a.outcome == b.outcome
 
-    def test_learner_objective_follows_the_seat(self):
-        _, record = self.play(stage=1)
-        if record.learner == 1:
-            assert record.learner_objective == record.objective_first
-        else:
-            assert record.learner_objective == record.objective_second
+    def test_learner_entries_are_the_searching_seats_in_either_seat(self):
+        seats = set()
+        for seed in range(6):
+            _, record = self.play(stage=1, seed=seed)
+            seats.add(record.learner)
+            learner_traj, competitor_traj = record.trajs
+            searched = [own for own, _ in record.policy_samples]
+            assert len(searched) == len(learner_traj) - 1 and all(a is b for a, b in zip(searched, learner_traj))
+            assert len(record.sims[0]) == len(learner_traj) - 1 and len(record.sims[1]) == len(competitor_traj) - 1
+        assert seats == {1, -1}
 
     def test_stage1_competitor_replays_historical_best_greedily(self):
         cfg = tiny_cfg(self_play_prob=0.0)
@@ -299,12 +303,11 @@ class TestRunEpisode:
         theta = PolicyValueNet.create(cfg.net, seed=0)
         theta_best = PolicyValueNet.create(cfg.net, seed=9)
         record = run_episode(inst, (theta, theta_best), cfg, stage=1, rng=np.random.default_rng(2))
-        competitor_traj = record.traj_second if record.learner == 1 else record.traj_first
         from routezero.net import greedy_actions
 
         state = initial_state(inst)
-        for nxt in competitor_traj[1:]:
-            state = step(state, greedy_actions(theta_best, [state], legal_actions(state)[None])[0])
+        for nxt in record.trajs[1][1:]:
+            state = step(state, greedy_actions(theta_best, [state])[0])
             assert state.route == nxt.route
 
 
@@ -586,6 +589,42 @@ class TestTrainLoop:
             else:
                 assert min(e["competitor_sims"]) > 0
             assert min(e["learner_sims"]) > 0
+
+    @pytest.mark.parametrize("problem", ["tsp", "em-evrp"])
+    def test_metrics_and_events_read_each_role_from_its_record(self, tmp_path, monkeypatch, problem):
+        cfg = tiny_cfg(total_episodes=6, stage_switch=3)
+        if problem == "em-evrp":
+            cfg = tiny_cfg(
+                problem="em-evrp",
+                n_customers=3,
+                n_stations=1,
+                total_episodes=6,
+                stage_switch=3,
+                planner=PlannerConfig(n_simulations=8, m_root=4),
+                net=NetConfig(problem="evrp", **TINY_NET),
+            )
+        records = []
+        real = trainer_mod.run_episode
+
+        def capture(*args, **kwargs):
+            records.append(real(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(trainer_mod, "run_episode", capture)
+        train(cfg, tmp_path / "run")
+        assert {record.learner for record in records} == {1, -1}, "the run puts the learner in both seats"
+        events = [e for e in read_events(tmp_path / "run") if e["event"] == "episode"]
+        for record, row, event in zip(records, read_metrics(tmp_path / "run"), events, strict=True):
+            learner_traj = record.trajs[0]
+            inst = learner_traj[0].instance
+            # the learner's entries are its own: the seat that searched, scored on its own route
+            assert min(record.sims[0]) > 0 and len(record.sims[0]) == len(learner_traj) - 1
+            assert record.objectives == tuple(objective(inst, traj[-1].route) for traj in record.trajs)
+            assert row[2:5] == [repr(record.objectives[0]), repr(record.objectives[1]), str(record.outcome)]
+            soc = repr(learner_traj[-1].energy_kwh / cfg.n_customers) if problem == "em-evrp" else ""
+            assert row[7] == soc
+            assert (event["learner"], event["z"]) == (record.learner, record.outcome)
+            assert (event["learner_sims"], event["competitor_sims"]) == (list(record.sims[0]), list(record.sims[1]))
 
     def test_arena_updates_only_on_positive_sums(self, tmp_path):
         cfg = tiny_cfg(total_episodes=6, stage_switch=3, arena_interval=1)
