@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-Implements exactly the operations the policy/value network needs: matmul,
+Implements exactly the operations the policy/value network runs: matmul,
 broadcast arithmetic, shape moves, tanh/sigmoid/relu, softmax, node-axis
 batch norm, index gather and the two loss heads.  Tensors record their
 parents and a backward closure; ``backward()`` walks the tape in reverse
@@ -19,13 +19,72 @@ and a backward closure: at the desk network size (embed 32, 2 layers,
 TSP-6 or EVRP-6, batch 1-2) a forward through this module takes 2.1-2.4x
 as long as the same ops on plain arrays (2-CPU x86-64 host, one BLAS
 thread), so the network runs inference on plain arrays instead.
+
+`ARRAY_OPS` is that plain-array path: every op the network builders call,
+under its tape name, and nothing else.  Its entries are this module's
+forward kernels (sigmoid, relu, softmax, gather_nodes and the batch-norm
+normalization), through which the tape ops compute their forwards, and
+numpy one-liners for the rest, so inference returns the tape's forward
+values bit for bit.  Its batch norm runs in inference mode only.
 """
 
 from __future__ import annotations
 
+import operator
+from types import SimpleNamespace
+
 import numpy as np
 
 BN_EPS = 1e-5
+
+
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def _relu(a: np.ndarray) -> np.ndarray:
+    return a * (a > 0.0)
+
+
+def _softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _gather_nodes(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    return a[np.arange(a.shape[0]), np.maximum(index, 0)] * (index >= 0)[:, None]
+
+
+def _normalize(a, gamma, beta, mu, var) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch-norm output ``gamma * xhat + beta`` under statistics (mu, var), with ``xhat`` and ``1 / std``."""
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (a - mu) * inv_std
+    return gamma * xhat + beta, xhat, inv_std
+
+
+def _batchnorm_nodes(a, gamma, beta, running_mean, running_var, training, update_stats=False):
+    if training:
+        raise ValueError("plain-array batch norm runs in inference mode only")
+    return _normalize(a, gamma, beta, running_mean, running_var)[0]
+
+
+ARRAY_OPS = SimpleNamespace(
+    Tensor=lambda x: np.asarray(x, dtype=np.float64),
+    add=operator.add,
+    mul=operator.mul,
+    scale=operator.mul,
+    matmul=operator.matmul,
+    reshape=lambda a, shape: a.reshape(shape),
+    transpose=lambda a, axes: a.transpose(axes),
+    concat=lambda parts, axis=-1: np.concatenate(parts, axis=axis),
+    mean=lambda a, axis: a.mean(axis=axis),
+    tanh=np.tanh,
+    sigmoid=_sigmoid,
+    relu=_relu,
+    softmax=_softmax,
+    gather_nodes=_gather_nodes,
+    batchnorm_nodes=_batchnorm_nodes,
+)
 
 
 def _consumed(grad: np.ndarray) -> None:
@@ -86,24 +145,6 @@ class Tensor:
                 node.grad = None
                 node._backward = _consumed
                 node._parents = ()
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def _as_tensor(x) -> Tensor:
@@ -219,27 +260,13 @@ def concat(parts, axis: int = -1) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
-def mean(a, axis, keepdims: bool = False) -> Tensor:
+def mean(a, axis: int) -> Tensor:
     a = _as_tensor(a)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    count = int(np.prod([a.shape[ax] for ax in axes]))
 
     def bwd(g):
-        gg = g if keepdims else np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(gg, a.shape) / count, fresh=True)
+        a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.shape) / a.shape[axis], fresh=True)
 
-    return _result(a.data.mean(axis=axes, keepdims=keepdims), (a,), bwd)
-
-
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(range(a.data.ndim)) if axis is None else ((axis,) if isinstance(axis, int) else tuple(axis))
-
-    def bwd(g):
-        gg = g if keepdims else np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(gg, a.shape).copy(), fresh=True)
-
-    return _result(a.data.sum(axis=axes, keepdims=keepdims), (a,), bwd)
+    return _result(a.data.mean(axis=axis), (a,), bwd)
 
 
 def tanh(a) -> Tensor:
@@ -254,7 +281,7 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    y = 1.0 / (1.0 + np.exp(-a.data))
+    y = _sigmoid(a.data)
 
     def bwd(g):
         a._accumulate(g * y * (1.0 - y), fresh=True)
@@ -264,19 +291,16 @@ def sigmoid(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    keep = a.data > 0.0
 
     def bwd(g):
-        a._accumulate(g * keep, fresh=True)
+        a._accumulate(g * (a.data > 0.0), fresh=True)
 
-    return _result(a.data * keep, (a,), bwd)
+    return _result(_relu(a.data), (a,), bwd)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
 
     def bwd(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -292,17 +316,13 @@ def gather_nodes(a, index: np.ndarray) -> Tensor:
     """
     a = _as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
-    batch = np.arange(a.shape[0])
-    safe = np.where(index < 0, 0, index)
-    valid = (index >= 0).astype(np.float64)[:, None]
-    data = a.data[batch, safe] * valid
 
     def bwd(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, (batch, safe), g * valid)
+        np.add.at(out, (np.arange(a.shape[0]), np.maximum(index, 0)), g * (index >= 0)[:, None])
         a._accumulate(out, fresh=True)
 
-    return _result(data, (a,), bwd)
+    return _result(_gather_nodes(a.data, index), (a,), bwd)
 
 
 def batchnorm_nodes(
@@ -314,7 +334,6 @@ def batchnorm_nodes(
     training: bool,
     update_stats: bool = False,
     momentum: float = 0.1,
-    eps: float = BN_EPS,
 ) -> Tensor:
     """Batch norm over the pooled (batch, node) axes of a (B, N, C) tensor.
 
@@ -331,9 +350,7 @@ def batchnorm_nodes(
             running_var += momentum * (var - running_var)
     else:
         mu, var = running_mean, running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv_std
-    y = gamma.data * xhat + beta.data
+    y, xhat, inv_std = _normalize(a.data, gamma.data, beta.data, mu, var)
     count = a.shape[0] * a.shape[1]
 
     def bwd(g):

@@ -155,16 +155,17 @@ def _is_feasible(inst: Instance, route) -> bool:
 def _plan_route(path: Path, inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig, rng) -> SolveResult:
     """Search-guided route: slot 0 plans each move against a greedy shadow of the same net in slot 1.
 
-    Both slots play through ``planner.play_seats`` under the one step cap.
-    ``expansions`` is the sum of slot 0's plan evaluation counts; its dead
-    end names ``path``.
+    Both slots play through ``planner.play_seats`` under the one step cap
+    until slot 0 ends.  ``expansions`` is the sum of slot 0's plan
+    evaluation counts; its dead end names ``path``.
     """
     start = time.perf_counter()
     shadow = GreedyNetPolicy(net)
     moves, ends = play_seats(RoutingGame(inst), ((NetEvaluator(net), shadow), shadow), planner_cfg, rng)
-    if isinstance(ends[0], DeadEndError):
-        raise DeadEndError(f"{path.name}: {ends[0]}")
-    route = ends[0].route
+    end = next(result for slot, result in ends if slot == 0)
+    if isinstance(end, DeadEndError):
+        raise DeadEndError(f"{path.name}: {end}")
+    route = end.route
     evaluations = sum(result.evaluations for slot, _, result in moves if slot == 0)
     return SolveResult(route, objective(inst, route), False, evaluations, time.perf_counter() - start)
 

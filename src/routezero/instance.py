@@ -139,8 +139,7 @@ class EvrpInstance:
     and final leg, which the mask adds to the clock in that order.
     ``exact_evrp`` on a 6-customer, 2-station instance makes 300-1800
     expansions and takes 0.03-0.23 s (2-CPU host, BLAS 1 thread); ten such
-    instances take 1.1-1.6 s, against 1.6-2.3 s when the mask rebuilt the
-    homing paths on every call.
+    instances take 1.1-1.6 s.
     """
 
     nodes: tuple[Node, ...]

@@ -17,10 +17,11 @@ and squashes through tanh into [-1, 1].
 
 The network is written once, in `_encode`, `_gate`, `_policy_logits` and
 `_value`, against an ops namespace.  Training passes `autodiff`, whose
-tape gives the gradients; `forward` passes `_ARRAY_OPS`, the same op names
-on plain numpy arrays, so inference records nothing, wraps nothing and
-returns the tape path's outputs bit for bit.  There is no external ML
-runtime, which keeps checkpoints exact and runs reproducible.
+tape gives the gradients; `forward` passes `autodiff.ARRAY_OPS`, the same
+ops and forward kernels on plain numpy arrays, so inference records
+nothing, wraps nothing and returns the tape path's outputs bit for bit.
+This module defines no op of its own.  There is no external ML runtime,
+which keeps checkpoints exact and runs reproducible.
 
 A net is its config, parameters and batch-norm running statistics, and
 nothing else.  The optimizer is the caller's: `train_step` updates the
@@ -33,12 +34,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -155,45 +154,6 @@ def stack_states(states: list[PlayerState]) -> dict[str, np.ndarray]:
     batch = stack_features([featurize(s) for s in states])
     batch["legal"] = np.stack([np.zeros(s.served.shape, bool) if s.done else legal_actions(s) for s in states])
     return batch
-
-
-def _softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(a - a.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _gather_nodes(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    index = np.asarray(index, dtype=np.int64)
-    valid = (index >= 0).astype(np.float64)[:, None]
-    return a[np.arange(a.shape[0]), np.where(index < 0, 0, index)] * valid
-
-
-def _batchnorm_nodes(a, gamma, beta, running_mean, running_var, training, update_stats=False):
-    if training:
-        raise ValueError("plain-array batch norm runs in inference mode only")
-    return gamma * ((a - running_mean) * (1.0 / np.sqrt(running_var + ad.BN_EPS))) + beta
-
-
-# The autodiff ops the network builders call, on plain float64 arrays: each
-# computes what its autodiff namesake computes, in the same order, and
-# records nothing.
-_ARRAY_OPS = SimpleNamespace(
-    Tensor=lambda x: np.asarray(x, dtype=np.float64),
-    add=operator.add,
-    mul=operator.mul,
-    scale=operator.mul,
-    matmul=operator.matmul,
-    reshape=lambda a, shape: a.reshape(shape),
-    transpose=lambda a, axes: a.transpose(axes),
-    concat=lambda parts, axis=-1: np.concatenate(parts, axis=axis),
-    mean=lambda a, axis: a.mean(axis=(axis,)),
-    tanh=np.tanh,
-    sigmoid=lambda a: 1.0 / (1.0 + np.exp(-a)),
-    relu=lambda a: a * (a > 0.0),
-    softmax=_softmax,
-    gather_nodes=_gather_nodes,
-    batchnorm_nodes=_batchnorm_nodes,
-)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -360,7 +320,7 @@ class PolicyValueNet:
         states is passed and encoded once.  The builders run on the plain
         parameter arrays, in inference mode.
         """
-        t, ops = self.params, _ARRAY_OPS
+        t, ops = self.params, ad.ARRAY_OPS
         nodes = own["nodes"] if opp is None else np.concatenate([own["nodes"], opp["nodes"]])
         h, pooled = self._encode(t, nodes, training=False, update_stats=False, ops=ops)
         if opp is not None:

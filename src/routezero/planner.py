@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -161,10 +161,14 @@ def _max_child_visits(node: TreeNode) -> int:
     return max((c.visits for c in node.children.values()), default=0)
 
 
-def _select_action(node: TreeNode, config: PlannerConfig) -> int:
+def _completed_scores(node: TreeNode, config: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The legal actions of ``node`` and their ``logit + sigma(completed q)``, which rank and weigh them."""
     legal = np.flatnonzero(np.isfinite(node.logits))
-    q = _completed_q(node, legal)
-    scores = node.logits[legal] + sigma(q, _max_child_visits(node), config)
+    return legal, node.logits[legal] + sigma(_completed_q(node, legal), _max_child_visits(node), config)
+
+
+def _select_action(node: TreeNode, config: PlannerConfig) -> int:
+    legal, scores = _completed_scores(node, config)
     return int(legal[int(np.argmax(scores))])
 
 
@@ -280,9 +284,7 @@ def plan(
         raise PlannerError(f"{search.evaluations} evaluations exceed n_simulations + 1 = {config.n_simulations + 1}")
 
     action = int(candidates[order[0]])
-    legal = np.flatnonzero(np.isfinite(root.logits))
-    completed = _completed_q(root, legal)
-    scores = root.logits[legal] + sigma(completed, _max_child_visits(root), config)
+    legal, scores = _completed_scores(root, config)
     scores -= scores.max()
     probs = np.exp(scores)
     probs /= probs.sum()
@@ -297,16 +299,18 @@ def plan(
     )
 
 
-def play_seats(game: RoutingGame, seats, config: PlannerConfig, rng: np.random.Generator) -> tuple[list, dict]:
+def play_seats(game: RoutingGame, seats, config: PlannerConfig, rng: np.random.Generator) -> tuple[list, Iterator]:
     """Play a two-seat game on ``game`` from the initial state through one ``env.play``.
 
     A seat is a greedy policy ``state -> action`` or an ``(evaluator,
     opponent_model)`` pair that plans each move against the other seat's
-    state.  Returns ``(moves, ends)``: ``moves`` lists every move in play
-    order as ``(slot, state, PlanResult | None)``, ``None`` marking a greedy
-    move; ``ends`` maps each slot to its finished state or ``DeadEndError``
-    in the order the slots ended.  The slots of a round move in slot order,
-    and only ``plan`` draws from ``rng``.
+    state.  Returns ``(moves, ends)``.  ``ends`` is the ``env.play``
+    generator: reading it plays the game, and it yields ``(slot, finished
+    state or DeadEndError)`` in the order the slots end, so a caller that
+    stops reading once the slot it needs has ended plays no later round.
+    ``moves`` lists the moves played so far in play order as ``(slot,
+    state, PlanResult | None)``, ``None`` marking a greedy move.  The slots
+    of a round move in slot order, and only ``plan`` draws from ``rng``.
     """
     moves = []
 
@@ -319,8 +323,7 @@ def play_seats(game: RoutingGame, seats, config: PlannerConfig, rng: np.random.G
             actions.append(seat(own) if result is None else result.action)
         return actions
 
-    ends = dict(play([game.initial_state() for _ in seats], choose))
-    return moves, ends
+    return moves, play([game.initial_state() for _ in seats], choose)
 
 
 class NetEvaluator:

@@ -1,11 +1,13 @@
 """Two-stage self-play training loop.
 
 An episode pits a learner against a competitor on one shared instance.  In
-stage 1 only the learner searches; the competitor plays the frozen
-historical-best policy greedily.  In stage 2 both sides search, the
-competitor guided by the historical-best priors.  The historical best is
-replaced only when the current parameters beat it over a fixed arena set,
-so the target the learner trains against ratchets monotonically.
+stage 1 only the learner searches; the competitor plays greedily, with the
+current parameters with probability ``self_play_prob`` and the frozen
+historical best otherwise, drawn once per episode.  In stage 2 both sides
+search, the competitor guided by the historical-best priors.  The
+historical best is replaced only when the current parameters beat it over
+a fixed arena set, so the target the learner trains against ratchets
+monotonically.
 
 Determinism: every random draw comes from a generator derived from
 ``(seed, stream, episode)``, so the episode counter is the complete rng
@@ -297,7 +299,8 @@ def run_episode(
 
     The learner seat is drawn uniformly; the opponent model used inside
     the learner's search is the current net with probability
-    ``self_play_prob``, otherwise the historical best.  Both seats play
+    ``self_play_prob``, otherwise the historical best, and in stage 1 the
+    competitor plays that same greedy policy.  Both seats play
     through one ``planner.play_seats``, so within a round neither sees the
     other's move early.  Both seats play to their end; then the first seat
     to dead-end raises a ``DeadEndError`` naming it.
@@ -309,6 +312,7 @@ def run_episode(
     competitor = mu_policy if stage == 1 else (NetEvaluator(theta_best, value_net=theta), GreedyNetPolicy(theta))
     seats = (learner, competitor)[::learner_seat]  # seat 1 plays slot 0
     moves, ends = play_seats(RoutingGame(inst), seats, cfg.planner, rng)
+    ends = dict(ends)  # plays both seats to their ends
     for slot, end in ends.items():
         if isinstance(end, DeadEndError):
             raise DeadEndError(f"{'learner' if seats[slot] is learner else 'competitor'} seat: {end}")

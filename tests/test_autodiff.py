@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from routezero import autodiff as ad
 from routezero.autodiff import (
+    ARRAY_OPS,
     Tensor,
     add,
     batchnorm_nodes,
@@ -17,10 +19,12 @@ from routezero.autodiff import (
     scale,
     sigmoid,
     softmax,
-    sum_,
     tanh,
     transpose,
 )
+from routezero.env import initial_state, legal_actions, step
+from routezero.instance import generate_evrp, generate_tsp
+from routezero.net import NetConfig, PolicyValueNet, stack_states
 
 rng = np.random.default_rng(20240814)
 
@@ -29,10 +33,16 @@ def leaf(*shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+def total(x):
+    """Scalar sum of ``x`` on the tape: flatten, then a matmul with a ones column, whose gradient is exactly ones."""
+    flat = reshape(x, (1, -1))
+    return reshape(matmul(flat, Tensor(np.ones((flat.shape[1], 1)))), ())
+
+
 def gradcheck(fn, *leaves, eps=1e-6, rtol=1e-5, atol=1e-8):
     """Compare backward() against central differences on every leaf entry."""
     for t in leaves:
-        t.zero_grad()
+        t.grad = None
     fn(*leaves).backward()
     for t in leaves:
         assert t.grad is not None, "leaf never received a gradient"
@@ -58,7 +68,7 @@ class TestTensorMechanics:
     def test_mixed_inputs_track_only_parameters(self):
         const = Tensor(np.ones((2, 2)))
         param = leaf(2, 2)
-        loss = sum_(add(const, param))
+        loss = total(add(const, param))
         loss.backward()
         assert const.grad is None
         np.testing.assert_array_equal(param.grad, np.ones((2, 2)))
@@ -69,26 +79,20 @@ class TestTensorMechanics:
 
     def test_reused_leaf_accumulates(self):
         x = leaf(4)
-        sum_(mul(x, x)).backward()
+        total(mul(x, x)).backward()
         np.testing.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-12)
-
-    def test_zero_grad(self):
-        x = leaf(3)
-        sum_(x).backward()
-        x.zero_grad()
-        assert x.grad is None
 
     def test_backward_frees_the_tape(self):
         x, w = leaf(2, 3, 4), leaf(4, 5)
         hidden = tanh(matmul(x, w))
-        loss = sum_(mul(hidden, hidden))
+        loss = total(mul(hidden, hidden))
         loss.backward()
         for node in (hidden, loss):
             assert node.grad is None and node._parents == ()
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
     def test_second_backward_raises(self):
-        loss = sum_(tanh(leaf(3)))
+        loss = total(tanh(leaf(3)))
         loss.backward()
         with pytest.raises(RuntimeError, match="already ran"):
             loss.backward()
@@ -96,7 +100,7 @@ class TestTensorMechanics:
     def test_shared_upstream_gradient_is_not_aliased(self):
         # add hands its one upstream gradient to both parents; each leaf must own its copy
         a, b = leaf(2, 3), leaf(2, 3)
-        sum_(add(a, b)).backward()
+        total(add(a, b)).backward()
         np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
         np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
         a.grad += 5.0
@@ -104,15 +108,15 @@ class TestTensorMechanics:
 
     def test_self_add_and_two_branches_are_exact(self):
         x = leaf(2, 3)
-        sum_(add(x, x)).backward()
+        total(add(x, x)).backward()
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
-        x.zero_grad()
+        x.grad = None
         # one branch adopts a fresh array, the other passes a reshaped view through
-        sum_(add(scale(x, 3.0), reshape(reshape(x, (3, 2)), (2, 3)))).backward()
+        total(add(scale(x, 3.0), reshape(reshape(x, (3, 2)), (2, 3)))).backward()
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 4.0))
         w, y = leaf(2, 3), leaf(2, 3)
         w_data, y_data = w.data.copy(), y.data.copy()
-        sum_(mul(w, y)).backward()
+        total(mul(w, y)).backward()
         np.testing.assert_array_equal(w.grad, y_data)
         np.testing.assert_array_equal(y.grad, w_data)
         w.grad += 1.0
@@ -126,8 +130,8 @@ class TestTensorMechanics:
         x1, x2 = rng.normal(size=(5, 2, 4)), rng.normal(size=(6, 4))
 
         def losses(w, b):
-            first = sum_(tanh(add(matmul(Tensor(x1), w), b)))
-            second = sum_(mul(sigmoid(matmul(Tensor(x2), reshape(w, (4, 3)))), scale(b, 1e3)))
+            first = total(tanh(add(matmul(Tensor(x1), w), b)))
+            second = total(mul(sigmoid(matmul(Tensor(x2), reshape(w, (4, 3)))), scale(b, 1e3)))
             return first, second
 
         w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
@@ -142,77 +146,68 @@ class TestTensorMechanics:
     def test_diamond_graph(self):
         def fn(x):
             y = tanh(x)
-            return sum_(add(mul(y, y), y))
+            return total(add(mul(y, y), y))
 
         gradcheck(fn, leaf(5))
 
 
 class TestOpGradients:
     def test_add_broadcast(self):
-        gradcheck(lambda a, b: sum_(add(a, b)), leaf(3, 4), leaf(4))
+        gradcheck(lambda a, b: total(add(a, b)), leaf(3, 4), leaf(4))
 
     def test_scalar_broadcast(self):
-        gradcheck(lambda a, b: sum_(mul(a, b)), leaf(3, 4), leaf(1, 1))
+        gradcheck(lambda a, b: total(mul(a, b)), leaf(3, 4), leaf(1, 1))
 
     def test_mul_broadcast(self):
-        gradcheck(lambda a, b: sum_(mul(a, b)), leaf(2, 3, 4), leaf(3, 1))
+        gradcheck(lambda a, b: total(mul(a, b)), leaf(2, 3, 4), leaf(3, 1))
 
     def test_sub_and_neg(self):
-        gradcheck(lambda a, b: sum_(a - b), leaf(3), leaf(3))
-        gradcheck(lambda a: sum_(-a), leaf(3))
+        gradcheck(lambda a, b: total(add(a, scale(b, -1.0))), leaf(3), leaf(3))
+        gradcheck(lambda a: total(scale(a, -1.0)), leaf(3))
 
     def test_scale(self):
-        gradcheck(lambda a: sum_(scale(a, -2.5)), leaf(3, 2))
+        gradcheck(lambda a: total(scale(a, -2.5)), leaf(3, 2))
 
     def test_matmul_2d(self):
-        gradcheck(lambda a, b: sum_(matmul(a, b)), leaf(3, 4), leaf(4, 2))
+        gradcheck(lambda a, b: total(matmul(a, b)), leaf(3, 4), leaf(4, 2))
 
     @pytest.mark.parametrize("stack", [(2, 3), (2, 2, 3)], ids=["3d", "4d"])
     def test_matmul_batched_times_shared(self, stack):
         weight = Tensor(rng.normal(size=stack + (5,)))
-        gradcheck(lambda a, b: sum_(mul(matmul(a, b), weight)), leaf(*stack, 4), leaf(4, 5))
+        gradcheck(lambda a, b: total(mul(matmul(a, b), weight)), leaf(*stack, 4), leaf(4, 5))
 
     def test_matmul_shared_weight_gradient_is_exact(self):
         a, w = leaf(64, 6, 32), leaf(32, 64)
         g = rng.normal(size=(64, 6, 64))
-        sum_(mul(matmul(a, w), Tensor(g))).backward()
+        total(mul(matmul(a, w), Tensor(g))).backward()
         np.testing.assert_allclose(w.grad, np.einsum("bnk,bnm->km", a.data, g), rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.grad, np.einsum("bnm,km->bnk", g, w.data), rtol=0, atol=1e-12)
 
     def test_matmul_batched_both(self):
-        gradcheck(lambda a, b: sum_(matmul(a, b)), leaf(2, 3, 4), leaf(2, 4, 5))
+        gradcheck(lambda a, b: total(matmul(a, b)), leaf(2, 3, 4), leaf(2, 4, 5))
 
     def test_reshape(self):
-        gradcheck(lambda a: sum_(mul(reshape(a, (6,)), reshape(a, (6,)))), leaf(2, 3))
+        gradcheck(lambda a: total(mul(reshape(a, (6,)), reshape(a, (6,)))), leaf(2, 3))
 
     def test_transpose(self):
-        gradcheck(lambda a, b: sum_(matmul(transpose(a, (0, 2, 1)), b)), leaf(2, 4, 3), leaf(4, 2))
+        gradcheck(lambda a, b: total(matmul(transpose(a, (0, 2, 1)), b)), leaf(2, 4, 3), leaf(4, 2))
 
     def test_concat_last_axis(self):
-        gradcheck(lambda a, b: sum_(tanh(concat([a, b], axis=-1))), leaf(2, 3), leaf(2, 2))
+        gradcheck(lambda a, b: total(tanh(concat([a, b], axis=-1))), leaf(2, 3), leaf(2, 2))
 
     def test_concat_first_axis(self):
-        gradcheck(lambda a, b: sum_(tanh(concat([a, b], axis=0))), leaf(2, 3), leaf(1, 3))
+        gradcheck(lambda a, b: total(tanh(concat([a, b], axis=0))), leaf(2, 3), leaf(1, 3))
 
     def test_mean_axis(self):
-        gradcheck(lambda a: sum_(mul(mean(a, axis=1), mean(a, axis=1))), leaf(3, 4))
-
-    def test_mean_keepdims(self):
-        gradcheck(lambda a: sum_(a - mean(a, axis=(0, 1), keepdims=True)), leaf(2, 3, 2))
-
-    def test_sum_all(self):
-        gradcheck(lambda a: sum_(a), leaf(2, 2))
-
-    def test_sum_axis_keepdims(self):
-        gradcheck(lambda a: sum_(mul(a, sum_(a, axis=0, keepdims=True))), leaf(3, 2))
+        gradcheck(lambda a: total(mul(mean(a, axis=1), mean(a, axis=1))), leaf(3, 4))
 
     @pytest.mark.parametrize("op", [tanh, sigmoid, softmax])
     def test_elementwise(self, op):
-        gradcheck(lambda a: sum_(mul(op(a), op(a))), leaf(3, 4))
+        gradcheck(lambda a: total(mul(op(a), op(a))), leaf(3, 4))
 
     def test_relu_away_from_kink(self):
         x = Tensor(np.array([-2.0, -0.5, 0.5, 2.0]), requires_grad=True)
-        gradcheck(lambda a: sum_(mul(relu(a), relu(a))), x)
+        gradcheck(lambda a: total(mul(relu(a), relu(a))), x)
 
     def test_softmax_rows_sum_to_one(self):
         y = softmax(Tensor(rng.normal(size=(4, 6))), axis=-1)
@@ -233,7 +228,7 @@ class TestGatherNodes:
 
     def test_gradient(self):
         idx = np.array([-1, 2, 0])
-        gradcheck(lambda a: sum_(mul(gather_nodes(a, idx), gather_nodes(a, idx))), leaf(3, 4, 2))
+        gradcheck(lambda a: total(mul(gather_nodes(a, idx), gather_nodes(a, idx))), leaf(3, 4, 2))
 
 
 class TestBatchNorm:
@@ -241,7 +236,7 @@ class TestBatchNorm:
         rm, rv = np.zeros(3), np.ones(3)
         weight = Tensor(rng.normal(size=(2, 4, 3)))
         gradcheck(
-            lambda a, g, b: sum_(mul(batchnorm_nodes(a, g, b, rm, rv, training=True), weight)),
+            lambda a, g, b: total(mul(batchnorm_nodes(a, g, b, rm, rv, training=True), weight)),
             leaf(2, 4, 3),
             leaf(3),
             leaf(3),
@@ -252,7 +247,7 @@ class TestBatchNorm:
         rm = rng.normal(size=3)
         rv = rng.uniform(0.5, 2.0, size=3)
         gradcheck(
-            lambda a, g, b: sum_(tanh(batchnorm_nodes(a, g, b, rm, rv, training=False))),
+            lambda a, g, b: total(tanh(batchnorm_nodes(a, g, b, rm, rv, training=False))),
             leaf(2, 4, 3),
             leaf(3),
             leaf(3),
@@ -283,6 +278,75 @@ class TestBatchNorm:
         y = batchnorm_nodes(a, Tensor(np.ones(2)), Tensor(np.zeros(2)), rm, rv, training=False)
         expect = (a.data - rm) / np.sqrt(rv + 1e-5)
         np.testing.assert_allclose(y.data, expect, rtol=1e-12)
+
+
+def array_op_cases(rng):
+    """(name, data input, other arguments) of every `ARRAY_OPS` entry, on fresh random inputs."""
+    x = rng.normal(scale=rng.uniform(0.1, 30.0), size=(3, 5, 4))
+    index = rng.integers(-3, 5, size=3)
+    index[rng.integers(3)] = -1
+    stats = (rng.normal(size=4), rng.uniform(0.1, 3.0, size=4))
+    return [
+        ("Tensor", x, ()),
+        ("add", x, (rng.normal(size=4),)),
+        ("mul", x, (rng.normal(size=(5, 1)),)),
+        ("scale", x, (rng.normal(),)),
+        ("matmul", x, (rng.normal(size=(4, 6)),)),
+        ("reshape", x, ((3, 20),)),
+        ("transpose", x, ((0, 2, 1),)),
+        ("concat", [x, rng.normal(size=(3, 5, 2))], (-1,)),
+        ("mean", x, (1,)),
+        ("tanh", x, ()),
+        ("sigmoid", x, ()),
+        ("relu", x, ()),
+        ("softmax", x, (-1,)),
+        ("gather_nodes", x, (index,)),
+        ("batchnorm_nodes", x, (rng.normal(size=4), rng.normal(size=4), *stats, False)),
+    ]
+
+
+class TestArrayOps:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_entry_is_its_tape_forward_bit_for_bit(self, seed):
+        cases = array_op_cases(np.random.default_rng(seed))
+        assert [name for name, _, _ in cases] == list(vars(ARRAY_OPS))
+        for name, data, rest in cases:
+            if name == "Tensor":
+                tape_data = data
+            elif name == "concat":
+                tape_data = [Tensor(part, requires_grad=True) for part in data]
+            else:
+                tape_data = Tensor(data, requires_grad=True)
+            tape = getattr(ad, name)(tape_data, *rest)
+            plain = getattr(ARRAY_OPS, name)(data, *rest)
+            assert isinstance(plain, np.ndarray) and plain.dtype == np.float64, name
+            assert plain.shape == tape.data.shape and plain.tobytes() == tape.data.tobytes(), name
+
+    def test_training_mode_batch_norm_is_refused(self):
+        x = rng.normal(size=(2, 3, 4))
+        with pytest.raises(ValueError, match="inference mode only"):
+            ARRAY_OPS.batchnorm_nodes(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), True)
+
+    def test_the_net_calls_exactly_the_namespace_and_autodiff_has_no_other_op(self):
+        called = set()
+
+        class Recording:
+            def __getattr__(self, name):
+                called.add(name)
+                return getattr(ad, name)
+
+        for problem, inst in (("tsp", generate_tsp(6, seed=3)), ("evrp", generate_evrp(4, 2, seed=3))):
+            cfg = NetConfig(problem=problem, embed_dim=8, n_heads=2, n_layers=1, ffn_dim=16)
+            net = PolicyValueNet.create(cfg, seed=0)
+            start = initial_state(inst)
+            batch = stack_states([start, step(start, int(np.flatnonzero(legal_actions(start))[0]))])
+            t = net._tensors(train=True)
+            h, pooled = net._encode(t, batch["nodes"], training=True, update_stats=False, ops=Recording())
+            net._policy_logits(t, h, pooled, batch, ops=Recording())
+            net._value(t, pooled, pooled, ops=Recording())
+        assert called == set(vars(ARRAY_OPS))
+        ops = {k for k, v in vars(ad).items() if callable(v) and getattr(v, "__module__", "") == ad.__name__}
+        assert {k for k in ops if not k.startswith("_")} == called | {"masked_cross_entropy", "mse"}
 
 
 def random_policy_batch(batch=3, n=5):

@@ -11,8 +11,10 @@ import routezero.planner as planner_mod
 from routezero import cli
 from routezero.baselines import SearchBudgetError
 from routezero.cli import RESULTS_HEADER, TIMING_HEADER, main
-from routezero.instance import load_instance
+from routezero.env import RoutingGame
+from routezero.instance import generate_evrp, load_instance
 from routezero.net import NetConfig, PolicyValueNet, save_net
+from routezero.planner import PlannerConfig
 from routezero.trainer import METRICS_HEADER
 
 TINY_TRAIN = {
@@ -351,6 +353,28 @@ class TestEval:
         # each tour of 5 cities is 5 planned moves
         assert [int(t[3]) for t in timing] == [sum(counted[:5]), sum(counted[5:])]
         assert all(float(t[1]) > 0 and float(t[2]) > 0 for t in timing)
+
+    def test_mcts_shadow_makes_no_move_after_slot_0_ends(self, tmp_path, monkeypatch):
+        # with this untrained net, slot 0 finishes seed 7 in 11 moves and the greedy shadow alone in 29
+        inst = generate_evrp(4, 2, 7, "EM")
+        net = PolicyValueNet.create(NetConfig(**{**TINY_TRAIN["net"], "problem": "evrp"}))
+        planner_cfg = PlannerConfig(n_simulations=4, m_root=2)
+        shadow = planner_mod.GreedyNetPolicy(net)
+        seats = ((planner_mod.NetEvaluator(net), shadow), shadow)
+        full_moves, full_ends = planner_mod.play_seats(RoutingGame(inst), seats, planner_cfg, np.random.default_rng(3))
+        full_route = dict(full_ends)[0].route
+        assert sum(slot == 1 for slot, _, _ in full_moves) > sum(slot == 0 for slot, _, _ in full_moves)
+        played = []
+
+        def recording(*args):
+            moves, ends = planner_mod.play_seats(*args)
+            played.append(moves)
+            return moves, ends
+
+        monkeypatch.setattr(cli, "play_seats", recording)
+        solved = cli._plan_route(tmp_path / "x.json", inst, net, planner_cfg, np.random.default_rng(3))
+        assert solved.route == full_route
+        assert [slot for slot, _, _ in played[0]] == [0, 1] * (len(solved.route) - 1)
 
     def test_greedy_dead_end_names_the_instance(self, tmp_path, capsys):
         # with this untrained net, seed 7 finishes and seed 8 cycles until the step cap

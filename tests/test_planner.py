@@ -529,11 +529,17 @@ def customers_first(state):
     return int(customers[0] if customers.size else legal[0])
 
 
+def play_to_the_end(game, seats, config, rng):
+    """`play_seats` with its ``ends`` read to the last slot's end, as a dict in end order."""
+    moves, ends = play_seats(game, seats, config, rng)
+    return moves, dict(ends)
+
+
 class TestPlaySeats:
     def evrp_case(self):
         """An EVRP-4 game on which ``highest_legal`` (slot 0) takes more moves than ``customers_first``."""
         inst, game = routing_case("evrp", seed=4)
-        moves, ends = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
+        moves, ends = play_to_the_end(game, (highest_legal, customers_first), None, np.random.default_rng(0))
         lengths = [len(ends[slot].route) - 1 for slot in (0, 1)]
         assert lengths[0] > lengths[1]
         return game, lengths
@@ -542,7 +548,7 @@ class TestPlaySeats:
         inst, game = routing_case("tsp", seed=800)
         cfg = PlannerConfig(n_simulations=8, m_root=4)
         seats = ((hashed_evaluator(game), lowest_legal), (hashed_evaluator(game), highest_legal))
-        moves, ends = play_seats(game, seats, cfg, np.random.default_rng(5))
+        moves, ends = play_to_the_end(game, seats, cfg, np.random.default_rng(5))
         assert [slot for slot, _, _ in moves] == [0, 1] * inst.n_nodes
         assert [len(state.route) for _, state, _ in moves] == [k for k in range(inst.n_nodes) for _ in seats]
         replay = np.random.default_rng(5)
@@ -556,15 +562,15 @@ class TestPlaySeats:
         inst, game = routing_case("tsp", seed=801)
         cfg = PlannerConfig(n_simulations=8, m_root=4)
         rng = np.random.default_rng(6)
-        moves, _ = play_seats(game, (lowest_legal, lowest_legal), cfg, rng)
+        moves, _ = play_to_the_end(game, (lowest_legal, lowest_legal), cfg, rng)
         assert len(moves) == 2 * inst.n_nodes and all(result is None for _, _, result in moves)
         assert rng.random() == np.random.default_rng(6).random()
-        moves, _ = play_seats(game, ((hashed_evaluator(game), lowest_legal), highest_legal), cfg, rng)
+        moves, _ = play_to_the_end(game, ((hashed_evaluator(game), lowest_legal), highest_legal), cfg, rng)
         assert [result is None for _, _, result in moves] == [False, True] * inst.n_nodes
 
     def test_ends_come_in_end_order(self):
         game, lengths = self.evrp_case()
-        moves, ends = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
+        moves, ends = play_to_the_end(game, (highest_legal, customers_first), None, np.random.default_rng(0))
         assert list(ends) == [1, 0]
         assert [sum(slot == i for slot, _, _ in moves) for i in (0, 1)] == lengths
 
@@ -572,9 +578,19 @@ class TestPlaySeats:
         game, lengths = self.evrp_case()
         cap = lengths[1] + 1
         monkeypatch.setattr(env_mod, "step_limit", lambda inst: cap)
-        moves, ends = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
+        moves, ends = play_to_the_end(game, (highest_legal, customers_first), None, np.random.default_rng(0))
         assert list(ends) == [1, 0]
         assert ends[1].done and len(ends[1].route) - 1 == lengths[1]
         assert isinstance(ends[0], DeadEndError)
         assert str(ends[0]) == f"rollout exceeded {cap} steps without terminating"
         assert sum(slot == 0 for slot, _, _ in moves) == cap
+
+    def test_ends_play_only_as_far_as_they_are_read(self):
+        game, lengths = self.evrp_case()
+        moves, ends = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
+        assert moves == []
+        slot, end = next(ends)
+        assert slot == 1 and len(end.route) - 1 == lengths[1]
+        assert [slot for slot, _, _ in moves] == [0, 1] * lengths[1]
+        assert [slot for slot, _ in ends] == [0]
+        assert [sum(slot == i for slot, _, _ in moves) for i in (0, 1)] == lengths
