@@ -333,21 +333,21 @@ def batchnorm_nodes(
     running_var: np.ndarray,
     training: bool,
     update_stats: bool = False,
-    momentum: float = 0.1,
 ) -> Tensor:
     """Batch norm over the pooled (batch, node) axes of a (B, N, C) tensor.
 
     Training mode normalizes by the statistics of the current batch;
     inference mode uses the running estimates.  Running stats only move
-    when ``update_stats`` is set, so repeated forwards are reproducible.
+    when ``update_stats`` is set, so repeated forwards are reproducible,
+    and then a tenth of the way to the batch's statistics.
     """
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     if training:
         mu = a.data.mean(axis=(0, 1))
         var = a.data.var(axis=(0, 1))
         if update_stats:
-            running_mean += momentum * (mu - running_mean)
-            running_var += momentum * (var - running_var)
+            running_mean += 0.1 * (mu - running_mean)
+            running_var += 0.1 * (var - running_var)
     else:
         mu, var = running_mean, running_var
     y, xhat, inv_std = _normalize(a.data, gamma.data, beta.data, mu, var)

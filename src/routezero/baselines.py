@@ -7,11 +7,11 @@ n=6, 1.6 ms at n=10, 9 ms at n=12 and 0.2 s at n=16, where the process
 peaks near 80 MB RSS (2-CPU host, BLAS 1 thread).  ``exact_evrp`` runs best-first
 branch and bound directly over the environment's transition system, so its
 optimum is the optimum of the game the planner actually plays, station
-visits, depot returns and energy accounting included.  Its masks and steps
-cost what reading the instance's per-load energy tables and homing-path
-legs costs, so at 6 customers and 2 stations it takes 0.03-0.23 s per
-instance (300-1800 expansions) on the same host, and ten such instances
-1.1-1.6 s.
+visits, depot returns and energy accounting included.  It scores each
+child on plain floats from the instance's per-load energy tables and builds
+a state only for the child it pops, so at 6 customers and 2 stations it
+takes 0.02-0.2 s per instance (300-1800 expansions) on the same host, and
+ten such instances 0.5-1.0 s.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import DeadEndError, RoutingGame, initial_state, legal_actions, objective, play, rollout, step
+from .env import DeadEndError, RoutingGame, evrp_arrivals, initial_state, legal_actions, objective, play, rollout, step
 from .instance import _KIND_CUSTOMER, EvrpInstance, Instance, TspInstance
 from .net import greedy_actions
 
@@ -115,7 +115,11 @@ def exact_evrp(inst: EvrpInstance, expansion_cap: int = 2_000_000) -> SolveResul
     pessimistic slack keeps the bound admissible.  Dominance discards a
     state when an already-seen state at the same (position, served set,
     trip progress, cargo) is at least as good on cost, battery and clock.
-    Children are pushed nearest-first so equal-cost pops are deterministic.
+    Children are scored from the energy tables by `env.evrp_arrivals`
+    before any state is built: the heap holds ``(parent, action)``, and
+    `step` builds a child, checking the move against its parent's mask,
+    only when the child is popped.  Children are pushed nearest-first so
+    equal-cost pops are deterministic.
     """
     if inst.n_customers > EXACT_EVRP_MAX_CUSTOMERS:
         raise SizeLimitError(
@@ -131,50 +135,54 @@ def exact_evrp(inst: EvrpInstance, expansion_cap: int = 2_000_000) -> SolveResul
     if finite_min < 0.0 or min_home < 0.0:
         slack = 3.0 * (inst.n_nodes + 2) * (inst.n_customers + 1) * min(finite_min, min_home)
 
-    def bound(state) -> float:
-        if state.done:
-            return 0.0
-        return float(min_into[~state.served].sum()) + min_home + slack
+    bounds: dict[bytes, float] = {}
 
-    root = initial_state(inst)
-    counter = 0
-    heap = [(bound(root), counter, 0.0, root)]
+    def bound(served: bytes) -> float:
+        # a function of the served set alone, so each set is summed once
+        value = bounds.get(served)
+        if value is None:
+            value = bounds[served] = float(min_into[~np.frombuffer(served, dtype=bool)].sum()) + min_home + slack
+        return value
+
     seen: dict[tuple, list[tuple[float, float, float]]] = {}
-    expansions = 0
 
-    def dominated(state, cost: float) -> bool:
-        key = (state.position, state.served.tobytes(), state.served_since_depot, round(state.load_kg, 9))
+    def dominated(key: tuple, cost: float, battery: float, clock: float) -> bool:
         entries = seen.setdefault(key, [])
         for c, b, t in entries:
-            if c <= cost and b >= state.battery_kwh and t <= state.clock_h:
+            if c <= cost and b >= battery and t <= clock:
                 return True
-        entries[:] = [
-            e for e in entries if not (cost <= e[0] and state.battery_kwh >= e[1] and state.clock_h <= e[2])
-        ]
-        entries.append((cost, state.battery_kwh, state.clock_h))
+        entries[:] = [e for e in entries if not (cost <= e[0] and battery >= e[1] and clock <= e[2])]
+        entries.append((cost, battery, clock))
         return False
 
-    while heap:
-        _, _, cost, state = heapq.heappop(heap)
-        if state.done:
-            return SolveResult(state.route, float(cost), True, expansions, time.perf_counter() - start)
+    is_customer = inst.is_customer.tolist()
+    distance_cost = inst.objective_mode == "DM"
+    state, cost = initial_state(inst), 0.0
+    heap = []
+    counter = 0
+    expansions = 0
+    while not state.done:
         expansions += 1
         if expansions > expansion_cap:
             raise SearchBudgetError(f"exceeded {expansion_cap} expansions")
-        legal = legal_actions(state)
-        moves = np.flatnonzero(legal)
-        moves = moves[np.argsort(inst.dist_km[state.position, moves], kind="stable")]
-        for action in moves:
-            child = step(state, int(action))
-            if inst.objective_mode == "DM":
-                child_cost = cost + float(inst.dist_km[state.position, action])
-            else:
-                child_cost = cost + (child.energy_kwh - state.energy_kwh)
-            if dominated(child, child_cost):
+        dist = inst.dist_km[state.position].tolist()
+        moves = sorted(np.flatnonzero(legal_actions(state)).tolist(), key=dist.__getitem__)
+        served = state.served.tobytes()
+        all_served = b"\x00" not in served
+        energy = state.energy_kwh
+        for j, (battery, clock, load, since_depot, e_edge) in zip(moves, evrp_arrivals(state, moves)):
+            child_cost = cost + dist[j] if distance_cost else cost + ((energy + e_edge) - energy)
+            child_served = served[:j] + b"\x01" + served[j + 1 :] if is_customer[j] else served
+            if dominated((j, child_served, since_depot, round(load, 9)), child_cost, battery, clock):
                 continue
             counter += 1
-            heapq.heappush(heap, (child_cost + bound(child), counter, child_cost, child))
-    raise DeadEndError("no feasible route found")
+            to_go = 0.0 if j == 0 and all_served else bound(child_served)
+            heapq.heappush(heap, (child_cost + to_go, counter, child_cost, state, j))
+        if not heap:
+            raise DeadEndError("no feasible route found")
+        _, _, cost, parent, action = heapq.heappop(heap)
+        state = step(parent, action)
+    return SolveResult(state.route, cost, True, expansions, time.perf_counter() - start)
 
 
 def nearest_neighbor(inst: Instance) -> SolveResult:

@@ -242,31 +242,11 @@ def step(state: PlayerState, action: int) -> PlayerState:
             distance_km=state.distance_km + dist,
         )
 
-    i = state.position
-    veh = inst.vehicle
-    e_edge = float(inst.load_tables(state.load_kg).energy[i, action])
-    battery = state.battery_kwh - e_edge
-    # regeneration cannot push the pack beyond capacity; surplus is lost
-    battery = min(battery, veh.battery_capacity_kwh)
-    clock = state.clock_h + float(inst.travel_h[i, action])
-    load = state.load_kg
+    ((battery, clock, load, served_since_depot, e_edge),) = evrp_arrivals(state, (action,))
     served = state.served
-    served_since_depot = state.served_since_depot
-    kind = int(inst.kinds[action])
-    if kind == _KIND_CUSTOMER:
-        clock += inst.service_time_h
-        load -= float(inst.demands[action])
+    if inst.is_customer[action]:
         served = served.copy()
         served[action] = True
-        served_since_depot = True
-    elif kind == _KIND_STATION:
-        clock += inst.recharge_dwell_h
-        battery = veh.battery_capacity_kwh
-    else:
-        battery = veh.battery_capacity_kwh
-        load = veh.cargo_capacity_kg
-        clock = 0.0
-        served_since_depot = False
     return PlayerState(
         instance=inst,
         position=action,
@@ -277,9 +257,41 @@ def step(state: PlayerState, action: int) -> PlayerState:
         route=state.route + (action,),
         served_since_depot=served_since_depot,
         done=action == 0 and bool(served.all()),
-        distance_km=state.distance_km + float(inst.dist_km[i, action]),
+        distance_km=state.distance_km + float(inst.dist_km[state.position, action]),
         energy_kwh=state.energy_kwh + e_edge,
     )
+
+
+def evrp_arrivals(state: PlayerState, moves: Sequence[int]) -> list[tuple[float, float, float, bool, float]]:
+    """The EVRP transition from ``state`` to each node in ``moves``, unchecked.
+
+    One ``(battery_kwh, clock_h, load_kg, served_since_depot, edge_kwh)``
+    per move, in plain floats read from the state's `LoadTables` row and
+    ``travel_h``: the battery after the edge's charge, clipped at capacity,
+    then the clock plus the drive and the service or dwell, with a full
+    reset at the depot.  `step` builds its successor from these numbers,
+    and ``baselines.exact_evrp`` scores children on them before it builds
+    any, so both read the rules from here.
+    """
+    inst = state.instance
+    full = inst.vehicle.battery_capacity_kwh
+    energy = inst.load_tables(state.load_kg).energy[state.position].tolist()
+    travel = inst.travel_h[state.position].tolist()
+    kinds, demands = inst.kinds.tolist(), inst.demands.tolist()
+    battery_kwh, clock_h, load_kg = state.battery_kwh, state.clock_h, state.load_kg
+    arrivals = []
+    for j in moves:
+        e_edge = energy[j]
+        # regeneration cannot push the pack beyond capacity; surplus is lost
+        battery = min(battery_kwh - e_edge, full)
+        clock = clock_h + travel[j]
+        if kinds[j] == _KIND_CUSTOMER:
+            arrivals.append((battery, clock + inst.service_time_h, load_kg - demands[j], True, e_edge))
+        elif kinds[j] == _KIND_STATION:
+            arrivals.append((full, clock + inst.recharge_dwell_h, load_kg, state.served_since_depot, e_edge))
+        else:
+            arrivals.append((full, 0.0, inst.vehicle.cargo_capacity_kg, False, e_edge))
+    return arrivals
 
 
 def energy_consumed(inst: EvrpInstance, i: int, j: int, load_kg: float) -> float:

@@ -138,8 +138,8 @@ class EvrpInstance:
     is built once here: ``path_legs_h`` holds each path's first leg, dwell
     and final leg, which the mask adds to the clock in that order.
     ``exact_evrp`` on a 6-customer, 2-station instance makes 300-1800
-    expansions and takes 0.03-0.23 s (2-CPU host, BLAS 1 thread); ten such
-    instances take 1.1-1.6 s.
+    expansions and takes 0.02-0.2 s (2-CPU host, BLAS 1 thread); ten such
+    instances take 0.5-1.0 s.
     """
 
     nodes: tuple[Node, ...]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from routezero import baselines
 from routezero.baselines import (
     EXACT_EVRP_MAX_CUSTOMERS,
     EXACT_TSP_MAX_NODES,
@@ -16,7 +17,7 @@ from routezero.baselines import (
     nearest_neighbor,
 )
 from routezero.cli import main
-from routezero.env import DeadEndError, objective, validate_route
+from routezero.env import DeadEndError, objective, step, validate_route
 from routezero.instance import TspInstance, generate_evrp, generate_tsp, load_instance
 from routezero.net import NetConfig, PolicyValueNet
 
@@ -167,6 +168,36 @@ class TestExactEvrp:
         assert main([*gen, "--seed", "0", "--out", str(tmp_path)]) == 0
         result = exact_evrp(load_instance(tmp_path / f"evrp_c6_s2_em_seed{seed}.json"))
         assert (result.route, result.objective, result.expansions) == (route, value, expansions)
+
+    @pytest.mark.parametrize(
+        "seed, route, value, expansions",
+        [
+            (0, (0, 7, 5, 6, 8, 4, 3, 0), 208.57060010513962, 239),
+            (1, (0, 6, 7, 8, 4, 3, 5, 0), 219.10826050189144, 527),
+            (5, (0, 7, 6, 4, 8, 3, 5, 0), 296.59521494267017, 600),
+            (9, (0, 5, 4, 6, 8, 3, 7, 0), 296.14788789036277, 207),
+        ],
+    )
+    def test_pinned_dm_6_customer_optima(self, tmp_path, seed, route, value, expansions):
+        # the distance cost branch: each child's cost is its parent's plus one dist_km entry
+        gen = ["gen", "evrp", "--customers", "6", "--stations", "2", "--objective", "DM", "--count", "10"]
+        assert main([*gen, "--seed", "0", "--out", str(tmp_path)]) == 0
+        result = exact_evrp(load_instance(tmp_path / f"evrp_c6_s2_dm_seed{seed}.json"))
+        assert (result.route, result.objective, result.expansions) == (route, value, expansions)
+
+    @pytest.mark.parametrize("mode", ["DM", "EM"])
+    def test_builds_a_state_only_for_each_popped_child(self, monkeypatch, mode):
+        calls = []
+
+        def counting_step(state, action):
+            calls.append(action)
+            return step(state, action)
+
+        monkeypatch.setattr(baselines, "step", counting_step)
+        for seed in range(3):
+            calls.clear()
+            result = exact_evrp(generate_evrp(5, 2, seed=seed, objective_mode=mode))
+            assert 0 < len(calls) <= result.expansions + 1
 
 
 class TestNearestNeighbor:

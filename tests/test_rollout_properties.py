@@ -1,5 +1,6 @@
-"""Property tests: random legal play, the per-state mask cache, and lockstep greedy rollouts against serial ones."""
+"""Property tests: random legal play, the per-state mask cache, the EVRP transition, and lockstep greedy rollouts against serial ones."""
 
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from routezero.env import (
     DeadEndError,
     RoutingGame,
     _legal_mask,
+    evrp_arrivals,
     initial_state,
     legal_actions,
     objective,
@@ -21,7 +23,7 @@ from routezero.env import (
     step,
     step_limit,
 )
-from routezero.instance import generate_evrp, generate_tsp
+from routezero.instance import _KIND_CUSTOMER, _KIND_STATION, generate_evrp, generate_tsp
 from routezero.net import NetConfig, PolicyValueNet, featurize, stack_features
 
 SEEDS = st.integers(0, 2**31 - 1)
@@ -69,6 +71,52 @@ def test_cached_mask_is_a_fresh_compute_that_stays_with_its_state(inst, move_see
         assert_same_state(nxt, step(replace(state), action))
         state = nxt
 
+
+
+@st.composite
+def varied_evrp(draw):
+    """An `EVRP` instance, flat or with random antisymmetric grades, with no dwell or a quarter hour."""
+    inst = draw(EVRP)
+    slope = None
+    if draw(st.booleans()):
+        raw = np.random.default_rng(draw(SEEDS)).uniform(-0.06, 0.06, (inst.n_nodes, inst.n_nodes))
+        slope = np.triu(raw, 1) - np.triu(raw, 1).T
+    return replace(inst, slope=slope, recharge_dwell_h=draw(st.sampled_from([0.0, 0.25])))
+
+
+def reference_arrival(state, j):
+    """The EVRP transition as numpy scalar reads: clipped battery, clock plus drive then service or dwell, depot reset."""
+    inst, full = state.instance, state.instance.vehicle.battery_capacity_kwh
+    e_edge = float(inst.load_tables(state.load_kg).energy[state.position, j])
+    battery = min(state.battery_kwh - e_edge, full)
+    clock = state.clock_h + float(inst.travel_h[state.position, j])
+    if inst.kinds[j] == _KIND_CUSTOMER:
+        return battery, clock + inst.service_time_h, state.load_kg - float(inst.demands[j]), True, e_edge
+    if inst.kinds[j] == _KIND_STATION:
+        return full, clock + inst.recharge_dwell_h, state.load_kg, state.served_since_depot, e_edge
+    return full, 0.0, inst.vehicle.cargo_capacity_kg, False, e_edge
+
+
+def bits(values):
+    return [struct.pack("<d", v) if isinstance(v, float) else v for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=varied_evrp(), move_seed=SEEDS)
+def test_evrp_arrivals_are_the_successor_fields_bit_for_bit(inst, move_seed):
+    rng = np.random.default_rng(move_seed)
+    state = initial_state(inst)
+    for _ in range(step_limit(inst)):
+        moves = [] if state.done else np.flatnonzero(legal_actions(state)).tolist()
+        if not moves:  # steeper grades or a dwell can leave an instance with no route at all
+            break
+        for j, arrival in zip(moves, evrp_arrivals(state, moves), strict=True):
+            child = step(state, j)
+            successor = (child.battery_kwh, child.clock_h, child.load_kg, child.served_since_depot)
+            assert bits(arrival[:4]) == bits(successor), (state.route, j)
+            assert bits([state.energy_kwh + arrival[4]]) == bits([child.energy_kwh])
+            assert bits(arrival) == bits(reference_arrival(state, j)), (state.route, j)
+        state = step(state, int(rng.choice(moves)))
 
 def serial_greedy(inst, net):
     """The per-instance reference: env.rollout with the argmax of one state's logits under its mask."""
