@@ -28,17 +28,9 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .net import (
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    PolicyValueNet,
-    check_version,
-    net_from_arrays,
-    net_keys,
-    read_arrays,
-)
+from .net import CheckpointError, PolicyValueNet, load_net
 from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, play_seats
-from .trainer import TRAINER_CHECKPOINT_VERSION, TrainerError, train, train_config_from_dict
+from .trainer import TrainerError, train, train_config_from_dict
 
 RESULTS_HEADER = "instance,method,objective,oracle,gap_pct,feasible"
 TIMING_HEADER = "instance,wall_s,oracle_s,evaluations"
@@ -92,16 +84,23 @@ def _build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
         seed = args.seed + k
-        if args.problem == "tsp":
-            inst: Instance = generate_tsp(args.nodes, seed=seed)
-            name = f"tsp_n{args.nodes}_seed{seed}.json"
-        else:
-            inst = generate_evrp(args.customers, args.stations, seed=seed, objective_mode=args.objective)
-            name = f"evrp_c{args.customers}_s{args.stations}_{args.objective.lower()}_seed{seed}.json"
+        try:
+            if args.problem == "tsp":
+                inst: Instance = generate_tsp(args.nodes, seed=seed)
+                name = f"tsp_n{args.nodes}_seed{seed}.json"
+            else:
+                inst = generate_evrp(args.customers, args.stations, seed=seed, objective_mode=args.objective)
+                name = f"evrp_c{args.customers}_s{args.stations}_{args.objective.lower()}_seed{seed}.json"
+        except InstanceError as exc:  # a size the generator rejects fails on the first seed, before any write
+            evrp = f"--customers {args.customers} --stations {args.stations}"
+            sizes = f"--nodes {args.nodes}" if args.problem == "tsp" else evrp
+            raise ValueError(f"{sizes}: {exc}") from exc
+        out_dir.mkdir(parents=True, exist_ok=True)
         save_instance(inst, out_dir / name)
     print(f"wrote {args.count} instance file(s) to {out_dir}")
     return 0
@@ -124,26 +123,6 @@ def cmd_train(args) -> int:
     print(f"run directory: {run_dir}")
     print(f"checkpoint: {ckpt}")
     return 0
-
-
-def _eval_keys(data) -> list[str]:
-    """The arrays eval builds from: the weights of a trainer checkpoint's ``theta/`` net, else of a net dump."""
-    return net_keys(data.files, "theta/" if "theta/meta/config" in data.files else "")
-
-
-def _load_eval_net(path: str) -> PolicyValueNet:
-    """Accept either a bare net dump or a full trainer checkpoint; opens the file once."""
-    if not Path(path).exists():
-        raise DataError(f"{path}: checkpoint not found")
-    arrays = read_arrays(path, _eval_keys)
-    errors = []
-    for version, prefix in ((CHECKPOINT_VERSION, ""), (TRAINER_CHECKPOINT_VERSION, "theta/")):
-        try:
-            check_version(arrays, version)
-            return net_from_arrays(arrays, prefix)
-        except CheckpointError as exc:
-            errors.append(exc)
-    raise CheckpointError(f"{path}: neither a net dump ({errors[0]}) nor a trainer checkpoint ({errors[1]})")
 
 
 def _is_feasible(inst: Instance, route) -> bool:
@@ -204,7 +183,9 @@ def _timing_row(path: Path, solved: SolveResult, oracle: SolveResult | None) -> 
 
 
 def cmd_eval(args) -> int:
-    net = _load_eval_net(args.checkpoint)
+    if not Path(args.checkpoint).exists():
+        raise DataError(f"{args.checkpoint}: checkpoint not found")
+    net = load_net(args.checkpoint)
     inst_dir = Path(args.instances)
     paths = sorted(inst_dir.glob("*.json"))
     if not paths:
@@ -242,10 +223,9 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _polyline(xs, ys, x_map, y_map, color: str, dash: str = "") -> str:
+def _polyline(xs, ys, x_map, y_map, color: str) -> str:
     pts = " ".join(f"{x_map(x):.2f},{y_map(y):.2f}" for x, y in zip(xs, ys))
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{extra} points="{pts}"/>'
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
 
 
 def _panel(parts, episodes, series, top, height, title):

@@ -30,6 +30,7 @@ from .instance import (
     _KIND_STATION,
     EvrpInstance,
     Instance,
+    LoadTables,
     TspInstance,
 )
 
@@ -148,7 +149,7 @@ def _legal_mask(state: PlayerState) -> np.ndarray:
 
     i = state.position
     tables = inst.load_tables(state.load_kg)
-    e_after = state.battery_kwh - tables.energy[i]
+    e_after = _arrival_kwh(state, tables)
     arrive_h = state.clock_h + inst.travel_h[i]
     legal = np.zeros(inst.n_nodes, dtype=bool)
     open_customers = ~state.served & (inst.demands <= state.load_kg)
@@ -164,6 +165,15 @@ def _legal_mask(state: PlayerState) -> np.ndarray:
     if state.served_since_depot or bool(state.served.all()) or not legal.any():
         legal[0] = depot_reachable
     return legal
+
+
+def _arrival_kwh(state: PlayerState, tables: LoadTables) -> np.ndarray:
+    """The battery on arrival at each node from ``state`` after the edge's charge.
+
+    Regeneration cannot push the pack beyond capacity; the surplus is lost.
+    The mask, its messages and `evrp_arrivals` all read this one array.
+    """
+    return np.minimum(state.battery_kwh - tables.energy[state.position], state.instance.vehicle.battery_capacity_kwh)
 
 
 def _paths_in_time(inst: EvrpInstance, clock_h: np.ndarray) -> np.ndarray:
@@ -185,7 +195,7 @@ def _explain_illegal(state: PlayerState, j: int) -> str:
         return f"self-move at node {j}"
     kind = int(inst.kinds[j])
     tables = inst.load_tables(state.load_kg)
-    e_after = state.battery_kwh - tables.energy[state.position]
+    e_after = _arrival_kwh(state, tables)
     arrive_h = state.clock_h + inst.travel_h[state.position]
     if kind == _KIND_CUSTOMER:
         if state.served[j]:
@@ -267,26 +277,26 @@ def evrp_arrivals(state: PlayerState, moves: Sequence[int]) -> list[tuple[float,
 
     One ``(battery_kwh, clock_h, load_kg, served_since_depot, edge_kwh)``
     per move, in plain floats read from the state's `LoadTables` row and
-    ``travel_h``: the battery after the edge's charge, clipped at capacity,
-    then the clock plus the drive and the service or dwell, with a full
-    reset at the depot.  `step` builds its successor from these numbers,
+    ``travel_h``: the battery on arrival (`_arrival_kwh`, clipped at
+    capacity), then the clock plus the drive and the service or dwell,
+    with a full reset at the depot.  `step` builds its successor from these numbers,
     and ``baselines.exact_evrp`` scores children on them before it builds
     any, so both read the rules from here.
     """
     inst = state.instance
     full = inst.vehicle.battery_capacity_kwh
-    energy = inst.load_tables(state.load_kg).energy[state.position].tolist()
+    tables = inst.load_tables(state.load_kg)
+    energy = tables.energy[state.position].tolist()
+    battery = _arrival_kwh(state, tables).tolist()
     travel = inst.travel_h[state.position].tolist()
     kinds, demands = inst.kinds.tolist(), inst.demands.tolist()
-    battery_kwh, clock_h, load_kg = state.battery_kwh, state.clock_h, state.load_kg
+    clock_h, load_kg = state.clock_h, state.load_kg
     arrivals = []
     for j in moves:
         e_edge = energy[j]
-        # regeneration cannot push the pack beyond capacity; surplus is lost
-        battery = min(battery_kwh - e_edge, full)
         clock = clock_h + travel[j]
         if kinds[j] == _KIND_CUSTOMER:
-            arrivals.append((battery, clock + inst.service_time_h, load_kg - demands[j], True, e_edge))
+            arrivals.append((battery[j], clock + inst.service_time_h, load_kg - demands[j], True, e_edge))
         elif kinds[j] == _KIND_STATION:
             arrivals.append((full, clock + inst.recharge_dwell_h, load_kg, state.served_since_depot, e_edge))
         else:

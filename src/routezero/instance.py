@@ -272,15 +272,13 @@ class EvrpInstance:
         eff = np.where(power_w >= 0.0, self.discharge_factor, self.recovery_factor)
         return eff * power_w * travel * W_H_TO_KWH
 
-    def energy_row_kwh(self, i: int, mass_kg, j=None) -> np.ndarray:
+    def energy_row_kwh(self, i: int, mass_kg, j) -> np.ndarray:
         """Signed battery charge (kWh) for edges ``i -> j`` at total mass.
 
-        ``mass_kg`` may be a scalar or a per-destination vector.  Negative
+        ``j`` and ``mass_kg`` may be scalars or matching vectors.  Negative
         values mean net regeneration on the edge.
         """
-        coef = self.mass_coef[i] if j is None else self.mass_coef[i, j]
-        travel = self.travel_h[i] if j is None else self.travel_h[i, j]
-        return self._edge_energy_kwh(coef, travel, mass_kg)
+        return self._edge_energy_kwh(self.mass_coef[i, j], self.travel_h[i, j], mass_kg)
 
     def energy_matrix_kwh(self, mass_kg: float) -> np.ndarray:
         """Full signed edge-energy table at one total mass."""
@@ -319,9 +317,6 @@ def generate_evrp(
     seed: int,
     objective_mode: str = "EM",
     vehicle: VehicleParams | None = None,
-    speed_kmh: float = 60.0,
-    t_max_h: float = 8.0,
-    service_time_h: float = 0.1,
 ) -> EvrpInstance:
     """Sample a random EVRP instance.
 
@@ -349,9 +344,6 @@ def generate_evrp(
     return EvrpInstance(
         nodes=tuple(nodes),
         vehicle=vehicle if vehicle is not None else VehicleParams(),
-        speed_kmh=speed_kmh,
-        t_max_h=t_max_h,
-        service_time_h=service_time_h,
         objective_mode=objective_mode,
         seed=seed,
     )

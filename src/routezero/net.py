@@ -28,6 +28,11 @@ nothing else.  The optimizer is the caller's: `train_step` updates the
 parameters through the `Adam` it is given, and only the trainer keeps one,
 for the learning net.  So the historical best, a `save_net` dump and every
 net `routezero eval` loads carry weights only.
+
+There is one checkpoint format, ``CHECKPOINT_VERSION``: ``meta/version``
+beside nets under a prefix, the learning net θ always under ``theta/``.
+A `save_net` dump is the θ slice of a trainer checkpoint, and `load_net`
+reads θ from either.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import json
 import math
 import os
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +51,11 @@ from .env import PlayerState, legal_actions
 from .instance import COORD_RANGE_KM, EvrpInstance, TspInstance
 
 LOGIT_CLIP = 10.0
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 TSP_NODE_FEATURES = 5
 EVRP_NODE_FEATURES = 7
@@ -88,6 +97,26 @@ class NetConfig:
         if self.problem == "tsp":
             return 3 * self.embed_dim
         return 2 * self.embed_dim + EVRP_GLOBAL_FEATURES
+
+
+# JSON value types accepted per field annotation (a string, as modules postpone annotations):
+# bools are not numbers here, ints count as floats
+_FIELD_TYPES = {"int": ("an integer", int), "float": ("a number", (int, float)), "str": ("a string", str)}
+
+
+def check_fields(cls, data, what: str) -> None:
+    """Reject ``data`` unless it is an object whose keys are fields of ``cls`` holding values of their types."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    for name, value in data.items():
+        if types[name] in _FIELD_TYPES:
+            kind, accepted = _FIELD_TYPES[types[name]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{what} field {name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -198,16 +227,16 @@ class Adam:
         m = {k: np.zeros_like(p) for k, p in params.items()}
         return cls(m, {k: np.zeros_like(p) for k, p in m.items()})
 
-    def update(self, params, grads: dict[str, np.ndarray], lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    def update(self, params, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        c1 = 1.0 - beta1**self.t
-        c2 = 1.0 - beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
             m = self.m[k]
             v = self.v[k]
-            m += (1.0 - beta1) * (g - m)
-            v += (1.0 - beta2) * (g * g - v)
-            params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            params[k] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 class PolicyValueNet:
@@ -383,8 +412,8 @@ def greedy_actions(net: PolicyValueNet, states: list[PlayerState]) -> np.ndarray
     return np.argmax(net.forward(stack_states(states)), axis=1)
 
 
-def net_to_arrays(net: PolicyValueNet, prefix: str = "") -> dict[str, np.ndarray]:
-    """Flatten one net (weights, BN stats, config) to arrays."""
+def net_to_arrays(net: PolicyValueNet, prefix: str) -> dict[str, np.ndarray]:
+    """Flatten one net (weights, BN stats, config) to arrays under ``prefix``."""
     arrays = {f"{prefix}param/{k}": v for k, v in net.params.items()}
     arrays |= {f"{prefix}stat/{k}": v for k, v in net.bn_stats.items()}
     arrays[f"{prefix}meta/config"] = np.frombuffer(json.dumps(asdict(net.config)).encode(), dtype=np.uint8)
@@ -400,21 +429,17 @@ def checked_array(arrays: dict[str, np.ndarray], key: str, shape: tuple[int, ...
     return arrays[key]
 
 
-def net_keys(files: list[str], prefix: str = "") -> list[str]:
-    """The keys among ``files`` that `net_from_arrays` reads for ``prefix``, plus ``meta/version``."""
-    exact, groups = ("meta/version", f"{prefix}meta/config"), (f"{prefix}param/", f"{prefix}stat/")
-    return [k for k in files if k in exact or k.startswith(groups)]
+def net_from_arrays(arrays: dict[str, np.ndarray], prefix: str) -> PolicyValueNet:
+    """Rebuild the net that `net_to_arrays` wrote under ``prefix``.
 
-
-def net_from_arrays(arrays: dict[str, np.ndarray], prefix: str = "") -> PolicyValueNet:
-    """Rebuild a net from a flat array dump produced by net_to_arrays.
-
-    A missing array, or one whose shape does not fit the embedded config,
-    raises CheckpointError naming its key.  Other arrays, such as the Adam
-    moments older dumps carry, are ignored.
+    The embedded config goes through `check_fields` as a config file does.
+    A mistyped field, or a missing array or one whose shape does not fit
+    that config, raises CheckpointError naming it.  Other arrays are ignored.
     """
     try:
-        config = NetConfig(**json.loads(checked_array(arrays, f"{prefix}meta/config", None).tobytes().decode()))
+        raw = json.loads(checked_array(arrays, f"{prefix}meta/config", None).tobytes().decode())
+        check_fields(NetConfig, raw, "net config")
+        config = NetConfig(**raw)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad embedded net config: {exc}") from exc
     groups = {}
@@ -423,18 +448,18 @@ def net_from_arrays(arrays: dict[str, np.ndarray], prefix: str = "") -> PolicyVa
     return PolicyValueNet(config, groups["param"], groups["stat"])
 
 
-def check_version(arrays: dict[str, np.ndarray], version: int) -> None:
-    """Reject a dump whose ``meta/version`` is not ``version``."""
+def check_version(arrays: dict[str, np.ndarray]) -> None:
+    """Reject a dump whose ``meta/version`` is not ``CHECKPOINT_VERSION``."""
     found = arrays.get("meta/version", np.array(-1))
-    if found.shape != () or int(found) != version:
-        raise CheckpointError(f"checkpoint version {found} != {version}")
+    if found.shape != () or int(found) != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint version {found} != {CHECKPOINT_VERSION}")
 
 
-def read_arrays(path, keys=None) -> dict[str, np.ndarray]:
-    """The arrays of an .npz dump that ``keys(npz)`` names, else every array; rejects unreadable files."""
+def read_arrays(path, keep=None) -> dict[str, np.ndarray]:
+    """The arrays of an .npz dump whose keys ``keep`` accepts, else every array; rejects unreadable files."""
     try:
         with np.load(path) as data:
-            return {k: data[k] for k in (data.files if keys is None else keys(data))}
+            return {k: data[k] for k in data.files if keep is None or keep(k)}
     except (OSError, ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
 
@@ -449,17 +474,19 @@ def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def save_net(net: PolicyValueNet, path) -> None:
-    """Write a versioned tensor dump with the config embedded."""
-    arrays = net_to_arrays(net)
-    arrays["meta/version"] = np.array(CHECKPOINT_VERSION, dtype=np.int64)
-    write_arrays(path, arrays)
+    """Write ``net`` as the θ slice of a trainer checkpoint: ``meta/version`` and its ``theta/`` arrays."""
+    write_arrays(path, {"meta/version": np.array(CHECKPOINT_VERSION, dtype=np.int64), **net_to_arrays(net, "theta/")})
 
 
 def load_net(path) -> PolicyValueNet:
-    """Read a tensor dump's weights; rejects malformed dumps and version mismatches."""
-    arrays = read_arrays(path, lambda data: net_keys(data.files))
+    """θ of a `save_net` dump or a trainer checkpoint, from one read of ``meta/version`` and θ's own arrays.
+
+    A malformed file or another version raises CheckpointError naming ``path``.
+    """
+    meta = ("meta/version", "theta/meta/config")
+    arrays = read_arrays(path, lambda k: k in meta or k.startswith(("theta/param/", "theta/stat/")))
     try:
-        check_version(arrays, CHECKPOINT_VERSION)
-        return net_from_arrays(arrays)
+        check_version(arrays)
+        return net_from_arrays(arrays, "theta/")
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +35,13 @@ from .env import (
 )
 from .instance import EvrpInstance, Instance, generate_evrp, generate_tsp
 from .net import (
+    CHECKPOINT_VERSION,
     Adam,
     CheckpointError,
     NetConfig,
     PolicyValueNet,
     StateFeatures,
+    check_fields,
     check_version,
     checked_array,
     featurize,
@@ -49,8 +51,6 @@ from .net import (
     write_arrays,
 )
 from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, play_seats
-
-TRAINER_CHECKPOINT_VERSION = 2
 
 METRICS_HEADER = "episode,stage,learner_obj,competitor_obj,z,policy_loss,value_loss,soc_per_customer"
 
@@ -119,33 +119,13 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     return asdict(cfg)
 
 
-# JSON value types accepted per field annotation (a string, as the module postpones annotations):
-# bools are not numbers here, ints count as floats
-_FIELD_TYPES = {"int": ("an integer", int), "float": ("a number", (int, float)), "str": ("a string", str)}
-
-
-def _check_fields(cls, data, what: str) -> None:
-    """Reject ``data`` unless it is an object whose keys are fields of ``cls`` holding values of their types."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(data) - set(types))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
-    for name, value in data.items():
-        if types[name] in _FIELD_TYPES:
-            kind, accepted = _FIELD_TYPES[types[name]]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError(f"{what} field {name} must be {kind}, got {value!r}")
-
-
 def train_config_from_dict(raw) -> TrainConfig:
     """Build a TrainConfig; ValueError names an unknown key or mistyped field, at the top or in ``planner``/``net``."""
-    _check_fields(TrainConfig, raw, "config")
+    check_fields(TrainConfig, raw, "config")
     data = dict(raw)
     for key, cls in (("planner", PlannerConfig), ("net", NetConfig)):
         if key in data:
-            _check_fields(cls, data[key], f"{key} config")
+            check_fields(cls, data[key], f"{key} config")
             data[key] = cls(**data[key])
     if "net" not in data and "problem" in data:
         data["net"] = NetConfig(problem="tsp" if data["problem"] == "tsp" else "evrp")
@@ -391,7 +371,7 @@ class TrainerState:
 def save_checkpoint(path, cfg: TrainConfig, state: TrainerState) -> None:
     """Atomically write the complete trainer state: both nets' weights, theta's Adam moments, both buffers."""
     arrays = {
-        "meta/version": np.array(TRAINER_CHECKPOINT_VERSION, dtype=np.int64),
+        "meta/version": np.array(CHECKPOINT_VERSION, dtype=np.int64),
         "meta/episode": np.array(state.episode, dtype=np.int64),
         "meta/config": np.frombuffer(json.dumps(train_config_to_dict(cfg)).encode(), dtype=np.uint8),
     }
@@ -409,7 +389,7 @@ def load_checkpoint(path) -> tuple[TrainConfig, TrainerState]:
     """Read a trainer checkpoint, ignoring older ``best/adam_*`` arrays; CheckpointError names a bad array."""
     arrays = read_arrays(path)
     try:
-        check_version(arrays, TRAINER_CHECKPOINT_VERSION)
+        check_version(arrays)
         episode = int(arrays["meta/episode"])
         cfg = train_config_from_dict(json.loads(arrays["meta/config"].tobytes().decode()))
         theta = net_from_arrays(arrays, "theta/")

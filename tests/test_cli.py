@@ -13,7 +13,7 @@ from routezero.baselines import SearchBudgetError
 from routezero.cli import RESULTS_HEADER, TIMING_HEADER, main
 from routezero.env import RoutingGame
 from routezero.instance import generate_evrp, load_instance
-from routezero.net import NetConfig, PolicyValueNet, save_net
+from routezero.net import NetConfig, PolicyValueNet, load_net, net_to_arrays, save_net
 from routezero.planner import PlannerConfig
 from routezero.trainer import METRICS_HEADER
 
@@ -85,6 +85,22 @@ class TestGen:
         with pytest.raises(SystemExit) as err:
             main(["gen", "knapsack", "--out", str(tmp_path)])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        ("args", "named"),
+        [
+            (["tsp", "--count", "-1"], "--count must be at least 1, got -1"),
+            (["tsp", "--count", "0"], "--count must be at least 1, got 0"),
+            (["tsp", "--nodes", "2"], "--nodes 2: TSP needs at least 3 cities"),
+            (["evrp", "--customers", "0"], "--customers 0 --stations 4: need at least one customer"),
+            (["evrp", "--stations", "0"], "--customers 10 --stations 0: need at least one customer"),
+        ],
+    )
+    def test_bad_count_or_size_is_usage_error_before_any_file(self, tmp_path, args, named, capsys):
+        out = tmp_path / "out"
+        assert main(["gen", *args, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -232,9 +248,9 @@ class TestEval:
     def test_checkpoint_with_only_a_version_is_data_error(self, tmp_path, capsys):
         inst_dir = self.gen_instances(tmp_path, n=1)
         ckpt = tmp_path / "bare.npz"
-        np.savez(ckpt, **{"meta/version": np.array(1)})
+        np.savez(ckpt, **{"meta/version": np.array(2)})
         assert main(["eval", str(ckpt), str(inst_dir)]) == 2
-        assert "missing array 'meta/config'" in capsys.readouterr().err
+        assert "missing array 'theta/meta/config'" in capsys.readouterr().err
 
     def test_net_dump_missing_array_is_data_error(self, tmp_path, capsys):
         inst_dir = self.gen_instances(tmp_path, n=1)
@@ -242,10 +258,10 @@ class TestEval:
         net = PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"]))
         save_net(net, ckpt)
         arrays = dict(np.load(ckpt))
-        del arrays["stat/layer0/bn1/mean"]
+        del arrays["theta/stat/layer0/bn1/mean"]
         np.savez(ckpt, **arrays)
         assert main(["eval", str(ckpt), str(inst_dir)]) == 2
-        assert "missing array 'stat/layer0/bn1/mean'" in capsys.readouterr().err
+        assert "missing array 'theta/stat/layer0/bn1/mean'" in capsys.readouterr().err
 
     def test_version_1_trainer_checkpoint_is_data_error(self, tmp_path, trained_run, capsys):
         inst_dir = self.gen_instances(tmp_path, n=1)
@@ -254,8 +270,37 @@ class TestEval:
         arrays["meta/version"] = np.array(1)
         np.savez(ckpt, **arrays)
         assert main(["eval", str(ckpt), str(inst_dir)]) == 2
-        err = capsys.readouterr().err
-        assert "neither a net dump" in err and "checkpoint version 1 != 2" in err
+        assert f"{ckpt}: checkpoint version 1 != 2" in capsys.readouterr().err
+
+    def test_version_1_net_dump_is_data_error(self, tmp_path, capsys):
+        # the pre-theta/ net layout: unprefixed arrays at version 1
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        ckpt = tmp_path / "v1.npz"
+        net = PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"]))
+        np.savez(ckpt, **{"meta/version": np.array(1)}, **net_to_arrays(net, ""))
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        assert f"{ckpt}: checkpoint version 1 != 2" in capsys.readouterr().err
+        assert not (inst_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("field", "value", "named"),
+        [
+            ("embed_dim", 16.0, "net config field embed_dim must be an integer, got 16.0"),
+            ("batch_size", 8.0, "net config field batch_size must be an integer, got 8.0"),
+            ("n_layers", True, "net config field n_layers must be an integer, got True"),
+        ],
+    )
+    def test_mistyped_embedded_net_config_is_data_error_naming_the_field(
+        self, tmp_path, trained_run, field, value, named, capsys
+    ):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        ckpt = tmp_path / "mistyped.npz"
+        arrays = dict(np.load(trained_run / "checkpoint.npz"))
+        config = json.loads(arrays["theta/meta/config"].tobytes().decode())
+        arrays["theta/meta/config"] = np.frombuffer(json.dumps({**config, field: value}).encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        assert f"{ckpt}: bad embedded net config: {named}" in capsys.readouterr().err
 
     def test_trainer_checkpoint_is_read_once(self, tmp_path, trained_run, monkeypatch):
         inst_dir = self.gen_instances(tmp_path, n=1)
@@ -273,21 +318,6 @@ class TestEval:
         assert main(["eval", str(trained_run / "checkpoint.npz"), str(inst_dir)]) == 0
         assert any(k.startswith("theta/param/") for k in keys)
         assert not [k for k in keys if k.startswith(("pol/", "val/", "best/", "theta/adam_", "theta/meta/adam_t"))]
-
-    def test_older_net_dump_is_read_without_its_moments(self, tmp_path, monkeypatch):
-        inst_dir = self.gen_instances(tmp_path, n=1)
-        ckpt = tmp_path / "net.npz"
-        net = PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"]))
-        save_net(net, ckpt)
-        arrays = dict(np.load(ckpt))
-        arrays |= {f"adam_{g}/{k}": np.zeros_like(v) for g in "mv" for k, v in net.params.items()}
-        arrays["meta/adam_t"] = np.array(3, dtype=np.int64)
-        np.savez(ckpt, **arrays)
-        keys = []
-        real = np.lib.npyio.NpzFile.__getitem__
-        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", lambda self, key: keys.append(key) or real(self, key))
-        assert main(["eval", str(ckpt), str(inst_dir)]) == 0
-        assert any(k.startswith("param/") for k in keys) and not [k for k in keys if "adam" in k]
 
     def evrp_net_eval(self, tmp_path):
         # this untrained net finishes evrp seed 7 greedily (seed 8 cycles)
@@ -331,7 +361,7 @@ class TestEval:
         ckpt, inst_dir = self.evrp_net_eval(tmp_path)
         assert main(["eval", str(ckpt), str(inst_dir)]) == 0
         [_, _, _, evaluations] = self.read_timing(inst_dir / "results.timing.csv")[0]
-        route = cli.greedy_rollouts([load_instance(inst_dir / "evrp_c4_s2_em_seed7.json")], cli._load_eval_net(ckpt))
+        route = cli.greedy_rollouts([load_instance(inst_dir / "evrp_c4_s2_em_seed7.json")], load_net(ckpt))
         assert int(evaluations) == len(route[0].route) - 1  # the route starts at the depot
 
     def test_mcts_timing_counts_plan_evaluations(self, tmp_path, trained_run, monkeypatch):

@@ -167,6 +167,19 @@ class TestEvrpMask:
         )
         assert not legal_actions(initial_state(inst))[1]
 
+    def test_downhill_customer_counts_only_the_charge_the_pack_holds(self):
+        # 0 -> 2 regenerates 42.1 kWh into a full 80 kWh pack, and step clips the surplus; home from
+        # customer 2 takes 92.6 kWh, so the unclipped 122.1 kWh would admit a move into a dead end
+        slope = np.array([[0.0, 0.017, -0.048], [-0.017, 0.0, -0.034], [0.048, 0.034, 0.0]])
+        inst = replace(generate_evrp(1, 1, seed=1036940417, objective_mode="EM"), slope=slope)
+        start = initial_state(inst)
+        tables = inst.load_tables(start.load_kg)
+        need = tables.settled_need[2].min()
+        assert start.battery_kwh - tables.energy[0, 2] >= need > inst.vehicle.battery_capacity_kwh
+        assert not legal_actions(start)[2]
+        with pytest.raises(IllegalActionError, match="move to customer 2 strands the battery"):
+            step(start, 2)
+
     def test_depot_is_last_resort(self):
         inst = line_instance(
             [(NodeKind.STATION, 10.0, 0.0), (NodeKind.CUSTOMER, FAR, 0.5)],

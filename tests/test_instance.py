@@ -219,7 +219,7 @@ class TestEnergyTables:
         inst = generate_evrp(4, 2, seed=9)
         mat = inst.energy_matrix_kwh(5000.0)
         for i in range(inst.n_nodes):
-            assert np.allclose(mat[i], inst.energy_row_kwh(i, 5000.0), rtol=1e-15)
+            assert np.allclose(mat[i], inst.energy_row_kwh(i, 5000.0, np.arange(inst.n_nodes)), rtol=1e-15)
 
 
 class TestSerialization:

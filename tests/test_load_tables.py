@@ -105,9 +105,11 @@ def reference_moves(state):
     gives them, its homing paths after serving it and after a full recharge there."""
     inst = state.instance
     mass_now = inst.vehicle.curb_mass_kg + state.load_kg
-    e_after = state.battery_kwh - inst.energy_row_kwh(state.position, mass_now)
-    arrive_h = state.clock_h + inst.travel_h[state.position]
     full = np.full(inst.n_nodes, inst.vehicle.battery_capacity_kwh)
+    # regeneration beyond capacity is lost, as in step
+    edges = [float(inst.energy_row_kwh(state.position, mass_now, j)) for j in range(inst.n_nodes)]
+    e_after = np.minimum(state.battery_kwh - np.array(edges), full)
+    arrive_h = state.clock_h + inst.travel_h[state.position]
     settled = reference_paths(inst, e_after, arrive_h + inst.service_time_h, mass_now - inst.demands)
     recharged = reference_paths(inst, full, arrive_h + inst.recharge_dwell_h, mass_now)
     return e_after, settled, recharged

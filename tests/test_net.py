@@ -482,9 +482,9 @@ class TestCheckpoint:
         path = tmp_path / "net.npz"
         save_net(tiny_net("tsp"), path)
         data = dict(np.load(path))
-        data["meta/config"] = net_to_arrays(tiny_net("evrp"))["meta/config"]
+        data["theta/meta/config"] = net_to_arrays(tiny_net("evrp"), "theta/")["theta/meta/config"]
         np.savez(path, **data)
-        with pytest.raises(CheckpointError, match="'param/embed/W' has shape"):
+        with pytest.raises(CheckpointError, match="'theta/param/embed/W' has shape"):
             load_net(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
@@ -497,36 +497,50 @@ class TestCheckpoint:
             load_net(path)
 
     def test_missing_or_misshapen_array_names_the_key(self):
-        arrays = net_to_arrays(tiny_net("tsp"))
-        del arrays["stat/layer0/bn2/var"]
-        with pytest.raises(CheckpointError, match="missing array 'stat/layer0/bn2/var'"):
-            net_from_arrays(arrays)
-        arrays = net_to_arrays(tiny_net("tsp"))
-        arrays["param/embed/W"] = arrays["param/embed/W"][:, :3]
-        with pytest.raises(CheckpointError, match="'param/embed/W' has shape"):
-            net_from_arrays(arrays)
+        arrays = net_to_arrays(tiny_net("tsp"), "theta/")
+        del arrays["theta/stat/layer0/bn2/var"]
+        with pytest.raises(CheckpointError, match="missing array 'theta/stat/layer0/bn2/var'"):
+            net_from_arrays(arrays, "theta/")
+        arrays = net_to_arrays(tiny_net("tsp"), "theta/")
+        arrays["theta/param/embed/W"] = arrays["theta/param/embed/W"][:, :3]
+        with pytest.raises(CheckpointError, match="'theta/param/embed/W' has shape"):
+            net_from_arrays(arrays, "theta/")
 
-    def test_dump_holds_weights_only(self, tmp_path):
-        path = tmp_path / "net.npz"
-        save_net(tiny_net("tsp"), path)
-        keys = set(np.load(path).files)
-        assert keys == {k for k in keys if k.startswith(("param/", "stat/"))} | {"meta/config", "meta/version"}
-
-    def test_older_dump_with_moments_loads_without_reading_them(self, tmp_path, monkeypatch):
+    def test_dump_is_the_theta_slice_of_a_trainer_checkpoint(self, tmp_path):
         net = tiny_net("tsp", seed=22)
-        path = tmp_path / "net.npz"
-        save_net(net, path)
-        data = dict(np.load(path))
-        data |= {f"adam_{g}/{k}": np.zeros_like(v) for g in "mv" for k, v in net.params.items()}
-        data["meta/adam_t"] = np.array(4, dtype=np.int64)
-        np.savez(path, **data)
+        save_net(net, tmp_path / "net.npz")
+        save_checkpoint(
+            tmp_path / "ckpt.npz",
+            TrainConfig(net=net.config),
+            TrainerState(net, tiny_net("tsp", seed=23), PolicyBuffer(1), ValueBuffer(1), 1, Adam.zeros(net.params)),
+        )
+        with np.load(tmp_path / "net.npz") as dump, np.load(tmp_path / "ckpt.npz") as ckpt:
+            keys = set(dump.files)
+            assert keys == {k for k in keys if k.startswith(("theta/param/", "theta/stat/"))} | {
+                "theta/meta/config",
+                "meta/version",
+            }
+            for k in keys:
+                np.testing.assert_array_equal(dump[k], ckpt[k])
+
+    def test_load_net_reads_theta_of_a_trainer_checkpoint_and_nothing_else(self, tmp_path, monkeypatch):
+        net = tiny_net("tsp", seed=22)
+        path = tmp_path / "ckpt.npz"
+        adam = Adam.zeros(net.params)
+        net.train_step(one_hot_policy_batch(generate_tsp(5, seed=18), 1), None, adam)
+        state = TrainerState(net, tiny_net("tsp", seed=23), PolicyBuffer(1), ValueBuffer(1), 1, adam)
+        save_checkpoint(path, TrainConfig(net=net.config), state)
         read = []
         real = np.lib.npyio.NpzFile.__getitem__
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", lambda self, key: read.append(key) or real(self, key))
         loaded = load_net(path)
-        assert read and not [k for k in read if "adam" in k]
+        weights = {k for k in read if k.startswith(("theta/param/", "theta/stat/"))}
+        assert sorted(read) == sorted(weights | {"theta/meta/config", "meta/version"})
+        assert loaded.config == net.config
         for k in net.params:
             np.testing.assert_array_equal(loaded.params[k], net.params[k])
+        for k in net.bn_stats:
+            np.testing.assert_array_equal(loaded.bn_stats[k], net.bn_stats[k])
 
     def test_save_leaves_no_temp_file(self, tmp_path):
         save_net(tiny_net("tsp"), tmp_path / "net.npz")
@@ -534,8 +548,8 @@ class TestCheckpoint:
 
     def test_prefixed_arrays_round_trip(self):
         net = tiny_net("evrp", seed=19)
-        arrays = net_to_arrays(net, prefix="best/")
-        clone = net_from_arrays(arrays, prefix="best/")
+        arrays = net_to_arrays(net, "best/")
+        clone = net_from_arrays(arrays, "best/")
         for k in net.params:
             np.testing.assert_array_equal(clone.params[k], net.params[k])
 

@@ -74,14 +74,31 @@ def test_cached_mask_is_a_fresh_compute_that_stays_with_its_state(inst, move_see
 
 
 @st.composite
-def varied_evrp(draw):
-    """An `EVRP` instance, flat or with random antisymmetric grades, with no dwell or a quarter hour."""
+def varied_evrp(draw, sloped=st.booleans()):
+    """An `EVRP` instance, flat or with random antisymmetric grades up to 0.06 rad, with no dwell or a quarter hour."""
     inst = draw(EVRP)
     slope = None
-    if draw(st.booleans()):
+    if draw(sloped):
         raw = np.random.default_rng(draw(SEEDS)).uniform(-0.06, 0.06, (inst.n_nodes, inst.n_nodes))
         slope = np.triu(raw, 1) - np.triu(raw, 1).T
     return replace(inst, slope=slope, recharge_dwell_h=draw(st.sampled_from([0.0, 0.25])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=varied_evrp(sloped=st.just(True)), move_seed=SEEDS)
+def test_random_legal_play_on_sloped_evrp_meets_an_empty_mask_only_at_the_depot(inst, move_seed):
+    # a downhill edge cannot charge the pack past capacity, in the mask as in step; steep grades can
+    # still leave the depot with no move, at the start or after a return that strands a customer
+    rng = np.random.default_rng(move_seed)
+    state = initial_state(inst)
+    for _ in range(step_limit(inst)):
+        if state.done:
+            break
+        mask = legal_actions(state)
+        if not mask.any():
+            assert state.position == 0, f"dead end at node {state.position}, route {state.route}"
+            break
+        state = step(state, int(rng.choice(np.flatnonzero(mask))))
 
 
 def reference_arrival(state, j):
