@@ -43,7 +43,6 @@ class SearchBudgetError(RuntimeError):
 class SolveResult:
     route: tuple[int, ...]
     objective: float
-    optimal: bool
     expansions: int
     wall_time_s: float
 
@@ -93,7 +92,7 @@ def exact_tsp(inst: TspInstance) -> SolveResult:
         mask ^= 1 << last
         last = prev
     tour.reverse()
-    return SolveResult(tuple(tour), float(closing.min()), True, expansions, time.perf_counter() - start)
+    return SolveResult(tuple(tour), float(closing.min()), expansions, time.perf_counter() - start)
 
 
 def _evrp_edge_bounds(inst: EvrpInstance) -> np.ndarray:
@@ -182,27 +181,22 @@ def exact_evrp(inst: EvrpInstance, expansion_cap: int = 2_000_000) -> SolveResul
             raise DeadEndError("no feasible route found")
         _, _, cost, parent, action = heapq.heappop(heap)
         state = step(parent, action)
-    return SolveResult(state.route, cost, True, expansions, time.perf_counter() - start)
+    return SolveResult(state.route, cost, expansions, time.perf_counter() - start)
 
 
 def nearest_neighbor(inst: Instance) -> SolveResult:
-    """Greedy nearest-feasible-customer heuristic with station fallback."""
+    """Greedy nearest-feasible-customer heuristic with station fallback, played by `env.rollout`;
+    every TSP city is a customer, and a tour starts at city 0, where `exact_tsp` anchors.
+    """
     start = time.perf_counter()
-    if isinstance(inst, TspInstance):
-        n = inst.n_nodes
-        visited = [0]
-        left = set(range(1, n))
-        while left:
-            here = visited[-1]
-            nxt = min(left, key=lambda j: (inst.dist_km[here, j], j))
-            visited.append(nxt)
-            left.remove(nxt)
-        return SolveResult(tuple(visited), objective(inst, visited), False, 0, time.perf_counter() - start)
+    tsp = isinstance(inst, TspInstance)
 
     def move(state, mask) -> int:
         here = state.position
+        if here < 0:
+            return 0
         ids = np.flatnonzero(mask)
-        customers = ids[inst.kinds[ids] == _KIND_CUSTOMER]
+        customers = ids if tsp else ids[inst.kinds[ids] == _KIND_CUSTOMER]
         if customers.size:
             return int(min(customers, key=lambda j: (inst.dist_km[here, j], j)))
         # no customer in reach: home once all are served, else recharge, avoiding an immediate bounce
@@ -214,7 +208,7 @@ def nearest_neighbor(inst: Instance) -> SolveResult:
         return min(stations, key=lambda j: (inst.dist_km[here, j], j))
 
     route = rollout(RoutingGame(inst), move).route
-    return SolveResult(route, objective(inst, route), False, len(route) - 1, time.perf_counter() - start)
+    return SolveResult(route, objective(inst, route), len(route) - 1, time.perf_counter() - start)
 
 
 def greedy_rollouts(insts: Sequence[Instance], net) -> list[SolveResult | DeadEndError]:
@@ -243,7 +237,7 @@ def greedy_rollouts(insts: Sequence[Instance], net) -> list[SolveResult | DeadEn
             for i, end in play(starts, moves):
                 if not isinstance(end, DeadEndError):
                     route, steps = end.route, len(end.route) - len(starts[i].route)
-                    end = SolveResult(route, objective(end.instance, route), False, steps, time.perf_counter() - start)
+                    end = SolveResult(route, objective(end.instance, route), steps, time.perf_counter() - start)
                 results[chunk[i]] = end
     return results
 

@@ -27,10 +27,11 @@ from .instance import (
     generate_tsp,
     load_instance,
     save_instance,
+    write_file,
 )
 from .net import CheckpointError, PolicyValueNet, load_net
 from .planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, PlannerError, play_seats
-from .trainer import TrainerError, train, train_config_from_dict
+from .trainer import TrainerError, read_metrics, train, train_config_from_dict
 
 RESULTS_HEADER = "instance,method,objective,oracle,gap_pct,feasible"
 TIMING_HEADER = "instance,wall_s,oracle_s,evaluations"
@@ -146,7 +147,7 @@ def _plan_route(path: Path, inst: Instance, net: PolicyValueNet, planner_cfg: Pl
         raise DeadEndError(f"{path.name}: {end}")
     route = end.route
     evaluations = sum(result.evaluations for slot, _, result in moves if slot == 0)
-    return SolveResult(route, objective(inst, route), False, evaluations, time.perf_counter() - start)
+    return SolveResult(route, objective(inst, route), evaluations, time.perf_counter() - start)
 
 
 def _oracle(inst: Instance) -> SolveResult | None:
@@ -208,14 +209,14 @@ def cmd_eval(args) -> int:
     timing = [_timing_row(*row) for row in zip(paths, solved, oracles)]
     out = Path(args.out) if args.out else inst_dir / "results.csv"
     timing_out = out.with_name(f"{out.stem}.timing.csv")
-    out.write_text("\n".join([RESULTS_HEADER, *rows]) + "\n")
-    timing_out.write_text("\n".join([TIMING_HEADER, *timing]) + "\n")
+    write_file(out, "\n".join([RESULTS_HEADER, *rows]) + "\n")
+    write_file(timing_out, "\n".join([TIMING_HEADER, *timing]) + "\n")
     print(f"wrote {len(rows)} result row(s) to {out}, timing to {timing_out}")
     return 0
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    window = max(1, min(window, values.shape[0]))
+    window = min(window, values.shape[0])
     sums = np.cumsum(values)
     out = np.empty_like(values)
     out[:window] = sums[:window] / np.arange(1, window + 1)
@@ -277,8 +278,7 @@ def render_metrics_svg(rows: list[dict], window: int) -> str:
     episodes = np.array([r["episode"] for r in rows], dtype=float)
     learner = _moving_average(np.array([r["learner_obj"] for r in rows]), window)
     competitor = _moving_average(np.array([r["competitor_obj"] for r in rows]), window)
-    soc_rows = [r for r in rows if r["soc_per_customer"] is not None]
-    have_soc = len(soc_rows) == len(rows) and rows
+    have_soc = all(r["soc_per_customer"] is not None for r in rows)
     height = 460 if have_soc else 320
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -316,46 +316,10 @@ def render_metrics_svg(rows: list[dict], window: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _read_metrics(path: Path) -> list[dict]:
-    try:
-        lines = path.read_text().splitlines()
-    except FileNotFoundError as exc:
-        raise DataError(f"{path}: {exc.strerror}") from exc
-    if not lines:
-        raise DataError(f"{path}: empty metrics file")
-    header = lines[0].split(",")
-    missing = [name for name in ("episode", "stage", "learner_obj", "competitor_obj") if name not in header]
-    if missing:
-        raise DataError(f"{path}: line 1: header lacks {', '.join(missing)}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        values = line.split(",")
-        if len(values) != len(header):
-            raise DataError(f"{path}: line {lineno}: {len(values)} cells, header has {len(header)}")
-        cells = dict(zip(header, values))
-        try:
-            rows.append(
-                {
-                    "episode": int(cells["episode"]),
-                    "stage": int(cells["stage"]),
-                    "learner_obj": float(cells["learner_obj"]),
-                    "competitor_obj": float(cells["competitor_obj"]),
-                    "soc_per_customer": float(cells["soc_per_customer"]) if cells.get("soc_per_customer") else None,
-                }
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: no metric rows")
-    return rows
-
-
 def cmd_plot(args) -> int:
-    rows = _read_metrics(Path(args.metrics))
-    svg = render_metrics_svg(rows, args.window)
-    Path(args.out).write_text(svg)
+    if args.window < 1:
+        raise ValueError(f"--window must be at least 1, got {args.window}")
+    write_file(args.out, render_metrics_svg(read_metrics(Path(args.metrics)), args.window))
     print(f"wrote {args.out}")
     return 0
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
 
@@ -421,19 +420,25 @@ def instance_from_dict(data: dict, source: str = "<dict>") -> Instance:
         raise InstanceFormatError(f"{source}: bad instance data: {exc}") from exc
 
 
-def save_instance(inst: Instance, path: str | Path) -> None:
-    """Write an instance as JSON, atomically (write then rename)."""
+def write_file(path: str | Path, content: str | Callable[[BinaryIO], object]) -> None:
+    """The package's one whole-file writer: ``content`` (text, or a function writing bytes to a file)
+    goes to a temp file beside ``path``, renamed over it; a failed write removes the temp file.
+    """
     path = Path(path)
-    text = json.dumps(instance_to_dict(inst), indent=2) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    write = content if callable(content) else lambda fh: fh.write(content.encode())
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def save_instance(inst: Instance, path: str | Path) -> None:
+    """Write an instance as JSON, atomically."""
+    write_file(path, json.dumps(instance_to_dict(inst), indent=2) + "\n")
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -442,8 +447,6 @@ def load_instance(path: str | Path) -> Instance:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):

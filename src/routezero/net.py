@@ -39,16 +39,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import zipfile
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .env import PlayerState, legal_actions
-from .instance import COORD_RANGE_KM, EvrpInstance, TspInstance
+from .instance import COORD_RANGE_KM, EvrpInstance, TspInstance, write_file
 
 LOGIT_CLIP = 10.0
 CHECKPOINT_VERSION = 2
@@ -465,12 +463,8 @@ def read_arrays(path, keep=None) -> dict[str, np.ndarray]:
 
 
 def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write an .npz dump atomically: to a temp file, then renamed over ``path``."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
-    os.replace(tmp, path)
+    """Write an .npz dump atomically, streamed to `write_file`'s temp file."""
+    write_file(path, lambda fh: np.savez(fh, **arrays))
 
 
 def save_net(net: PolicyValueNet, path) -> None:

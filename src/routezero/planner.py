@@ -91,7 +91,6 @@ class PlanResult:
     improved_policy: np.ndarray
     simulations: int
     evaluations: int
-    root_value: float
 
 
 def sample_gumbel_topm(logits: np.ndarray, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +294,6 @@ def plan(
         improved_policy=improved,
         simulations=search.simulations,
         evaluations=search.evaluations,
-        root_value=root.value,
     )
 
 

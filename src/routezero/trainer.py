@@ -33,7 +33,7 @@ from .env import (
     legal_actions,
     objective,
 )
-from .instance import EvrpInstance, Instance, generate_evrp, generate_tsp
+from .instance import EvrpInstance, Instance, generate_evrp, generate_tsp, write_file
 from .net import (
     CHECKPOINT_VERSION,
     Adam,
@@ -63,7 +63,7 @@ _PROBLEMS = ("tsp", "dm-evrp", "em-evrp")
 
 
 class TrainerError(RuntimeError):
-    """Training-loop failure with episode context."""
+    """Training-loop failure: an episode that failed, or a run directory that cannot be read or resumed."""
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,6 @@ class TrainConfig:
             raise ValueError("n_nodes must be at least 3")
         if self.problem != "tsp" and (self.n_customers < 1 or self.n_stations < 1):
             raise ValueError("need at least one customer and one station")
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)
 
 
 def train_config_from_dict(raw) -> TrainConfig:
@@ -373,7 +369,7 @@ def save_checkpoint(path, cfg: TrainConfig, state: TrainerState) -> None:
     arrays = {
         "meta/version": np.array(CHECKPOINT_VERSION, dtype=np.int64),
         "meta/episode": np.array(state.episode, dtype=np.int64),
-        "meta/config": np.frombuffer(json.dumps(train_config_to_dict(cfg)).encode(), dtype=np.uint8),
+        "meta/config": np.frombuffer(json.dumps(asdict(cfg)).encode(), dtype=np.uint8),
     }
     arrays |= net_to_arrays(state.theta, "theta/")
     arrays |= {f"theta/adam_m/{k}": v for k, v in state.adam.m.items()}
@@ -425,17 +421,66 @@ def _append_event(path: Path, payload: dict) -> None:
     _append_line(path, json.dumps(payload, separators=(",", ":")))
 
 
-def _truncate_metrics(path: Path, episode: int) -> None:
-    """Drop rows written after the checkpointed episode."""
-    rows = path.read_text().splitlines()[1:] if path.exists() else []
-    kept = [line for line in rows if line and int(line.split(",", 1)[0]) <= episode]
-    path.write_text("\n".join([METRICS_HEADER, *kept]) + "\n")
+def read_metrics(path: Path, limit: int | None = None) -> list[dict]:
+    """The first ``limit`` (default: all) parsed rows of a metrics.csv, each with its ``line``.
+
+    TrainerError names the file and the line of a malformed header or row.
+    """
+    try:
+        lines = path.read_text().splitlines()
+    except FileNotFoundError as exc:
+        raise TrainerError(f"{path}: {exc.strerror}") from exc
+    if not lines:
+        raise TrainerError(f"{path}: empty metrics file")
+    header = lines[0].split(",")
+    missing = [name for name in ("episode", "stage", "learner_obj", "competitor_obj") if name not in header]
+    if missing:
+        raise TrainerError(f"{path}: line 1: header lacks {', '.join(missing)}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if len(rows) == limit:
+            break
+        if not line:
+            continue
+        values = line.split(",")
+        if len(values) != len(header):
+            raise TrainerError(f"{path}: line {lineno}: {len(values)} cells, header has {len(header)}")
+        cells = dict(zip(header, values))
+        try:
+            rows.append(
+                {
+                    "episode": int(cells["episode"]),
+                    "stage": int(cells["stage"]),
+                    "learner_obj": float(cells["learner_obj"]),
+                    "competitor_obj": float(cells["competitor_obj"]),
+                    "soc_per_customer": float(cells["soc_per_customer"]) if cells.get("soc_per_customer") else None,
+                    "line": line,
+                }
+            )
+        except ValueError as exc:
+            raise TrainerError(f"{path}: line {lineno}: {exc}") from exc
+    if not rows:
+        raise TrainerError(f"{path}: no metric rows")
+    return rows
 
 
-def _truncate_events(path: Path, episode: int) -> None:
-    lines = path.read_text().splitlines() if path.exists() else []
-    kept = [line for line in lines if line and json.loads(line).get("episode", 0) <= episode]
-    path.write_text("".join(line + "\n" for line in kept))
+def _rewind(metrics_path: Path, events_path: Path, episode: int) -> None:
+    """Cut metrics.csv to its first rows, which must be episodes 1..``episode``, and events.log to its lines
+    before the first of a later episode, parsing neither further; TrainerError names a damaged file and line.
+    """
+    rows = read_metrics(metrics_path, episode)
+    if [row["episode"] for row in rows] != list(range(1, episode + 1)):
+        raise TrainerError(f"{metrics_path}: lacks rows 1..{episode}; the checkpoint is at episode {episode}")
+    events = []
+    for lineno, line in enumerate(events_path.read_text().splitlines() if events_path.exists() else [], start=1):
+        try:
+            if json.loads(line)["episode"] > episode:
+                break
+        except (ValueError, LookupError, TypeError) as exc:  # a JSONDecodeError is a ValueError
+            raise TrainerError(f"{events_path}: line {lineno}: not a JSON event with an episode: {exc}") from exc
+        events.append(line + "\n")
+    write_file(metrics_path, "\n".join([METRICS_HEADER, *(row["line"] for row in rows)]) + "\n")
+    write_file(events_path, "".join(events))
 
 
 def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
@@ -462,8 +507,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
         if saved_cfg != cfg:
             raise TrainerError("checkpoint was produced by a different config")
         start = state.episode
-        _truncate_metrics(metrics_path, start)
-        _truncate_events(events_path, start)
+        _rewind(metrics_path, events_path, start)
         _append_event(events_path, {"event": "resume", "episode": start})
     else:
         theta = PolicyValueNet.create(cfg.net, seed=cfg.seed)
@@ -476,9 +520,9 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
             adam=Adam.zeros(theta.params),
         )
         start = 0
-        (run_dir / "config.json").write_text(json.dumps(train_config_to_dict(cfg), indent=2) + "\n")
-        metrics_path.write_text(METRICS_HEADER + "\n")
-        events_path.write_text("")
+        write_file(run_dir / "config.json", json.dumps(asdict(cfg), indent=2) + "\n")
+        write_file(metrics_path, METRICS_HEADER + "\n")
+        write_file(events_path, "")
 
     arena_set = [make_instance(cfg, derived_seed(cfg.seed, _STREAM_ARENA, k)) for k in range(cfg.arena_size)]
 

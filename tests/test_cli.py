@@ -515,6 +515,13 @@ class TestPlot:
         assert f"m.csv: {where}" in capsys.readouterr().err
         assert not (tmp_path / "o.svg").exists()
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_window_below_one_is_a_usage_error(self, tmp_path, trained_run, window, capsys):
+        out = tmp_path / "w.svg"
+        assert main(["plot", str(trained_run / "metrics.csv"), str(out), "--window", window]) == 1
+        assert f"--window must be at least 1, got {window}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_soc_panel_for_evrp_rows(self, tmp_path):
         metrics = tmp_path / "m.csv"
         rows = ["episode,stage,learner_obj,competitor_obj,z,policy_loss,value_loss,soc_per_customer"]

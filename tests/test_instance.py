@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -242,6 +243,20 @@ class TestSerialization:
         back = load_instance(path)
         assert isinstance(back, TspInstance)
         assert np.array_equal(back.coords, inst.coords)
+
+    def test_failed_save_leaves_no_temp_file_and_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "inst.json"
+        save_instance(generate_tsp(5, seed=1), path)
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            save_instance(generate_tsp(5, seed=2), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
+        assert path.read_bytes() == before
 
     def test_save_is_reproducible(self, tmp_path):
         inst = generate_evrp(3, 1, seed=4)

@@ -546,6 +546,20 @@ class TestCheckpoint:
         save_net(tiny_net("tsp"), tmp_path / "net.npz")
         assert [p.name for p in tmp_path.iterdir()] == ["net.npz"]
 
+    def test_failed_save_leaves_no_temp_file_and_the_old_dump(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.npz"
+        save_net(tiny_net("tsp", seed=1), path)
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_net(tiny_net("tsp", seed=2), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.npz"]
+        assert path.read_bytes() == before
+
     def test_prefixed_arrays_round_trip(self):
         net = tiny_net("evrp", seed=19)
         arrays = net_to_arrays(net, "best/")

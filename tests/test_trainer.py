@@ -1,4 +1,6 @@
 import json
+import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from routezero.trainer import (
     stage_gate,
     train,
     train_config_from_dict,
-    train_config_to_dict,
     value_tuples,
 )
 
@@ -58,7 +59,7 @@ def tiny_nets(problem="tsp", seed=0):
 class TestTrainConfig:
     def test_round_trip_through_dict(self):
         cfg = tiny_cfg()
-        assert train_config_from_dict(train_config_to_dict(cfg)) == cfg
+        assert train_config_from_dict(asdict(cfg)) == cfg
 
     def test_net_defaults_follow_problem(self):
         cfg = train_config_from_dict({"problem": "dm-evrp", "n_customers": 2, "n_stations": 1})
@@ -88,7 +89,7 @@ class TestTrainConfig:
             tiny_cfg(**overrides)
 
     def test_nested_configs_parse_from_plain_dicts(self):
-        raw = train_config_to_dict(tiny_cfg())
+        raw = asdict(tiny_cfg())
         assert isinstance(raw["planner"], dict) and isinstance(raw["net"], dict)
         cfg = train_config_from_dict(raw)
         assert cfg.planner == PlannerConfig(n_simulations=6, m_root=4)
@@ -460,6 +461,13 @@ def read_events(run_dir):
     return [json.loads(line) for line in (run_dir / "events.log").read_text().splitlines()]
 
 
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("finished") / "run"
+    train(tiny_cfg(), run)
+    return run
+
+
 class TestTrainLoop:
     def test_artifacts_and_stage_column(self, tmp_path):
         cfg = tiny_cfg()
@@ -496,14 +504,24 @@ class TestTrainLoop:
         # older releases also saved the best net's Adam moments; a resume ignores them
         added = []
 
-        def add_best_moments(arrays):
+        def add_best_moments(run_dir):
+            arrays = dict(np.load(run_dir / "checkpoint.npz"))
             for k in [k for k in arrays if k.startswith(("theta/adam_", "theta/meta/adam_t"))]:
                 added.append("best/" + k.removeprefix("theta/"))
                 arrays[added[-1]] = np.full_like(arrays[k], 7)
-            return arrays
+            np.savez(run_dir / "checkpoint.npz", **arrays)
 
         self.crash_and_resume(tiny_cfg(), tmp_path, monkeypatch, add_best_moments)
         assert {"best/adam_m/embed/W", "best/adam_v/value/b2", "best/meta/adam_t"} <= set(added)
+
+    def test_resume_drops_the_logs_past_the_checkpoint_unread(self, tmp_path, monkeypatch):
+        # a metrics row cut short, and events.log lines after the first one of a later episode
+        def cut_tails(run_dir):
+            for name, tail in (("metrics.csv", "3,2,0.1"), ("events.log", '{"event":"episode","episode":3}\n{"arena')):
+                with open(run_dir / name, "a") as fh:
+                    fh.write(tail)
+
+        self.crash_and_resume(tiny_cfg(), tmp_path, monkeypatch, cut_tails)
 
     def crash_and_resume(self, cfg, tmp_path, monkeypatch, edit=None):
         train(cfg, tmp_path / "full")
@@ -522,8 +540,7 @@ class TestTrainLoop:
             train(cfg, tmp_path / "broken")
         monkeypatch.setattr(trainer_mod, "run_episode", real)
         if edit is not None:
-            ckpt = tmp_path / "broken" / "checkpoint.npz"
-            np.savez(ckpt, **edit(dict(np.load(ckpt))))
+            edit(tmp_path / "broken")
         _, resumed = load_checkpoint(tmp_path / "broken" / "checkpoint.npz")
 
         train(cfg, tmp_path / "broken", resume=True)
@@ -557,10 +574,32 @@ class TestTrainLoop:
         assert read_metrics(tmp_path / "run") == []
 
         config = tmp_path / "desk.json"
-        config.write_text(json.dumps(train_config_to_dict(cfg)))
+        config.write_text(json.dumps(asdict(cfg)))
         capsys.readouterr()
         assert main(["train", str(config), "--run-dir", str(tmp_path / "cli")]) == 2
         assert f"episode 1 (instance seed {inst_seed}): {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("name", "edit", "message"),
+        [
+            ("events.log", lambda lines: [*lines[:-1], lines[-1][:14]], r"events\.log: line 8: not a JSON event with"),
+            ("metrics.csv", lambda lines: [lines[0], "x" + lines[1][1:], *lines[2:]], r"metrics\.csv: line 2: invalid"),
+            ("metrics.csv", None, r"metrics\.csv: No such file or directory"),
+            ("metrics.csv", lambda lines: lines[:3] + lines[4:], r"metrics\.csv: lacks rows 1\.\.4; the checkpoint"),
+        ],
+        ids=["cut-event", "bad-episode-cell", "deleted-metrics", "missing-row"],
+    )
+    def test_resume_rejects_a_damaged_log_naming_the_file(self, tmp_path, finished_run, name, edit, message):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        if edit is None:
+            (run / name).unlink()
+        else:
+            (run / name).write_text("".join(line + "\n" for line in edit((run / name).read_text().splitlines())))
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        with pytest.raises(TrainerError, match=message):
+            train(tiny_cfg(), run, resume=True)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before, "a rejected resume writes nothing"
 
     def test_resume_needs_a_checkpoint(self, tmp_path):
         with pytest.raises(TrainerError, match="no checkpoint"):
