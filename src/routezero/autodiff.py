@@ -72,7 +72,6 @@ ARRAY_OPS = SimpleNamespace(
     Tensor=lambda x: np.asarray(x, dtype=np.float64),
     add=operator.add,
     mul=operator.mul,
-    scale=operator.mul,
     matmul=operator.matmul,
     reshape=lambda a, shape: a.reshape(shape),
     transpose=lambda a, axes: a.transpose(axes),
@@ -193,15 +192,6 @@ def mul(a, b) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _result(a.data * b.data, (a, b), bwd)
-
-
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g):
-        a._accumulate(g * c, fresh=True)
-
-    return _result(a.data * c, (a,), bwd)
 
 
 def matmul(a, b) -> Tensor:

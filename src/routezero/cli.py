@@ -85,8 +85,6 @@ def _build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
     out_dir = Path(args.out)
     for k in range(args.count):
         seed = args.seed + k
@@ -317,8 +315,6 @@ def render_metrics_svg(rows: list[dict], window: int) -> str:
 
 
 def cmd_plot(args) -> int:
-    if args.window < 1:
-        raise ValueError(f"--window must be at least 1, got {args.window}")
     write_file(args.out, render_metrics_svg(read_metrics(Path(args.metrics)), args.window))
     print(f"wrote {args.out}")
     return 0
@@ -329,6 +325,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "plot": cmd_plot}
     try:
+        for name in ("count", "budget", "m_root", "window"):  # count flags; below 1 is a usage error, before any I/O
+            if getattr(args, name, 1) < 1:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {getattr(args, name)}")
         return handlers[args.command](args)
     except (DataError, InstanceError, CheckpointError, TrainerError, DeadEndError, PlannerError, OSError) as exc:
         print(f"routezero: error: {exc}", file=sys.stderr)

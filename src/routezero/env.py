@@ -44,7 +44,7 @@ class IllegalActionError(ValueError):
 
 
 class DeadEndError(RuntimeError):
-    """No legal action exists in a non-terminal state."""
+    """A route cannot finish: no legal action in a non-terminal state, or ``env.play``'s step cap reached."""
 
 
 class RouteError(ValueError):

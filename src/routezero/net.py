@@ -287,7 +287,7 @@ class PolicyValueNet:
             q = ops.transpose(ops.reshape(ops.matmul(normed, t[f"{pre}/attn/Wq"]), (b, n, heads, dh)), (0, 2, 1, 3))
             k = ops.transpose(ops.reshape(ops.matmul(normed, t[f"{pre}/attn/Wk"]), (b, n, heads, dh)), (0, 2, 1, 3))
             v = ops.transpose(ops.reshape(ops.matmul(normed, t[f"{pre}/attn/Wv"]), (b, n, heads, dh)), (0, 2, 1, 3))
-            scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+            scores = ops.mul(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
             mixed = ops.matmul(ops.softmax(scores, axis=-1), v)
             mixed = ops.reshape(ops.transpose(mixed, (0, 2, 1, 3)), (b, n, cfg.embed_dim))
             attn = ops.matmul(mixed, t[f"{pre}/attn/Wo"])
@@ -315,7 +315,7 @@ class PolicyValueNet:
     @staticmethod
     def _gate(t, prefix: str, x, f, ops=ad):
         s = ops.sigmoid(ops.add(ops.matmul(ops.concat([x, f], axis=-1), t[f"{prefix}/W"]), t[f"{prefix}/b"]))
-        return ops.add(ops.mul(s, x), ops.mul(ops.add(ops.scale(s, -1.0), 1.0), f))
+        return ops.add(ops.mul(s, x), ops.mul(ops.add(ops.mul(s, -1.0), 1.0), f))
 
     def _policy_logits(self, t, h, pooled, batch: dict[str, np.ndarray], ops=ad):
         cfg = self.config
@@ -327,8 +327,8 @@ class PolicyValueNet:
             ctx = ops.concat([pooled, cur, ops.Tensor(batch["globals"])], axis=-1)
         query = ops.add(ops.matmul(ctx, t["policy/Wctx"]), t["policy/bctx"])
         q3 = ops.reshape(query, (query.shape[0], cfg.embed_dim, 1))
-        scores = ops.scale(ops.reshape(ops.matmul(h, q3), h.shape[:2]), 1.0 / np.sqrt(cfg.embed_dim))
-        return ops.scale(ops.tanh(scores), LOGIT_CLIP)
+        scores = ops.mul(ops.reshape(ops.matmul(h, q3), h.shape[:2]), 1.0 / np.sqrt(cfg.embed_dim))
+        return ops.mul(ops.tanh(scores), LOGIT_CLIP)
 
     def _value(self, t, pooled_own, pooled_opp, ops=ad):
         joint = ops.concat([pooled_own, pooled_opp], axis=-1)

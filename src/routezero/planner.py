@@ -40,7 +40,7 @@ from .net import featurize, greedy_actions, stack_features, stack_states
 
 
 class PlannerError(RuntimeError):
-    """The search was invoked on an unusable root (terminal or unbudgeted)."""
+    """A search that cannot start (terminal root, no legal move) or broke its simulation count or evaluation bound."""
 
 
 @dataclass(frozen=True)

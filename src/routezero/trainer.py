@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,7 @@ _STREAM_EPISODE = 0
 _STREAM_INSTANCE = 1
 _STREAM_ARENA = 2
 
-_PROBLEMS = ("tsp", "dm-evrp", "em-evrp")
+_NET_PROBLEMS = {"tsp": "tsp", "dm-evrp": "evrp", "em-evrp": "evrp"}
 
 
 class TrainerError(RuntimeError):
@@ -76,7 +76,7 @@ class TrainConfig:
     stage_switch: int = 150
     self_play_prob: float = 0.5
     planner: PlannerConfig = field(default_factory=PlannerConfig)
-    net: NetConfig = field(default_factory=lambda: NetConfig(problem="tsp"))
+    net: NetConfig | None = None  # None: the default NetConfig of the problem's net layout
     arena_size: int = 32
     arena_interval: int = 50
     policy_buffer_capacity: int = 200_000
@@ -86,13 +86,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.problem not in _PROBLEMS:
-            raise ValueError(f"problem must be one of {_PROBLEMS}, got {self.problem!r}")
+        if self.problem not in _NET_PROBLEMS:
+            raise ValueError(f"problem must be one of {tuple(_NET_PROBLEMS)}, got {self.problem!r}")
         if not 0.0 <= self.self_play_prob < 1.0:
             raise ValueError("self_play_prob must lie in [0, 1)")
         if not 0 <= self.stage_switch <= self.total_episodes:
             raise ValueError("stage_switch must lie in [0, total_episodes]")
-        expected_net = "tsp" if self.problem == "tsp" else "evrp"
+        expected_net = _NET_PROBLEMS[self.problem]
+        if self.net is None:
+            object.__setattr__(self, "net", NetConfig(problem=expected_net))
         if self.net.problem != expected_net:
             raise ValueError(f"net.problem must be {expected_net!r} for problem {self.problem!r}")
         for name in (
@@ -123,8 +125,6 @@ def train_config_from_dict(raw) -> TrainConfig:
         if key in data:
             check_fields(cls, data[key], f"{key} config")
             data[key] = cls(**data[key])
-    if "net" not in data and "problem" in data:
-        data["net"] = NetConfig(problem="tsp" if data["problem"] == "tsp" else "evrp")
     return TrainConfig(**data)
 
 
@@ -186,14 +186,14 @@ class _Ring:
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str, capacity: int):
-        """Rebuild from ``to_arrays`` output; ValueError names a malformed array."""
+        """Rebuild from ``to_arrays`` output; ValueError or CheckpointError names a malformed or missing array."""
         buf = cls(capacity)
-        count = int(arrays[f"{prefix}count"])
+        count = int(checked_array(arrays, f"{prefix}count", ()))
         if not 0 <= count <= capacity:
             raise ValueError(f"array '{prefix}count' is {count}, outside [0, {capacity}]")
         if count:
             for k in cls.COLUMNS:
-                col = arrays[prefix + k]
+                col = checked_array(arrays, prefix + k, None)
                 if col.shape[:1] != (count,):
                     raise ValueError(f"array '{prefix}{k}' has shape {col.shape}, expected {count} rows")
                 buf.columns[k] = col.copy()
@@ -386,8 +386,8 @@ def load_checkpoint(path) -> tuple[TrainConfig, TrainerState]:
     arrays = read_arrays(path)
     try:
         check_version(arrays)
-        episode = int(arrays["meta/episode"])
-        cfg = train_config_from_dict(json.loads(arrays["meta/config"].tobytes().decode()))
+        episode = int(checked_array(arrays, "meta/episode", ()))
+        cfg = train_config_from_dict(json.loads(checked_array(arrays, "meta/config", None).tobytes().decode()))
         theta = net_from_arrays(arrays, "theta/")
         moments = [
             {k: checked_array(arrays, f"theta/{group}/{k}", p.shape) for k, p in theta.params.items()}
@@ -401,8 +401,6 @@ def load_checkpoint(path) -> tuple[TrainConfig, TrainerState]:
             episode=episode,
             adam=Adam(*moments, int(checked_array(arrays, "theta/meta/adam_t", ()))),
         )
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing array {exc}") from exc
     except (CheckpointError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     return cfg, state
@@ -421,39 +419,41 @@ def _append_event(path: Path, payload: dict) -> None:
     _append_line(path, json.dumps(payload, separators=(",", ":")))
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a run log; TrainerError names a missing file."""
+    try:
+        return path.read_text().splitlines()
+    except FileNotFoundError as exc:
+        raise TrainerError(f"{path}: {exc.strerror}") from exc
+
+
 def read_metrics(path: Path, limit: int | None = None) -> list[dict]:
     """The first ``limit`` (default: all) parsed rows of a metrics.csv, each with its ``line``.
 
-    TrainerError names the file and the line of a malformed header or row.
+    Line 1 must be ``METRICS_HEADER``; TrainerError names the file and line of any other header or a bad row.
     """
-    try:
-        lines = path.read_text().splitlines()
-    except FileNotFoundError as exc:
-        raise TrainerError(f"{path}: {exc.strerror}") from exc
-    if not lines:
-        raise TrainerError(f"{path}: empty metrics file")
-    header = lines[0].split(",")
-    missing = [name for name in ("episode", "stage", "learner_obj", "competitor_obj") if name not in header]
-    if missing:
-        raise TrainerError(f"{path}: line 1: header lacks {', '.join(missing)}")
+    lines = _read_lines(path)
+    if lines[:1] != [METRICS_HEADER]:
+        raise TrainerError(f"{path}: line 1: expected the header {METRICS_HEADER}")
+    width = METRICS_HEADER.count(",") + 1
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if len(rows) == limit:
             break
         if not line:
             continue
-        values = line.split(",")
-        if len(values) != len(header):
-            raise TrainerError(f"{path}: line {lineno}: {len(values)} cells, header has {len(header)}")
-        cells = dict(zip(header, values))
+        cells = line.split(",")
+        if len(cells) != width:
+            raise TrainerError(f"{path}: line {lineno}: {len(cells)} cells, header has {width}")
+        episode, stage, learner_obj, competitor_obj, _, _, _, soc = cells
         try:
             rows.append(
                 {
-                    "episode": int(cells["episode"]),
-                    "stage": int(cells["stage"]),
-                    "learner_obj": float(cells["learner_obj"]),
-                    "competitor_obj": float(cells["competitor_obj"]),
-                    "soc_per_customer": float(cells["soc_per_customer"]) if cells.get("soc_per_customer") else None,
+                    "episode": int(episode),
+                    "stage": int(stage),
+                    "learner_obj": float(learner_obj),
+                    "competitor_obj": float(competitor_obj),
+                    "soc_per_customer": float(soc) if soc else None,
                     "line": line,
                 }
             )
@@ -466,13 +466,13 @@ def read_metrics(path: Path, limit: int | None = None) -> list[dict]:
 
 def _rewind(metrics_path: Path, events_path: Path, episode: int) -> None:
     """Cut metrics.csv to its first rows, which must be episodes 1..``episode``, and events.log to its lines
-    before the first of a later episode, parsing neither further; TrainerError names a damaged file and line.
+    before the first of a later episode, parsing neither further; TrainerError names a missing or damaged file and line.
     """
     rows = read_metrics(metrics_path, episode)
     if [row["episode"] for row in rows] != list(range(1, episode + 1)):
         raise TrainerError(f"{metrics_path}: lacks rows 1..{episode}; the checkpoint is at episode {episode}")
     events = []
-    for lineno, line in enumerate(events_path.read_text().splitlines() if events_path.exists() else [], start=1):
+    for lineno, line in enumerate(_read_lines(events_path), start=1):
         try:
             if json.loads(line)["episode"] > episode:
                 break
@@ -483,6 +483,16 @@ def _rewind(metrics_path: Path, events_path: Path, episode: int) -> None:
     write_file(events_path, "".join(events))
 
 
+def _first_difference(saved, wanted, prefix: str = "") -> str:
+    """The first field in which two unequal configs differ, dotted when nested (``net.embed_dim``), and both values."""
+    for f in fields(saved):
+        old, new = getattr(saved, f.name), getattr(wanted, f.name)
+        if old != new and is_dataclass(old):
+            return _first_difference(old, new, f"{prefix}{f.name}.")
+        if old != new:
+            return f"{prefix}{f.name} is {old!r} in the checkpoint, {new!r} in this one"
+
+
 def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
     """Run the training loop end to end; returns the checkpoint path.
 
@@ -490,9 +500,9 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
     ``metrics.csv`` (one row per episode, deterministic given the seed),
     ``events.log`` (JSON lines: episodes, arena showdowns, checkpoints, a
     self-play dead end; carries wall times, so not byte-stable),
-    ``checkpoint.npz``.  A resume rewinds both logs to the checkpointed
-    episode and replays from there, which reproduces the uninterrupted run
-    byte for byte in metrics.csv.
+    ``checkpoint.npz``.  A resume needs both logs; it rewinds them to the
+    checkpointed episode and replays from there, which reproduces the
+    uninterrupted run byte for byte in metrics.csv.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -505,10 +515,10 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
             raise TrainerError(f"{ckpt_path}: no checkpoint to resume from")
         saved_cfg, state = load_checkpoint(ckpt_path)
         if saved_cfg != cfg:
-            raise TrainerError("checkpoint was produced by a different config")
-        start = state.episode
-        _rewind(metrics_path, events_path, start)
-        _append_event(events_path, {"event": "resume", "episode": start})
+            difference = _first_difference(saved_cfg, cfg)
+            raise TrainerError(f"{ckpt_path}: checkpoint was produced by a different config: {difference}")
+        _rewind(metrics_path, events_path, state.episode)
+        _append_event(events_path, {"event": "resume", "episode": state.episode})
     else:
         theta = PolicyValueNet.create(cfg.net, seed=cfg.seed)
         state = TrainerState(
@@ -519,14 +529,13 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
             episode=0,
             adam=Adam.zeros(theta.params),
         )
-        start = 0
         write_file(run_dir / "config.json", json.dumps(asdict(cfg), indent=2) + "\n")
         write_file(metrics_path, METRICS_HEADER + "\n")
         write_file(events_path, "")
 
     arena_set = [make_instance(cfg, derived_seed(cfg.seed, _STREAM_ARENA, k)) for k in range(cfg.arena_size)]
 
-    for episode in range(start, cfg.total_episodes):
+    for episode in range(state.episode, cfg.total_episodes):
         stage = stage_gate(episode, cfg)
         inst_seed = derived_seed(cfg.seed, _STREAM_INSTANCE, episode)
         inst = make_instance(cfg, inst_seed)

@@ -16,7 +16,6 @@ from routezero.autodiff import (
     mul,
     relu,
     reshape,
-    scale,
     sigmoid,
     softmax,
     tanh,
@@ -112,7 +111,7 @@ class TestTensorMechanics:
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
         x.grad = None
         # one branch adopts a fresh array, the other passes a reshaped view through
-        total(add(scale(x, 3.0), reshape(reshape(x, (3, 2)), (2, 3)))).backward()
+        total(add(mul(x, 3.0), reshape(reshape(x, (3, 2)), (2, 3)))).backward()
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 4.0))
         w, y = leaf(2, 3), leaf(2, 3)
         w_data, y_data = w.data.copy(), y.data.copy()
@@ -131,7 +130,7 @@ class TestTensorMechanics:
 
         def losses(w, b):
             first = total(tanh(add(matmul(Tensor(x1), w), b)))
-            second = total(mul(sigmoid(matmul(Tensor(x2), reshape(w, (4, 3)))), scale(b, 1e3)))
+            second = total(mul(sigmoid(matmul(Tensor(x2), reshape(w, (4, 3)))), mul(b, 1e3)))
             return first, second
 
         w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
@@ -162,11 +161,11 @@ class TestOpGradients:
         gradcheck(lambda a, b: total(mul(a, b)), leaf(2, 3, 4), leaf(3, 1))
 
     def test_sub_and_neg(self):
-        gradcheck(lambda a, b: total(add(a, scale(b, -1.0))), leaf(3), leaf(3))
-        gradcheck(lambda a: total(scale(a, -1.0)), leaf(3))
+        gradcheck(lambda a, b: total(add(a, mul(b, -1.0))), leaf(3), leaf(3))
+        gradcheck(lambda a: total(mul(a, -1.0)), leaf(3))
 
-    def test_scale(self):
-        gradcheck(lambda a: total(scale(a, -2.5)), leaf(3, 2))
+    def test_mul_by_a_constant(self):
+        gradcheck(lambda a: total(mul(a, -2.5)), leaf(3, 2))
 
     def test_matmul_2d(self):
         gradcheck(lambda a, b: total(matmul(a, b)), leaf(3, 4), leaf(4, 2))
@@ -290,7 +289,6 @@ def array_op_cases(rng):
         ("Tensor", x, ()),
         ("add", x, (rng.normal(size=4),)),
         ("mul", x, (rng.normal(size=(5, 1)),)),
-        ("scale", x, (rng.normal(),)),
         ("matmul", x, (rng.normal(size=(4, 6)),)),
         ("reshape", x, ((3, 20),)),
         ("transpose", x, ((0, 2, 1),)),
@@ -347,6 +345,7 @@ class TestArrayOps:
         assert called == set(vars(ARRAY_OPS))
         ops = {k for k, v in vars(ad).items() if callable(v) and getattr(v, "__module__", "") == ad.__name__}
         assert {k for k in ops if not k.startswith("_")} == called | {"masked_cross_entropy", "mse"}
+        assert not hasattr(ad, "scale") and not hasattr(ARRAY_OPS, "scale"), "scaling is mul by a constant"
 
 
 def random_policy_batch(batch=3, n=5):

@@ -240,6 +240,15 @@ class TestEval:
         rows = self.read_rows(out)
         assert rows[0][1] == "mcts" and rows[0][5] == "True"
 
+    @pytest.mark.parametrize("flag", ["--budget", "--m-root"])
+    def test_budget_or_m_root_below_one_is_a_usage_error(self, tmp_path, trained_run, flag, capsys):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        out = tmp_path / "mcts.csv"
+        argv = ["eval", str(trained_run / "checkpoint.npz"), str(inst_dir), "--mode", "mcts", flag, "0"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "mcts.timing.csv").exists()
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         inst_dir = self.gen_instances(tmp_path, n=1)
         assert main(["eval", str(tmp_path / "absent.npz"), str(inst_dir)]) == 2
@@ -503,7 +512,7 @@ class TestPlot:
     @pytest.mark.parametrize(
         ("text", "where"),
         [
-            ("a,b\n1,2\n", "line 1: header lacks episode, stage, learner_obj, competitor_obj"),
+            ("a,b\n1,2\n", f"line 1: expected the header {METRICS_HEADER}"),
             (f"{METRICS_HEADER}\n1,1,3.0\n", "line 2: 3 cells, header has 8"),
             (f"{METRICS_HEADER}\n1,1,3.0,4.0,1,0.5,0.5,\nx,1,3.0,4.0,1,0.5,0.5,\n", "line 3: invalid literal"),
         ],

@@ -1,6 +1,6 @@
 import json
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -64,6 +64,10 @@ class TestTrainConfig:
     def test_net_defaults_follow_problem(self):
         cfg = train_config_from_dict({"problem": "dm-evrp", "n_customers": 2, "n_stations": 1})
         assert cfg.net.problem == "evrp"
+
+    @pytest.mark.parametrize("problem", ["dm-evrp", "em-evrp"])
+    def test_library_and_json_configs_take_the_same_default_net(self, problem):
+        assert TrainConfig(problem=problem) == train_config_from_dict({"problem": problem})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys: budget"):
@@ -586,8 +590,14 @@ class TestTrainLoop:
             ("metrics.csv", lambda lines: [lines[0], "x" + lines[1][1:], *lines[2:]], r"metrics\.csv: line 2: invalid"),
             ("metrics.csv", None, r"metrics\.csv: No such file or directory"),
             ("metrics.csv", lambda lines: lines[:3] + lines[4:], r"metrics\.csv: lacks rows 1\.\.4; the checkpoint"),
+            ("events.log", None, r"events\.log: No such file"),
+            (
+                "metrics.csv",
+                lambda lines: [lines[0].replace("learner_obj,competitor", "competitor_obj,learner"), *lines[1:]],
+                r"metrics\.csv: line 1",
+            ),
         ],
-        ids=["cut-event", "bad-episode-cell", "deleted-metrics", "missing-row"],
+        ids=["cut-event", "bad-episode-cell", "deleted-metrics", "missing-row", "deleted-events", "swapped-header"],
     )
     def test_resume_rejects_a_damaged_log_naming_the_file(self, tmp_path, finished_run, name, edit, message):
         run = tmp_path / "run"
@@ -610,6 +620,28 @@ class TestTrainLoop:
         train(cfg, tmp_path / "run")
         with pytest.raises(TrainerError, match="different config"):
             train(tiny_cfg(seed=1), tmp_path / "run", resume=True)
+
+    @pytest.mark.parametrize(
+        ("overrides", "named"),
+        [
+            ({"seed": 4}, "seed is 0 in the checkpoint, 4 in this one"),
+            ({"net": replace(tiny_cfg().net, embed_dim=32)}, "net.embed_dim is 16 in the checkpoint, 32 in this one"),
+            (
+                {"planner": replace(tiny_cfg().planner, n_simulations=7)},
+                "planner.n_simulations is 6 in the checkpoint, 7 in this one",
+            ),
+        ],
+        ids=["seed", "net", "planner"],
+    )
+    def test_a_different_config_names_the_checkpoint_and_the_field(self, tmp_path, finished_run, overrides, named):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        with pytest.raises(TrainerError) as raised:
+            train(tiny_cfg(**overrides), run, resume=True)
+        ckpt = run / "checkpoint.npz"
+        assert str(raised.value) == f"{ckpt}: checkpoint was produced by a different config: {named}"
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_completed_run_resumes_to_a_noop(self, tmp_path):
         cfg = tiny_cfg()
