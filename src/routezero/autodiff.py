@@ -1,8 +1,10 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 Implements exactly the operations the policy/value network runs: matmul,
-broadcast arithmetic, shape moves, tanh/sigmoid/relu, softmax, node-axis
-batch norm, index gather and the two loss heads.  Tensors record their
+broadcast arithmetic, reshape, concat, mean, tanh and relu, node-axis batch
+norm, index gather, the three encoder sublayers (multi-head attention, the
+sigmoid gate and the feed-forward block, one op each) and the two loss
+heads.  Tensors record their
 parents and a backward closure; ``backward()`` walks the tape in reverse
 topological order and frees it as it goes: once a node has passed its
 gradient on, its gradient, closure and parent links are dropped, so the
@@ -16,14 +18,14 @@ leaves, ``a.backward(); b.backward()`` gives each leaf the same floats as
 before it builds the value graph.  Results of operations on constant
 inputs record no tape, but every op still allocates a result ``Tensor``
 and a backward closure: at the desk network size (embed 32, 2 layers,
-TSP-6 or EVRP-6, batch 1-2) a forward through this module takes 2.1-2.4x
+TSP-6 or EVRP-6, batch 1-2) a forward through this module takes 1.2-1.6x
 as long as the same ops on plain arrays (2-CPU x86-64 host, one BLAS
 thread), so the network runs inference on plain arrays instead.
 
 `ARRAY_OPS` is that plain-array path: every op the network builders call,
 under its tape name, and nothing else.  Its entries are this module's
-forward kernels (sigmoid, relu, softmax, gather_nodes and the batch-norm
-normalization), through which the tape ops compute their forwards, and
+forward kernels (relu, gather_nodes, the batch-norm normalization and the
+three sublayers), through which the tape ops compute their forwards, and
 numpy one-liners for the rest, so inference returns the tape's forward
 values bit for bit.  Its batch norm runs in inference mode only.
 """
@@ -46,9 +48,9 @@ def _relu(a: np.ndarray) -> np.ndarray:
     return a * (a > 0.0)
 
 
-def _softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(a - a.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(a: np.ndarray) -> np.ndarray:
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _gather_nodes(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -68,21 +70,48 @@ def _batchnorm_nodes(a, gamma, beta, running_mean, running_var, training, update
     return _normalize(a, gamma, beta, running_mean, running_var)[0]
 
 
+def _attention(x, wq, wk, wv, wo, heads: int):
+    """Multi-head self-attention over the node axis of a (B, N, D) array, and what its backward reads.
+
+    Returns ``(out, q, k, v, p, mixed)``: the output, the (B, H, N, D/H) head
+    views of the three projections, the attention weights and the heads'
+    outputs joined back to (B, N, D).
+    """
+    b, n, d = x.shape
+    dh = d // heads
+    q, k, v = ((x @ w).reshape(b, n, heads, dh).transpose(0, 2, 1, 3) for w in (wq, wk, wv))
+    p = _softmax((q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh)))
+    mixed = (p @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+    return mixed @ wo, q, k, v, p, mixed
+
+
+def _gate(x, f, w, b):
+    """``s * x + (1 - s) * f`` with ``s = sigmoid([x || f] W + b)``, and ``s``."""
+    s = _sigmoid(np.concatenate([x, f], axis=-1) @ w + b)
+    return s * x + (s * -1.0 + 1.0) * f, s
+
+
+def _ffn(x, w1, b1, w2, b2):
+    """``relu(x W1 + b1) W2 + b2``, and the hidden activation."""
+    hidden = _relu(x @ w1 + b1)
+    return hidden @ w2 + b2, hidden
+
+
 ARRAY_OPS = SimpleNamespace(
     Tensor=lambda x: np.asarray(x, dtype=np.float64),
     add=operator.add,
     mul=operator.mul,
     matmul=operator.matmul,
     reshape=lambda a, shape: a.reshape(shape),
-    transpose=lambda a, axes: a.transpose(axes),
     concat=lambda parts, axis=-1: np.concatenate(parts, axis=axis),
     mean=lambda a, axis: a.mean(axis=axis),
     tanh=np.tanh,
-    sigmoid=_sigmoid,
     relu=_relu,
-    softmax=_softmax,
     gather_nodes=_gather_nodes,
     batchnorm_nodes=_batchnorm_nodes,
+    attention=lambda *args: _attention(*args)[0],
+    gate=lambda *args: _gate(*args)[0],
+    ffn=lambda *args: _ffn(*args)[0],
 )
 
 
@@ -227,16 +256,6 @@ def reshape(a, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), bwd)
 
 
-def transpose(a, axes) -> Tensor:
-    a = _as_tensor(a)
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        a._accumulate(g.transpose(inverse))
-
-    return _result(a.data.transpose(axes), (a,), bwd)
-
-
 def concat(parts, axis: int = -1) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     sizes = [p.shape[axis] for p in parts]
@@ -269,16 +288,6 @@ def tanh(a) -> Tensor:
     return _result(y, (a,), bwd)
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    y = _sigmoid(a.data)
-
-    def bwd(g):
-        a._accumulate(g * y * (1.0 - y), fresh=True)
-
-    return _result(y, (a,), bwd)
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
 
@@ -286,17 +295,6 @@ def relu(a) -> Tensor:
         a._accumulate(g * (a.data > 0.0), fresh=True)
 
     return _result(_relu(a.data), (a,), bwd)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    y = _softmax(a.data, axis)
-
-    def bwd(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        a._accumulate(y * (g - inner), fresh=True)
-
-    return _result(y, (a,), bwd)
 
 
 def gather_nodes(a, index: np.ndarray) -> Tensor:
@@ -357,6 +355,86 @@ def batchnorm_nodes(
                 a._accumulate(gx * inv_std, fresh=True)
 
     return _result(y, (a, gamma, beta), bwd)
+
+
+# The three encoder sublayers below are one tape op each, so the tape keeps only
+# what their backwards read.  Each backward does, float for float, what the chain
+# of the ops above that spells out its forward would do: the same folded GEMMs as
+# `matmul`, the same elementwise products, and the same order wherever an input
+# sums several contributions.  Training runs are reproducible byte for byte, and
+# their pinned hashes hold only while this does.
+
+
+def attention(x, wq, wk, wv, wo, heads: int) -> Tensor:
+    """Multi-head self-attention over the node axis of a (B, N, D) tensor; see `_attention`."""
+    x, wq, wk, wv, wo = (_as_tensor(a) for a in (x, wq, wk, wv, wo))
+    out, q, k, v, p, mixed = _attention(x.data, wq.data, wk.data, wv.data, wo.data, heads)
+
+    def bwd(g):
+        b, n, d = x.shape
+        g2 = g.reshape(-1, d)
+        if wo.requires_grad:
+            wo._accumulate(mixed.reshape(-1, d).T @ g2, fresh=True)
+        gm = (g2 @ wo.data.T).reshape(b, n, heads, -1).transpose(0, 2, 1, 3).copy()
+        gp = gm @ np.swapaxes(v, -1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * (1.0 / np.sqrt(d // heads))
+        grads = (gs @ k, (np.swapaxes(q, -1, -2) @ gs).transpose(0, 1, 3, 2), np.swapaxes(p, -1, -2) @ gm)
+        # the input sums its three contributions in the order q, k, v
+        for w, gh in zip((wq, wk, wv), grads):
+            gw = gh.transpose(0, 2, 1, 3).reshape(-1, d)
+            if w.requires_grad:
+                w._accumulate(x.data.reshape(-1, d).T @ gw, fresh=True)
+            if x.requires_grad:
+                x._accumulate((gw @ w.data.T).reshape(x.shape), fresh=True)
+
+    return _result(out, (x, wq, wk, wv, wo), bwd)
+
+
+def gate(x, f, w, b) -> Tensor:
+    """Learned sigmoid blend of a sublayer's input ``x`` and output ``f``; see `_gate`."""
+    x, f, w, b = (_as_tensor(a) for a in (x, f, w, b))
+    out, s = _gate(x.data, f.data, w.data, b.data)
+
+    def bwd(g):
+        d = s.shape[-1]
+        gz = (g * x.data + (g * f.data) * -1.0) * s * (1.0 - s)
+        gz2 = gz.reshape(-1, d)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(gz, b.shape), fresh=True)
+        if w.requires_grad:
+            w._accumulate(np.concatenate([x.data, f.data], axis=-1).reshape(-1, 2 * d).T @ gz2, fresh=True)
+        gcat = (gz2 @ w.data.T).reshape(*s.shape[:-1], 2 * d)
+        if x.requires_grad:
+            x._accumulate(gcat[..., :d] + g * s, fresh=True)
+        if f.requires_grad:
+            f._accumulate(gcat[..., d:] + g * (s * -1.0 + 1.0), fresh=True)
+
+    return _result(out, (x, f, w, b), bwd)
+
+
+def ffn(x, w1, b1, w2, b2) -> Tensor:
+    """Two-layer relu feed-forward over the last axis; see `_ffn`."""
+    x, w1, b1, w2, b2 = (_as_tensor(a) for a in (x, w1, b1, w2, b2))
+    out, hidden = _ffn(x.data, w1.data, b1.data, w2.data, b2.data)
+
+    def bwd(g):
+        d, f = w1.shape
+        g2 = g.reshape(-1, g.shape[-1])
+        if b2.requires_grad:
+            b2._accumulate(_unbroadcast(g, b2.shape), fresh=True)
+        if w2.requires_grad:
+            w2._accumulate(hidden.reshape(-1, f).T @ g2, fresh=True)
+        # hidden > 0 exactly where the pre-activation is
+        gh = (g2 @ w2.data.T).reshape(hidden.shape) * (hidden > 0.0)
+        if b1.requires_grad:
+            b1._accumulate(_unbroadcast(gh, b1.shape), fresh=True)
+        gh2 = gh.reshape(-1, f)
+        if w1.requires_grad:
+            w1._accumulate(x.data.reshape(-1, d).T @ gh2, fresh=True)
+        if x.requires_grad:
+            x._accumulate((gh2 @ w1.data.T).reshape(x.shape), fresh=True)
+
+    return _result(out, (x, w1, b1, w2, b2), bwd)
 
 
 def masked_cross_entropy(logits, legal: np.ndarray, target: np.ndarray) -> Tensor:

@@ -15,11 +15,12 @@ query q and each node scores ``C * tanh(q . h_j / sqrt(d))``.  The value
 head reads the pooled embeddings of the two players' states side by side
 and squashes through tanh into [-1, 1].
 
-The network is written once, in `_encode`, `_gate`, `_policy_logits` and
-`_value`, against an ops namespace.  Training passes `autodiff`, whose
-tape gives the gradients; `forward` passes `autodiff.ARRAY_OPS`, the same
-ops and forward kernels on plain numpy arrays, so inference records
-nothing, wraps nothing and returns the tape path's outputs bit for bit.
+The network is written once, in `_encode`, `_policy_logits` and `_value`,
+against an ops namespace, where attention, each gate and the feed-forward
+block are one op each.  Training passes `autodiff`, whose tape gives the
+gradients; `forward` passes `autodiff.ARRAY_OPS`, the same ops and forward
+kernels on plain numpy arrays, so inference records nothing, wraps nothing
+and returns the tape path's outputs bit for bit.
 This module defines no op of its own.  There is no external ML runtime,
 which keeps checkpoints exact and runs reproducible.
 
@@ -271,8 +272,6 @@ class PolicyValueNet:
     def _encode(self, t, nodes: np.ndarray, training: bool, update_stats: bool, ops=ad):
         cfg = self.config
         h = ops.add(ops.matmul(ops.Tensor(nodes), t["embed/W"]), t["embed/b"])
-        heads, dh = cfg.n_heads, cfg.embed_dim // cfg.n_heads
-        b, n = nodes.shape[0], nodes.shape[1]
         for i in range(cfg.n_layers):
             pre = f"layer{i}"
             normed = ops.batchnorm_nodes(
@@ -284,14 +283,8 @@ class PolicyValueNet:
                 training,
                 update_stats,
             )
-            q = ops.transpose(ops.reshape(ops.matmul(normed, t[f"{pre}/attn/Wq"]), (b, n, heads, dh)), (0, 2, 1, 3))
-            k = ops.transpose(ops.reshape(ops.matmul(normed, t[f"{pre}/attn/Wk"]), (b, n, heads, dh)), (0, 2, 1, 3))
-            v = ops.transpose(ops.reshape(ops.matmul(normed, t[f"{pre}/attn/Wv"]), (b, n, heads, dh)), (0, 2, 1, 3))
-            scores = ops.mul(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-            mixed = ops.matmul(ops.softmax(scores, axis=-1), v)
-            mixed = ops.reshape(ops.transpose(mixed, (0, 2, 1, 3)), (b, n, cfg.embed_dim))
-            attn = ops.matmul(mixed, t[f"{pre}/attn/Wo"])
-            h = self._gate(t, f"{pre}/gate1", h, attn, ops)
+            attn = ops.attention(normed, *(t[f"{pre}/attn/{w}"] for w in ("Wq", "Wk", "Wv", "Wo")), cfg.n_heads)
+            h = ops.gate(h, attn, t[f"{pre}/gate1/W"], t[f"{pre}/gate1/b"])
             normed = ops.batchnorm_nodes(
                 h,
                 t[f"{pre}/bn2/gamma"],
@@ -301,21 +294,10 @@ class PolicyValueNet:
                 training,
                 update_stats,
             )
-            ffn = ops.add(
-                ops.matmul(
-                    ops.relu(ops.add(ops.matmul(normed, t[f"{pre}/ffn/W1"]), t[f"{pre}/ffn/b1"])),
-                    t[f"{pre}/ffn/W2"],
-                ),
-                t[f"{pre}/ffn/b2"],
-            )
-            h = self._gate(t, f"{pre}/gate2", h, ffn, ops)
+            ffn = ops.ffn(normed, *(t[f"{pre}/ffn/{w}"] for w in ("W1", "b1", "W2", "b2")))
+            h = ops.gate(h, ffn, t[f"{pre}/gate2/W"], t[f"{pre}/gate2/b"])
         pooled = ops.mean(h, axis=1)
         return h, pooled
-
-    @staticmethod
-    def _gate(t, prefix: str, x, f, ops=ad):
-        s = ops.sigmoid(ops.add(ops.matmul(ops.concat([x, f], axis=-1), t[f"{prefix}/W"]), t[f"{prefix}/b"]))
-        return ops.add(ops.mul(s, x), ops.mul(ops.add(ops.mul(s, -1.0), 1.0), f))
 
     def _policy_logits(self, t, h, pooled, batch: dict[str, np.ndarray], ops=ad):
         cfg = self.config
@@ -447,8 +429,8 @@ def net_from_arrays(arrays: dict[str, np.ndarray], prefix: str) -> PolicyValueNe
 
 
 def check_version(arrays: dict[str, np.ndarray]) -> None:
-    """Reject a dump whose ``meta/version`` is not ``CHECKPOINT_VERSION``."""
-    found = arrays.get("meta/version", np.array(-1))
+    """Reject a dump whose ``meta/version`` is missing or not ``CHECKPOINT_VERSION``."""
+    found = checked_array(arrays, "meta/version", None)
     if found.shape != () or int(found) != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint version {found} != {CHECKPOINT_VERSION}")
 

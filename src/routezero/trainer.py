@@ -556,12 +556,14 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
 
         policy_losses = []
         value_losses = []
+        train_start = time.perf_counter()
         for _ in range(cfg.train_steps_per_episode):
             policy_batch = state.policy_buffer.sample(cfg.net.batch_size, rng)
             value_batch = state.value_buffer.sample(cfg.net.batch_size, rng)
             p_loss, v_loss = state.theta.train_step(policy_batch, value_batch, state.adam)
             policy_losses.append(p_loss)
             value_losses.append(v_loss)
+        train_s = time.perf_counter() - train_start
         p_mean = float(np.mean(policy_losses)) if policy_losses else 0.0
         v_mean = float(np.mean(value_losses)) if value_losses else 0.0
 
@@ -613,6 +615,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
                 "z": record.outcome,
                 "learner_sims": list(record.sims[0]),
                 "competitor_sims": list(record.sims[1]),
+                "train_s": train_s,
                 "wall_time_s": time.perf_counter() - started,
             },
         )

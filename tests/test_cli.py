@@ -162,6 +162,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "checkpoint.npz" in err and "unknown planner config keys: seed" in err
 
+    def test_resume_from_checkpoint_without_a_version_is_data_error(self, tmp_path, trained_run, capsys):
+        ckpt = trained_run / "checkpoint.npz"
+        arrays = dict(np.load(ckpt))
+        del arrays["meta/version"]
+        np.savez(ckpt, **arrays)
+        config = tmp_path / "smoke.json"
+        assert main(["train", str(config), "--run-dir", str(trained_run), "--resume"]) == 2
+        assert f"{ckpt}: missing array 'meta/version'" in capsys.readouterr().err
+
     def test_bad_value_is_usage_error(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({**TINY_TRAIN, "self_play_prob": 2.0}))
@@ -271,6 +280,16 @@ class TestEval:
         np.savez(ckpt, **arrays)
         assert main(["eval", str(ckpt), str(inst_dir)]) == 2
         assert "missing array 'theta/stat/layer0/bn1/mean'" in capsys.readouterr().err
+
+    def test_checkpoint_without_a_version_is_data_error(self, tmp_path, trained_run, capsys):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        ckpt = tmp_path / "unversioned.npz"
+        arrays = dict(np.load(trained_run / "checkpoint.npz"))
+        del arrays["meta/version"]
+        np.savez(ckpt, **arrays)
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        assert f"{ckpt}: missing array 'meta/version'" in capsys.readouterr().err
+        assert not (inst_dir / "results.csv").exists()
 
     def test_version_1_trainer_checkpoint_is_data_error(self, tmp_path, trained_run, capsys):
         inst_dir = self.gen_instances(tmp_path, n=1)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -25,6 +26,8 @@ from routezero.net import (
 from routezero.trainer import PolicyBuffer, TrainConfig, TrainerState, ValueBuffer, load_checkpoint, save_checkpoint
 
 TINY = dict(embed_dim=16, n_heads=2, n_layers=1, ffn_dim=32, batch_size=8, learning_rate=1e-2)
+DESK_NET = dict(embed_dim=32, n_heads=4, n_layers=2, ffn_dim=64, batch_size=64, learning_rate=1e-3)
+PINNED_DESK_STEPS = "fdaa5e9693dc86d545ddb0c7edfe3e049fce8129fc26c62f1014307393eb3ff9"
 
 
 def tiny_net(problem="tsp", seed=0, **overrides):
@@ -439,6 +442,30 @@ class TestTrainStep:
         value_only = train_step_peak_bytes(net.copy(), None, value)
         both = train_step_peak_bytes(net.copy(), policy, value)
         assert both < value_only + policy_only / 2
+
+    def test_a_value_step_peaks_below_100_activations(self):
+        # the value graph holds two encodes until backward; each encoder layer keeps about 17
+        # (B, N, embed) activations of this shape, so two layers stay well below 100 of them
+        net = PolicyValueNet.create(NetConfig(problem="tsp", embed_dim=64, n_heads=4, n_layers=2, ffn_dim=128))
+        _, value = training_batches(generate_tsp(10, seed=18), 64, np.random.default_rng(18))
+        activation = 64 * 10 * 64 * np.dtype(np.float64).itemsize
+        assert train_step_peak_bytes(net, None, value) < 100 * activation
+
+    def test_desk_steps_keep_their_pinned_bits(self):
+        # SHA-256 of the losses, weights and running statistics after two desk-size steps: any change
+        # to the floats of a train step changes it.  The GEMMs' rounding is part of it; it was recorded
+        # on x86-64 with numpy 2.4 on OpenBLAS 0.3.31.
+        net = PolicyValueNet.create(NetConfig(problem="tsp", **DESK_NET), seed=0)
+        adam = Adam.zeros(net.params)
+        rng = np.random.default_rng(24)
+        digest = hashlib.sha256()
+        for _ in range(2):
+            policy, value = training_batches(generate_tsp(6, seed=24), DESK_NET["batch_size"], rng)
+            digest.update(np.array(net.train_step(policy, value, adam)).tobytes())
+        for arrays in (net.params, net.bn_stats):
+            for k in sorted(arrays):
+                digest.update(arrays[k].tobytes())
+        assert digest.hexdigest() == PINNED_DESK_STEPS
 
     def test_net_carries_no_optimizer_state(self):
         net = tiny_net("tsp")

@@ -650,6 +650,13 @@ class TestTrainLoop:
         train(cfg, tmp_path / "run", resume=True)
         assert (tmp_path / "run" / "metrics.csv").read_bytes() == before
 
+    def test_episode_events_time_the_train_steps(self, finished_run):
+        episodes = [e for e in read_events(finished_run) if e["event"] == "episode"]
+        assert len(episodes) == 4
+        for e in episodes:
+            assert 0.0 <= e["train_s"] <= e["wall_time_s"]
+        assert sum(e["train_s"] for e in episodes) > 0.0, "the run took train steps"
+
     def test_stage1_events_show_zero_competitor_sims(self, tmp_path):
         cfg = tiny_cfg()
         train(cfg, tmp_path / "run")
