@@ -1,10 +1,14 @@
 """Reference solvers and heuristics used as training/evaluation baselines.
 
-``exact_tsp`` is Held-Karp dynamic programming over subsets, so it is exact
+``exact_tsps`` is Held-Karp dynamic programming over subsets, so it is exact
 but only sized for desk-scale tours.  It relaxes one subset size at a time,
-vectorized over every subset of that size: about 0.27 ms per instance at
-n=6, 1.6 ms at n=10, 9 ms at n=12 and 0.2 s at n=16, where the process
-peaks near 80 MB RSS (2-CPU host, BLAS 1 thread).  ``exact_evrp`` runs best-first
+vectorized over every subset of that size and over every instance of one
+node count, stacked in chunks no larger than one instance at the size
+limit; ``exact_tsp`` is its one-instance form.  On a 2-CPU host with BLAS
+on one thread, 320 instances at n=6 take about 6 ms together and 96 at
+n=10 about 70 ms; one at a time, an instance takes about 0.2 ms at n=6,
+0.9 ms at n=10, 4 ms at n=12 and 0.12 s at n=16, where the process peaks
+near 80 MB RSS.  ``exact_evrp`` runs best-first
 branch and bound directly over the environment's transition system, so its
 optimum is the optimum of the game the planner actually plays, station
 visits, depot returns and energy accounting included.  It scores each
@@ -54,45 +58,82 @@ def gap(objective_value: float, best_value: float) -> float:
     return 100.0 * (objective_value - best_value) / best_value
 
 
-def exact_tsp(inst: TspInstance) -> SolveResult:
-    """Optimal tour by Held-Karp over bitmask subsets, anchored at city 0."""
-    n = inst.n_nodes
-    if n > EXACT_TSP_MAX_NODES:
-        raise SizeLimitError(f"exact_tsp handles up to {EXACT_TSP_MAX_NODES} cities, got {n}")
-    start = time.perf_counter()
-    d = inst.dist_km
-    size = 1 << n
-    cost = np.full((size, n), np.inf)
-    parent = np.full((size, n), -1, dtype=np.int8)
-    cost[1, 0] = 0.0
-    odd = np.arange(1, size, 2)
-    members = (odd[:, None] >> np.arange(n)) & 1
-    layer = members.sum(axis=1)
-    expansions = 0
+def exact_tsps(insts: Sequence[TspInstance]) -> list[SolveResult | SizeLimitError]:
+    """Optimal tours by Held-Karp over bitmask subsets, anchored at city 0, one DP per node count.
+
+    Instances of one node count ``n`` are stacked on a leading axis, in
+    chunks of at most ``2**(EXACT_TSP_MAX_NODES - n)``, so a chunk's tables
+    are no larger than one instance's at the size limit.  Each layer relaxes
+    every subset of one size in every instance of the chunk at once; the
+    sums, the tie order and so the routes, objectives and ``expansions``
+    are those of solving each instance alone.  An instance above the limit
+    gets its ``SizeLimitError``.  ``wall_time_s`` runs from the start of the
+    instance's chunk.
+    """
+    results: list[SolveResult | SizeLimitError | None] = [None] * len(insts)
+    groups: dict[int, list[int]] = {}
+    for slot, inst in enumerate(insts):
+        if inst.n_nodes > EXACT_TSP_MAX_NODES:
+            results[slot] = SizeLimitError(f"exact_tsp handles up to {EXACT_TSP_MAX_NODES} cities, got {inst.n_nodes}")
+        else:
+            groups.setdefault(inst.n_nodes, []).append(slot)
+    for n, slots in groups.items():
+        odd = np.arange(1, 1 << n, 2)
+        members = (odd[:, None] >> np.arange(n)) & 1
+        layer = members.sum(axis=1)
+        layers, open_to = [odd[layer == k] for k in range(1, n)], members == 0
+        size = 1 << (EXACT_TSP_MAX_NODES - n)
+        for lo in range(0, len(slots), size):
+            chunk = slots[lo : lo + size]
+            start = time.perf_counter()
+            solved = _held_karp(np.stack([insts[slot].dist_km for slot in chunk]), layers, open_to)
+            elapsed = time.perf_counter() - start
+            for slot, (tour, value, expansions) in zip(chunk, solved):
+                results[slot] = SolveResult(tour, value, expansions, elapsed)
+    return results
+
+
+def _held_karp(d: np.ndarray, layers: list[np.ndarray], open_to: np.ndarray) -> list[tuple]:
+    """(tour, length, expansions) of each (n, n) distance matrix in the stack ``d``.
+
+    ``layers[k - 1]`` holds the odd subset masks of ``k`` cities, and
+    ``open_to[mask >> 1, j]`` says that city ``j`` is outside ``mask``.
+    """
+    b, n, _ = d.shape
+    full = (1 << n) - 1
+    cost = np.full((b, full + 1, n), np.inf)
+    parent = np.full((b, full + 1, n), -1, dtype=np.int8)
+    cost[:, 1, 0] = 0.0
+    expansions = np.zeros(b, dtype=np.int64)
     # cell (mask | 1 << j, j) has the one predecessor mask, so each is written once, from the layer below
-    for k in range(1, n):
-        masks = odd[layer == k]
-        candidate = cost[masks][:, :, None] + d
-        best_cost = candidate.min(axis=1)
-        best_from = candidate.argmin(axis=1)
-        rows, nxt = np.nonzero((best_cost < np.inf) & (members[masks >> 1] == 0))
+    for masks in layers:
+        candidate = cost[:, masks][..., None] + d[:, None]
+        best_from = candidate.argmin(axis=2)
+        best_cost = np.take_along_axis(candidate, best_from[:, :, None], axis=2)[:, :, 0]
+        inst, rows, nxt = np.nonzero((best_cost < np.inf) & open_to[masks >> 1])
         grown = masks[rows] | (1 << nxt)
-        cost[grown, nxt] = best_cost[rows, nxt]
-        parent[grown, nxt] = best_from[rows, nxt]
-        expansions += rows.size
-    full = size - 1
-    closing = cost[full] + d[:, 0]
-    closing[0] = np.inf
-    last = int(np.argmin(closing))
-    tour = []
-    mask = full
-    while last >= 0:
-        tour.append(last)
-        prev = int(parent[mask, last])
-        mask ^= 1 << last
-        last = prev
-    tour.reverse()
-    return SolveResult(tuple(tour), float(closing.min()), expansions, time.perf_counter() - start)
+        cost[inst, grown, nxt] = best_cost[inst, rows, nxt]
+        parent[inst, grown, nxt] = best_from[inst, rows, nxt]
+        expansions += np.bincount(inst, minlength=b)
+    closing = cost[:, full] + d[:, :, 0]
+    closing[:, 0] = np.inf
+    every = np.arange(b)
+    last = closing.argmin(axis=1)
+    lengths = closing[every, last]
+    tours = np.empty((b, n), dtype=np.int64)
+    mask = np.full(b, full)
+    for pos in range(n - 1, -1, -1):
+        tours[:, pos] = last
+        mask, last = mask ^ (1 << last), parent[every, mask, last].astype(np.int64)
+    return [(tuple(t), float(length), int(count)) for t, length, count in zip(tours.tolist(), lengths, expansions)]
+
+
+def exact_tsp(inst: TspInstance) -> SolveResult:
+    """Optimal tour of one instance: `exact_tsps` of ``[inst]``; an instance above the size limit raises."""
+    result = exact_tsps([inst])[0]
+    if isinstance(result, SizeLimitError):
+        raise result
+    return result
 
 
 def _evrp_edge_bounds(inst: EvrpInstance) -> np.ndarray:
@@ -216,14 +257,12 @@ def greedy_rollouts(insts: Sequence[Instance], net) -> list[SolveResult | DeadEn
 
     Instances of one type and node count go in chunks of at most
     ``net.config.batch_size``, each played by one ``env.play`` with one
-    ``forward`` per round over its live slots; a slot's dead end is its
+    `greedy_actions` per round over its live slots, so a round in which
+    every live slot is forced runs no ``forward``; a slot's dead end is its
     ``DeadEndError``.  ``wall_time_s`` runs from the start of the slot's
-    chunk, and ``expansions`` counts the slot's forward rows.
+    chunk, and ``expansions`` counts the forward rows spent on the slot: a
+    TSP-n tour reads n - 1.
     """
-
-    def moves(states, live):
-        return greedy_actions(net, [states[i] for i in live])
-
     results: list[SolveResult | DeadEndError | None] = [None] * len(insts)
     groups: dict[tuple, list[int]] = {}
     for slot, inst in enumerate(insts):
@@ -232,12 +271,20 @@ def greedy_rollouts(insts: Sequence[Instance], net) -> list[SolveResult | DeadEn
     for slots in groups.values():
         for lo in range(0, len(slots), size):
             chunk = slots[lo : lo + size]
+            rows = [0] * len(chunk)
+
+            def moves(states, live):
+                actions, spent = greedy_actions(net, [states[i] for i in live])
+                if spent:
+                    for i in live:
+                        rows[i] += 1
+                return actions
+
             start = time.perf_counter()
-            starts = [initial_state(insts[slot]) for slot in chunk]
-            for i, end in play(starts, moves):
+            for i, end in play([initial_state(insts[slot]) for slot in chunk], moves):
                 if not isinstance(end, DeadEndError):
-                    route, steps = end.route, len(end.route) - len(starts[i].route)
-                    end = SolveResult(route, objective(end.instance, route), steps, time.perf_counter() - start)
+                    route = end.route
+                    end = SolveResult(route, objective(end.instance, route), rows[i], time.perf_counter() - start)
                 results[chunk[i]] = end
     return results
 

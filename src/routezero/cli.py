@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import SearchBudgetError, SizeLimitError, SolveResult, exact_evrp, exact_tsp, gap, greedy_rollouts
+from .baselines import SearchBudgetError, SizeLimitError, SolveResult, exact_evrp, exact_tsps, gap, greedy_rollouts
 from .env import DeadEndError, RoutingGame, objective, validate_route
 from .instance import (
     Instance,
@@ -148,14 +148,21 @@ def _plan_route(path: Path, inst: Instance, net: PolicyValueNet, planner_cfg: Pl
     return SolveResult(route, objective(inst, route), evaluations, time.perf_counter() - start)
 
 
-def _oracle(inst: Instance) -> SolveResult | None:
-    """Exact solution, or None when the instance is too large or the search budget runs out."""
-    try:
-        if isinstance(inst, TspInstance):
-            return exact_tsp(inst)
-        return exact_evrp(inst)
-    except (SizeLimitError, SearchBudgetError):
-        return None
+def _oracles(insts: list[Instance]) -> list[SolveResult | None]:
+    """Exact solutions of one problem's instances, None where an instance is too large or the search budget runs out.
+
+    TSP instances all go through one `exact_tsps`, EVRP instances through
+    one `exact_evrp` each.
+    """
+    if isinstance(insts[0], TspInstance):
+        return [result if isinstance(result, SolveResult) else None for result in exact_tsps(insts)]
+    oracles = []
+    for inst in insts:
+        try:
+            oracles.append(exact_evrp(inst))
+        except (SizeLimitError, SearchBudgetError):
+            oracles.append(None)
+    return oracles
 
 
 def _greedy_routes(paths: list[Path], insts: list[Instance], net: PolicyValueNet) -> list[SolveResult]:
@@ -202,7 +209,7 @@ def cmd_eval(args) -> int:
             _plan_route(path, inst, net, planner_cfg, np.random.default_rng([args.seed, idx]))
             for idx, (path, inst) in enumerate(zip(paths, insts))
         ]
-    oracles = [_oracle(inst) for inst in insts]
+    oracles = _oracles(insts)
     rows = [_result_row(*row, args.mode) for row in zip(paths, insts, solved, oracles)]
     timing = [_timing_row(*row) for row in zip(paths, solved, oracles)]
     out = Path(args.out) if args.out else inst_dir / "results.csv"

@@ -20,7 +20,7 @@ additionally restocks cargo and starts a fresh driver clock.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -62,7 +62,7 @@ class PlayerState:
     every customer is served and ``~served`` marks the open customers;
     ``route`` always starts at the depot.  ``legal_actions`` keeps the
     state's mask in ``_mask`` on first use; it takes no part in comparisons,
-    and successors (``step``, ``dataclasses.replace``) start without one.
+    and successors (``step``) start without one.
     """
 
     instance: Instance
@@ -243,13 +243,18 @@ def step(state: PlayerState, action: int) -> PlayerState:
         served = state.served.copy()
         served[action] = True
         dist = 0.0 if state.position < 0 else float(inst.dist_km[state.position, action])
-        return replace(
-            state,
+        return PlayerState(
+            instance=inst,
             position=action,
             served=served,
+            battery_kwh=state.battery_kwh,
+            clock_h=state.clock_h,
+            load_kg=state.load_kg,
             route=state.route + (action,),
+            served_since_depot=state.served_since_depot,
             done=bool(served.all()),
             distance_km=state.distance_km + dist,
+            energy_kwh=state.energy_kwh,
         )
 
     ((battery, clock, load, served_since_depot, e_edge),) = evrp_arrivals(state, (action,))

@@ -416,7 +416,9 @@ def instance_from_dict(data: dict, source: str = "<dict>") -> Instance:
         )
     except InstanceError as exc:
         raise type(exc)(f"{source}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InstanceFormatError(f"{source}: bad instance data: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{source}: bad instance data: {exc}") from exc
 
 

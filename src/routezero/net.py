@@ -383,13 +383,21 @@ class PolicyValueNet:
         return losses[0], losses[1]
 
 
-def greedy_actions(net: PolicyValueNet, states: list[PlayerState]) -> np.ndarray:
-    """Highest-logit legal move of each live state.
+def greedy_actions(net: PolicyValueNet, states: list[PlayerState]) -> tuple[np.ndarray, int]:
+    """Highest-logit legal move of each live state, and the forward rows spent on them.
 
-    One ``forward`` over the whole stack, so the states must share a problem
-    type and node count; ties resolve to the lowest node id.
+    When every state has exactly one legal move, those moves are returned
+    and no ``forward`` runs (0 rows).  Otherwise one ``forward`` over the
+    whole stack, forced states included, since a row's bits depend on its
+    batch; the states must then share a problem type and node count.  Ties
+    resolve to the lowest node id.
     """
-    return np.argmax(net.forward(stack_states(states)), axis=1)
+    legal = np.stack([legal_actions(s) for s in states])
+    if (legal.sum(axis=1) == 1).all():
+        return np.argmax(legal, axis=1), 0
+    batch = stack_features([featurize(s) for s in states])
+    batch["legal"] = legal
+    return np.argmax(net.forward(batch), axis=1), len(states)
 
 
 def net_to_arrays(net: PolicyValueNet, prefix: str) -> dict[str, np.ndarray]:

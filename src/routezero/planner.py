@@ -25,6 +25,11 @@ subtree, whose statistics no other playout of the sweep reads or writes.
 So a sweep descends once per candidate, evaluates all of its new leaves in
 one evaluator call and then backs up every path, which builds the same
 tree, visit counts and values as running the playouts one at a time.
+
+Across the plans of one game the opponent chains repeat routes.  The net
+as a greedy opponent, `GreedyNetPolicy`, keeps each route's move for the
+one instance it plays, so a route costs at most one ``forward`` per game,
+and a forced move none (`net.greedy_actions`).
 """
 
 from __future__ import annotations
@@ -348,10 +353,34 @@ class NetEvaluator:
 
 
 class GreedyNetPolicy:
-    """Adapter: a policy network as the in-tree opponent move source."""
+    """Adapter: a policy network as a greedy ``state -> action`` seat or in-tree opponent.
+
+    An adapter plays one instance, that of the first state it is asked
+    about; a state of any other instance raises ``ValueError``.  It keeps
+    each route's move, so it runs `greedy_actions` at most once per route
+    and so at most one batch-1 ``forward``, none for a forced move.  The memo
+    assumes the net does not change while the adapter is alive; build one
+    adapter per game.  ``forwards`` counts its forward calls and
+    ``memo_hits`` the moves it answered from the memo.
+    """
 
     def __init__(self, net):
         self.net = net
+        self.instance = None
+        self.moves: dict[tuple[int, ...], int] = {}
+        self.forwards = 0
+        self.memo_hits = 0
 
     def __call__(self, state) -> int:
-        return int(greedy_actions(self.net, [state])[0])
+        if self.instance is None:
+            self.instance = state.instance
+        elif state.instance is not self.instance:
+            raise ValueError("a GreedyNetPolicy plays the one instance it was first asked about")
+        move = self.moves.get(state.route)
+        if move is not None:
+            self.memo_hits += 1
+            return move
+        actions, rows = greedy_actions(self.net, [state])
+        self.forwards += rows
+        move = self.moves[state.route] = int(actions[0])
+        return move

@@ -245,16 +245,22 @@ class ValueBuffer(_Ring):
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    """One episode's results; ``trajs``, ``objectives`` and ``sims`` are (learner's, competitor's).
+    """One episode's results; ``trajs``, ``objectives``, ``sims`` and ``evals`` are (learner's, competitor's).
 
     ``learner`` is the learner's seat, +1 for slot 0 and -1 for slot 1, so
     ``pair[::learner]`` puts a pair in slot order; ``outcome`` is slot 0's.
+    ``sims`` and ``evals`` hold each move's ``PlanResult`` simulations and
+    evaluations, 0 for a greedy move.  ``greedy_forwards`` and
+    ``greedy_memo_hits`` sum the episode's ``GreedyNetPolicy`` counters.
     """
 
     learner: int
     trajs: tuple[tuple[PlayerState, ...], tuple[PlayerState, ...]]
     objectives: tuple[float, float]
     sims: tuple[tuple[int, ...], tuple[int, ...]]
+    evals: tuple[tuple[int, ...], tuple[int, ...]]
+    greedy_forwards: int
+    greedy_memo_hits: int
     outcome: int
     policy_samples: tuple[tuple[PlayerState, np.ndarray], ...]
 
@@ -286,6 +292,7 @@ def run_episode(
     mu_policy = GreedyNetPolicy(theta if rng.random() < cfg.self_play_prob else theta_best)
     learner = (NetEvaluator(theta), mu_policy)
     competitor = mu_policy if stage == 1 else (NetEvaluator(theta_best, value_net=theta), GreedyNetPolicy(theta))
+    greedy = (mu_policy,) if stage == 1 else (mu_policy, competitor[1])
     seats = (learner, competitor)[::learner_seat]  # seat 1 plays slot 0
     moves, ends = play_seats(RoutingGame(inst), seats, cfg.planner, rng)
     ends = dict(ends)  # plays both seats to their ends
@@ -296,11 +303,18 @@ def run_episode(
     slots = (0, 1)[::learner_seat]  # (learner's slot, competitor's slot)
     trajs = tuple(tuple(own for i, own, _ in moves if i == slot) + (ends[slot],) for slot in slots)
     objectives = tuple(objective(inst, traj[-1].route) for traj in trajs)
+
+    def per_move(field: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(tuple(0 if r is None else getattr(r, field) for i, _, r in moves if i == slot) for slot in slots)
+
     return EpisodeRecord(
         learner=learner_seat,
         trajs=trajs,
         objectives=objectives,
-        sims=tuple(tuple(0 if r is None else r.simulations for i, _, r in moves if i == slot) for slot in slots),
+        sims=per_move("simulations"),
+        evals=per_move("evaluations"),
+        greedy_forwards=sum(policy.forwards for policy in greedy),
+        greedy_memo_hits=sum(policy.memo_hits for policy in greedy),
         outcome=game_outcome(*(-obj for obj in objectives[::learner_seat])),
         policy_samples=tuple((own, result.improved_policy) for _, own, result in moves if result is not None),
     )
@@ -615,6 +629,10 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
                 "z": record.outcome,
                 "learner_sims": list(record.sims[0]),
                 "competitor_sims": list(record.sims[1]),
+                "learner_evals": list(record.evals[0]),
+                "competitor_evals": list(record.evals[1]),
+                "greedy_forwards": record.greedy_forwards,
+                "greedy_memo_hits": record.greedy_memo_hits,
                 "train_s": train_s,
                 "wall_time_s": time.perf_counter() - started,
             },

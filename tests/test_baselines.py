@@ -11,6 +11,7 @@ from routezero.baselines import (
     SizeLimitError,
     exact_evrp,
     exact_tsp,
+    exact_tsps,
     gap,
     greedy_rollout,
     greedy_rollouts,
@@ -116,6 +117,44 @@ class TestExactTsp:
         assert sorted(result.route) == list(range(EXACT_TSP_MAX_NODES)) and result.route[0] == 0
         assert objective(inst, result.route) == pytest.approx(result.objective, rel=1e-12)
         assert result.objective <= nearest_neighbor(inst).objective + 1e-12
+
+
+class TestExactTsps:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_one_instance_solves_on_shuffled_sizes(self, seed):
+        rng = np.random.default_rng(seed)
+        insts = [generate_tsp(int(n), seed=100 * seed + k) for k, n in enumerate(rng.integers(3, 12, size=24))]
+        insts += [TspInstance(coords=np.array(layout)) for layout in TIE_LAYOUTS.values()]
+        rng.shuffle(insts)
+        for inst, result in zip(insts, exact_tsps(insts), strict=True):
+            alone = exact_tsp(inst)
+            solved = (result.route, result.objective, result.expansions)
+            assert solved == (alone.route, alone.objective, alone.expansions) == per_mask_held_karp(inst)
+
+    def test_chunks_above_the_cap_and_blank_slots_above_the_limit(self):
+        # 14 cities give chunks of 2**(EXACT_TSP_MAX_NODES - 14) = 4 instances, so nine take three chunks
+        insts = [generate_tsp(14, seed=s) for s in range(9)]
+        insts.insert(4, generate_tsp(EXACT_TSP_MAX_NODES + 1, seed=0))
+        results = exact_tsps(insts)
+        assert isinstance(results[4], SizeLimitError) and str(EXACT_TSP_MAX_NODES) in str(results[4])
+        for inst, result in zip(insts[:4] + insts[5:], results[:4] + results[5:]):
+            assert (result.route, result.objective, result.expansions) == per_mask_held_karp(inst)
+        times = [r.wall_time_s for r in results if not isinstance(r, SizeLimitError)]
+        assert times[0] == times[3] and times[4] == times[7] and len(set(times)) == 3
+
+    def test_a_chunk_allocates_no_more_than_one_instance_at_the_limit(self):
+        import tracemalloc
+
+        def peak(insts):
+            tracemalloc.start()
+            try:
+                exact_tsps(insts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        limit = peak([generate_tsp(EXACT_TSP_MAX_NODES, seed=0)])
+        assert peak([generate_tsp(14, seed=s) for s in range(8)]) <= limit
 
 
 class TestExactEvrp:
@@ -266,10 +305,11 @@ class TestGreedyRollout:
         net.forward = lambda own, opp=None: shapes.append(own["nodes"].shape) or forward(own, opp)
         insts = [generate_tsp(4, seed=s) for s in range(3)] + [generate_tsp(5, seed=3)]
         results = greedy_rollouts(insts, net)
-        # slots 0-2 share a size and form chunks of 2 and 1; slot 3 rolls on its own
-        assert shapes == [(2, 4, 5)] * 4 + [(1, 4, 5)] * 4 + [(1, 5, 5)] * 5
+        # slots 0-2 share a size and form chunks of 2 and 1; slot 3 rolls on its own;
+        # the last city of a tour is forced, so no round runs a forward for it
+        assert shapes == [(2, 4, 5)] * 3 + [(1, 4, 5)] * 3 + [(1, 5, 5)] * 4
         assert [len(r.route) for r in results] == [4, 4, 4, 5]
-        assert [r.expansions for r in results] == [4, 4, 4, 5]
+        assert [r.expansions for r in results] == [3, 3, 3, 4]
 
     def test_route_finished_on_the_cap_th_move_counts(self, monkeypatch):
         import routezero.env as env_mod

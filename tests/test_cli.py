@@ -11,7 +11,7 @@ import routezero.planner as planner_mod
 from routezero import cli
 from routezero.baselines import SearchBudgetError
 from routezero.cli import RESULTS_HEADER, TIMING_HEADER, main
-from routezero.env import RoutingGame
+from routezero.env import RoutingGame, initial_state, legal_actions, step
 from routezero.instance import generate_evrp, load_instance
 from routezero.net import NetConfig, PolicyValueNet, load_net, net_to_arrays, save_net
 from routezero.planner import PlannerConfig
@@ -383,14 +383,24 @@ class TestEval:
         assert [t[0] for t in timing] == [r[0] for r in results] == [f"tsp_n5_seed{s}.json" for s in range(3)]
         for name, wall_s, oracle_s, evaluations in timing:
             assert float(wall_s) > 0 and float(oracle_s) > 0
-            assert int(evaluations) == 5  # one forward row per move of a 5-city tour
+            assert int(evaluations) == 4  # one forward row per move of a 5-city tour but the forced last one
+        assert len({t[2] for t in timing}) == 1, "the three oracles share one Held-Karp chunk and its time"
 
-    def test_evrp_greedy_evaluations_count_moves(self, tmp_path):
+    def test_evrp_greedy_evaluations_count_forward_rows(self, tmp_path, monkeypatch):
         ckpt, inst_dir = self.evrp_net_eval(tmp_path)
+        rows = []
+        forward = PolicyValueNet.forward
+        counted = lambda net, own, opp=None: rows.append(len(own["nodes"])) or forward(net, own, opp)
+        monkeypatch.setattr(PolicyValueNet, "forward", counted)
         assert main(["eval", str(ckpt), str(inst_dir)]) == 0
+        spent = sum(rows)
         [_, _, _, evaluations] = self.read_timing(inst_dir / "results.timing.csv")[0]
-        route = cli.greedy_rollouts([load_instance(inst_dir / "evrp_c4_s2_em_seed7.json")], load_net(ckpt))
-        assert int(evaluations) == len(route[0].route) - 1  # the route starts at the depot
+        state = initial_state(load_instance(inst_dir / "evrp_c4_s2_em_seed7.json"))
+        chosen = 0  # moves with a choice; a forced move runs no forward
+        for action in cli.greedy_rollouts([state.instance], load_net(ckpt))[0].route[1:]:
+            chosen += int(legal_actions(state).sum() > 1)
+            state = step(state, action)
+        assert int(evaluations) == spent == chosen
 
     def test_mcts_timing_counts_plan_evaluations(self, tmp_path, trained_run, monkeypatch):
         inst_dir = self.gen_instances(tmp_path, n=2)
@@ -457,6 +467,19 @@ class TestEval:
         save_net(PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"])), ckpt)
         assert main(["eval", str(ckpt), str(inst_dir)]) == 2
         assert "coords must be finite" in capsys.readouterr().err
+        assert not (inst_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("key", ["problem", "coords"])
+    def test_instance_missing_a_key_names_the_key(self, tmp_path, capsys, key):
+        inst_dir = self.gen_instances(tmp_path, n=1)
+        path = inst_dir / "tsp_n5_seed0.json"
+        data = json.loads(path.read_text())
+        del data[key]
+        path.write_text(json.dumps(data))
+        ckpt = tmp_path / "net.npz"
+        save_net(PolicyValueNet.create(NetConfig(**TINY_TRAIN["net"])), ckpt)
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        assert f"tsp_n5_seed0.json: bad instance data: missing key '{key}'" in capsys.readouterr().err
         assert not (inst_dir / "results.csv").exists()
 
     def test_bad_instance_error_names_the_file(self, tmp_path, trained_run, capsys):

@@ -281,13 +281,22 @@ class TestSerialization:
         with pytest.raises(InstanceFormatError):
             load_instance(p)
 
-    def test_rejects_missing_field(self, tmp_path):
+    @pytest.mark.parametrize("key", ["problem", "vehicle", "speed", "objective_mode"])
+    def test_rejects_missing_field_naming_the_key(self, tmp_path, key):
         inst = generate_evrp(3, 1, seed=4)
         data = instance_to_dict(inst)
-        del data["vehicle"]
+        del data[key]
         p = tmp_path / "cut.json"
         p.write_text(json.dumps(data))
-        with pytest.raises(InstanceFormatError):
+        with pytest.raises(InstanceFormatError, match=rf"^.*cut\.json: bad instance data: missing key '{key}'$"):
+            load_instance(p)
+
+    def test_rejects_a_node_missing_a_field_naming_the_key(self, tmp_path):
+        data = instance_to_dict(generate_evrp(3, 1, seed=4))
+        del data["nodes"][2]["kind"]
+        p = tmp_path / "cut.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(InstanceFormatError, match="missing key 'kind'"):
             load_instance(p)
 
     def test_constructor_error_names_the_file(self, tmp_path):

@@ -280,9 +280,30 @@ class TestForward:
         for _ in range(40):
             if state.done:
                 break
-            a = int(greedy_actions(net, [state])[0])
+            actions, _ = greedy_actions(net, [state])
+            a = int(actions[0])
             assert legal_actions(state)[a]
             state = step(state, a)
+
+    def test_greedy_actions_skip_the_forward_only_when_every_move_is_forced(self, monkeypatch):
+        net = tiny_net("tsp")
+        calls = []
+        forward = net.forward
+        monkeypatch.setattr(net, "forward", lambda own, opp=None: calls.append(len(own["nodes"])) or forward(own, opp))
+        insts = [generate_tsp(5, seed=s) for s in range(3)]
+        forced = [initial_state(inst) for inst in insts]
+        for k, order in enumerate([(4, 0, 2, 1), (0, 4, 1, 2), (2, 1, 0, 4)]):
+            for city in order:  # city 3 is left
+                forced[k] = step(forced[k], city)
+        open_ = step(initial_state(insts[0]), 3)
+        actions, rows = greedy_actions(net, forced)
+        assert (calls, rows) == ([], 0)
+        assert actions.tolist() == [3, 3, 3] and [legal_actions(s).sum() for s in forced] == [1, 1, 1]
+        mixed = [forced[0], open_, forced[2]]
+        actions, rows = greedy_actions(net, mixed)
+        assert (calls, rows) == ([3], 3)
+        assert actions.tolist() == np.argmax(forward(stack(mixed)), axis=1).tolist()
+        assert actions[0] == actions[2] == 3
 
 
 def training_batches(inst, size, rng):

@@ -515,6 +515,44 @@ class TestNetAdapters:
         expect = int(np.argmax(net.forward(batch)[0]))
         assert policy(own) == expect
 
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    def test_greedy_policy_runs_one_forward_per_route(self, problem, monkeypatch):
+        inst = generate_tsp(6, seed=26) if problem == "tsp" else generate_evrp(4, 2, seed=7)
+        game, net = RoutingGame(inst), tiny_net(problem)
+        forwards = []  # rows of each forward without an opponent stack, which only the greedy policy runs
+        forward = net.forward
+
+        def counted(own, opp=None):
+            if opp is None:
+                forwards.append(len(own["nodes"]))
+            return forward(own, opp)
+
+        monkeypatch.setattr(net, "forward", counted)
+        policy = GreedyNetPolicy(net)
+        asked = []
+
+        def spy(state):
+            asked.append(state)
+            return policy(state)
+
+        seats = ((NetEvaluator(net), spy), spy)
+        _, ends = play_seats(game, seats, PlannerConfig(n_simulations=8, m_root=4), np.random.default_rng(4))
+        dict(ends)  # plays both seats to their ends
+        fresh = GreedyNetPolicy(tiny_net(problem))
+        routes = {s.route: s for s in asked}
+        chosen = [r for r, s in routes.items() if legal_actions(s).sum() > 1]
+        assert forwards == [1] * len(chosen) and policy.forwards == len(chosen)
+        assert policy.memo_hits == len(asked) - len(routes) > 0
+        assert [policy(s) for s in asked] == [fresh(s) for s in asked]
+
+    def test_greedy_policy_refuses_a_state_of_another_instance(self):
+        net = tiny_net("tsp")
+        policy = GreedyNetPolicy(net)
+        first, other = initial_state(generate_tsp(5, seed=1)), initial_state(generate_tsp(5, seed=2))
+        assert policy(first) != GreedyNetPolicy(net)(other), "the two instances must disagree for the check to bite"
+        with pytest.raises(ValueError, match="one instance"):
+            policy(other)
+
 
 def highest_legal(state):
     return int(np.flatnonzero(legal_actions(state))[-1])

@@ -312,7 +312,7 @@ class TestRunEpisode:
 
         state = initial_state(inst)
         for nxt in record.trajs[1][1:]:
-            state = step(state, greedy_actions(theta_best, [state])[0])
+            state = step(state, greedy_actions(theta_best, [state])[0][0])
             assert state.route == nxt.route
 
 
@@ -667,6 +667,48 @@ class TestTrainLoop:
             else:
                 assert min(e["competitor_sims"]) > 0
             assert min(e["learner_sims"]) > 0
+
+    def test_episode_events_count_evaluations_and_greedy_forwards(self, tmp_path, monkeypatch):
+        from routezero.planner import NetEvaluator
+
+        counted = []  # per episode: [pairs evaluated, forwards run outside an evaluate_batch]
+        scope = []  # "episode" inside run_episode, then "evaluate" inside an evaluate_batch
+        real_episode, real_batch = trainer_mod.run_episode, NetEvaluator.evaluate_batch
+        real_forward = PolicyValueNet.forward
+
+        def within(name, call):
+            scope.append(name)
+            try:
+                return call()
+            finally:
+                scope.pop()
+
+        def episode(*args, **kwargs):
+            counted.append([0, 0])
+            return within("episode", lambda: real_episode(*args, **kwargs))
+
+        def evaluate_batch(self, pairs):
+            counted[-1][0] += len(pairs)
+            return within("evaluate", lambda: real_batch(self, pairs))
+
+        def forward(self, own, opp=None):
+            if scope == ["episode"]:  # arena rollouts run outside any episode
+                counted[-1][1] += 1
+            return real_forward(self, own, opp)
+
+        monkeypatch.setattr(trainer_mod, "run_episode", episode)
+        monkeypatch.setattr(NetEvaluator, "evaluate_batch", evaluate_batch)
+        monkeypatch.setattr(PolicyValueNet, "forward", forward)
+        train(tiny_cfg(n_nodes=6), tmp_path / "run")
+        events = [e for e in read_events(tmp_path / "run") if e["event"] == "episode"]
+        assert len(events) == len(counted) == 4
+        for e, (pairs, forwards) in zip(events, counted):
+            assert sum(e["learner_evals"]) + sum(e["competitor_evals"]) == pairs > 0
+            assert e["greedy_forwards"] == forwards > 0
+            for sims, evals in ((e["learner_sims"], e["learner_evals"]), (e["competitor_sims"], e["competitor_evals"])):
+                assert len(sims) == len(evals) and [s == 0 for s in sims] == [v == 0 for v in evals]
+        assert sum(e["greedy_memo_hits"] for e in events) > 0
+        assert "greedy_forwards" not in (tmp_path / "run" / "metrics.csv").read_text()
 
     @pytest.mark.parametrize("problem", ["tsp", "em-evrp"])
     def test_metrics_and_events_read_each_role_from_its_record(self, tmp_path, monkeypatch, problem):
