@@ -35,6 +35,8 @@ from .trainer import TrainerError, read_metrics, train, train_config_from_dict
 
 RESULTS_HEADER = "instance,method,objective,oracle,gap_pct,feasible"
 TIMING_HEADER = "instance,wall_s,oracle_s,evaluations"
+# the least value of each integer flag; a smaller one is a usage error, before any I/O (an unset flag is skipped)
+_FLAG_MINIMUMS = {"count": 1, "budget": 1, "m_root": 1, "window": 1, "seed": 0}
 
 
 class DataError(RuntimeError):
@@ -130,19 +132,20 @@ def _is_feasible(inst: Instance, route) -> bool:
     return not validate_route(inst, route)
 
 
-def _plan_route(path: Path, inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig, rng) -> SolveResult:
+def _plan_route(inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig, rng) -> SolveResult | DeadEndError:
     """Search-guided route: slot 0 plans each move against a greedy shadow of the same net in slot 1.
 
     Both slots play through ``planner.play_seats`` under the one step cap
-    until slot 0 ends.  ``expansions`` is the sum of slot 0's plan
-    evaluation counts; its dead end names ``path``.
+    until slot 0 ends.  Returns slot 0's route, whose ``expansions`` is the
+    sum of its plan evaluation counts, or its ``DeadEndError``, as
+    ``greedy_rollouts`` returns a slot's.
     """
     start = time.perf_counter()
     shadow = GreedyNetPolicy(net)
     moves, ends = play_seats(RoutingGame(inst), ((NetEvaluator(net), shadow), shadow), planner_cfg, rng)
     end = next(result for slot, result in ends if slot == 0)
     if isinstance(end, DeadEndError):
-        raise DeadEndError(f"{path.name}: {end}")
+        return end
     route = end.route
     evaluations = sum(result.evaluations for slot, _, result in moves if slot == 0)
     return SolveResult(route, objective(inst, route), evaluations, time.perf_counter() - start)
@@ -163,15 +166,6 @@ def _oracles(insts: list[Instance]) -> list[SolveResult | None]:
         except (SizeLimitError, SearchBudgetError):
             oracles.append(None)
     return oracles
-
-
-def _greedy_routes(paths: list[Path], insts: list[Instance], net: PolicyValueNet) -> list[SolveResult]:
-    """Lockstep greedy routes; a dead end names the first failing file in ``paths`` order."""
-    results = greedy_rollouts(insts, net)
-    for path, result in zip(paths, results):
-        if isinstance(result, DeadEndError):
-            raise DeadEndError(f"{path.name}: {result}")
-    return results
 
 
 def _result_row(path: Path, inst: Instance, solved: SolveResult, oracle: SolveResult | None, mode: str) -> str:
@@ -202,13 +196,14 @@ def cmd_eval(args) -> int:
     if other is not None:
         raise DataError(f"{args.checkpoint}: the net plays {problem} instances, {other} is not one")
     if args.mode == "greedy":
-        solved = _greedy_routes(paths, insts, net)
+        solved = greedy_rollouts(insts, net)
     else:
         planner_cfg = PlannerConfig(n_simulations=args.budget, m_root=args.m_root)
-        solved = [
-            _plan_route(path, inst, net, planner_cfg, np.random.default_rng([args.seed, idx]))
-            for idx, (path, inst) in enumerate(zip(paths, insts))
-        ]
+        rngs = [np.random.default_rng([args.seed, idx]) for idx in range(len(insts))]
+        solved = [_plan_route(inst, net, planner_cfg, rng) for inst, rng in zip(insts, rngs)]
+    for path, result in zip(paths, solved):  # the first dead end in sorted file order
+        if isinstance(result, DeadEndError):
+            raise DeadEndError(f"{path.name}: {result}")
     oracles = _oracles(insts)
     rows = [_result_row(*row, args.mode) for row in zip(paths, insts, solved, oracles)]
     timing = [_timing_row(*row) for row in zip(paths, solved, oracles)]
@@ -332,9 +327,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "plot": cmd_plot}
     try:
-        for name in ("count", "budget", "m_root", "window"):  # count flags; below 1 is a usage error, before any I/O
-            if getattr(args, name, 1) < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {getattr(args, name)}")
+        for name, least in _FLAG_MINIMUMS.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
         return handlers[args.command](args)
     except (DataError, InstanceError, CheckpointError, TrainerError, DeadEndError, PlannerError, OSError) as exc:
         print(f"routezero: error: {exc}", file=sys.stderr)

@@ -82,25 +82,18 @@ class PlayerState:
 def initial_state(inst: Instance) -> PlayerState:
     """Fresh state: full battery and cargo at the depot, clock at zero."""
     if isinstance(inst, TspInstance):
-        return PlayerState(
-            instance=inst,
-            position=-1,
-            served=np.zeros(inst.n_nodes, dtype=bool),
-            battery_kwh=0.0,
-            clock_h=0.0,
-            load_kg=0.0,
-            route=(),
-            served_since_depot=False,
-            done=False,
-        )
+        position, route, served, battery, load = -1, (), np.zeros(inst.n_nodes, dtype=bool), 0.0, 0.0
+    else:
+        position, route, served = 0, (0,), ~inst.is_customer
+        battery, load = inst.vehicle.battery_capacity_kwh, inst.vehicle.cargo_capacity_kg
     return PlayerState(
         instance=inst,
-        position=0,
-        served=~inst.is_customer,
-        battery_kwh=inst.vehicle.battery_capacity_kwh,
+        position=position,
+        served=served,
+        battery_kwh=battery,
         clock_h=0.0,
-        load_kg=inst.vehicle.cargo_capacity_kg,
-        route=(0,),
+        load_kg=load,
+        route=route,
         served_since_depot=False,
         done=False,
     )
@@ -235,31 +228,17 @@ def step(state: PlayerState, action: int) -> PlayerState:
     action = int(action)
     if not 0 <= action < inst.n_nodes:
         raise IllegalActionError(f"action {action} out of range")
-    legal = state._mask if state._mask is not None else legal_actions(state)
-    if not legal[action]:
+    if not legal_actions(state)[action]:
         raise IllegalActionError(_explain_illegal(state, action))
 
-    if isinstance(inst, TspInstance):
-        served = state.served.copy()
-        served[action] = True
-        dist = 0.0 if state.position < 0 else float(inst.dist_km[state.position, action])
-        return PlayerState(
-            instance=inst,
-            position=action,
-            served=served,
-            battery_kwh=state.battery_kwh,
-            clock_h=state.clock_h,
-            load_kg=state.load_kg,
-            route=state.route + (action,),
-            served_since_depot=state.served_since_depot,
-            done=bool(served.all()),
-            distance_km=state.distance_km + dist,
-            energy_kwh=state.energy_kwh,
-        )
-
-    ((battery, clock, load, served_since_depot, e_edge),) = evrp_arrivals(state, (action,))
+    tsp = isinstance(inst, TspInstance)
+    if tsp:  # a city move changes only position, route, served and distance
+        arrival = (state.battery_kwh, state.clock_h, state.load_kg, state.served_since_depot, 0.0)
+    else:
+        (arrival,) = evrp_arrivals(state, (action,))
+    battery, clock, load, served_since_depot, e_edge = arrival
     served = state.served
-    if inst.is_customer[action]:
+    if tsp or inst.is_customer[action]:
         served = served.copy()
         served[action] = True
     return PlayerState(
@@ -271,8 +250,8 @@ def step(state: PlayerState, action: int) -> PlayerState:
         load_kg=load,
         route=state.route + (action,),
         served_since_depot=served_since_depot,
-        done=action == 0 and bool(served.all()),
-        distance_km=state.distance_km + float(inst.dist_km[state.position, action]),
+        done=(tsp or action == 0) and bool(served.all()),
+        distance_km=state.distance_km + (0.0 if state.position < 0 else float(inst.dist_km[state.position, action])),
         energy_kwh=state.energy_kwh + e_edge,
     )
 

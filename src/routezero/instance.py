@@ -390,27 +390,81 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _matrix(value) -> bool:
+    return isinstance(value, list) and all(isinstance(row, list) and all(map(_number, row)) for row in value)
+
+
+# JSON values accepted per field annotation (a string, as modules postpone annotations):
+# bools are not numbers, ints count as floats, and a matrix is a list of rows of numbers
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: _number(v) and isinstance(v, int)),
+    "int | None": ("an integer or null", lambda v: v is None or _number(v) and isinstance(v, int)),
+    "float": ("a number", _number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "matrix": ("a list of rows of numbers", _matrix),
+    "matrix | None": ("a list of rows of numbers or null", lambda v: v is None or _matrix(v)),
+}
+
+# the top-level keys of an instance file and their annotations, per problem
+_FILE_KEYS = {
+    "tsp": {"problem": "str", "coords": "matrix", "seed": "int | None"},
+    "evrp": {"problem": "str", "objective_mode": "str", "nodes": "list", "vehicle": "VehicleParams"}
+    | dict.fromkeys(("speed", "t_max", "service_time", "recharge_dwell"), "float")
+    | {"seed": "int | None", "slope": "matrix | None"},
+}
+
+
+def check_fields(cls, data, what: str) -> None:
+    """Reject ``data`` unless it is an object whose keys are fields of ``cls`` holding values of their types.
+
+    ``cls`` is a dataclass or a dict of annotations; its reader checks a field `_FIELD_TYPES` does not list.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    types = cls if isinstance(cls, dict) else {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    for name, value in data.items():
+        if types[name] in _FIELD_TYPES:
+            kind, fits = _FIELD_TYPES[types[name]]
+            if not fits(value):
+                raise ValueError(f"{what} field {name} must be {kind}, got {value!r}")
+
+
 def instance_from_dict(data: dict, source: str = "<dict>") -> Instance:
+    """The instance of an `instance_to_dict` form, its fields read by the `check_fields` rule of config files.
+
+    The top level is checked against ``_FILE_KEYS``, each node against `Node` and the vehicle against
+    `VehicleParams`; an unknown or missing key or a mistyped value raises InstanceFormatError naming
+    ``source`` and the field.
+    """
     try:
         problem = data["problem"]
-        if problem == "tsp":
-            return TspInstance(coords=np.array(data["coords"], dtype=np.float64), seed=data.get("seed"))
-        if problem != "evrp":
+        if problem not in ("tsp", "evrp"):
             raise InstanceFormatError(f"unknown problem kind {problem!r}")
-        nodes = tuple(
-            Node(int(n["id"]), NodeKind(n["kind"]), float(n["x"]), float(n["y"]), float(n.get("demand", 0.0)))
-            for n in data["nodes"]
-        )
-        vehicle = VehicleParams(**data["vehicle"])
-        slope = data.get("slope")
+        check_fields(_FILE_KEYS[problem], data, "instance")
+        if problem == "tsp":
+            return TspInstance(coords=data["coords"], seed=data.get("seed"))
+        nodes = []
+        for i, n in enumerate(data["nodes"]):
+            check_fields(Node, n, f"node {i}")
+            nodes.append(Node(n["id"], NodeKind(n["kind"]), float(n["x"]), float(n["y"]), float(n.get("demand", 0.0))))
+        check_fields(VehicleParams, data["vehicle"], "vehicle")
         return EvrpInstance(
             nodes=nodes,
-            vehicle=vehicle,
+            vehicle=VehicleParams(**data["vehicle"]),
             speed_kmh=float(data["speed"]),
             t_max_h=float(data["t_max"]),
             service_time_h=float(data["service_time"]),
             recharge_dwell_h=float(data.get("recharge_dwell", 0.0)),
-            slope=None if slope is None else np.array(slope, dtype=np.float64),
+            slope=data.get("slope"),
             objective_mode=data["objective_mode"],
             seed=data.get("seed"),
         )

@@ -41,13 +41,13 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .env import PlayerState, legal_actions
-from .instance import COORD_RANGE_KM, EvrpInstance, TspInstance, write_file
+from .instance import COORD_RANGE_KM, EvrpInstance, TspInstance, check_fields, write_file
 
 LOGIT_CLIP = 10.0
 CHECKPOINT_VERSION = 2
@@ -96,26 +96,6 @@ class NetConfig:
         if self.problem == "tsp":
             return 3 * self.embed_dim
         return 2 * self.embed_dim + EVRP_GLOBAL_FEATURES
-
-
-# JSON value types accepted per field annotation (a string, as modules postpone annotations):
-# bools are not numbers here, ints count as floats
-_FIELD_TYPES = {"int": ("an integer", int), "float": ("a number", (int, float)), "str": ("a string", str)}
-
-
-def check_fields(cls, data, what: str) -> None:
-    """Reject ``data`` unless it is an object whose keys are fields of ``cls`` holding values of their types."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(data) - set(types))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
-    for name, value in data.items():
-        if types[name] in _FIELD_TYPES:
-            kind, accepted = _FIELD_TYPES[types[name]]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError(f"{what} field {name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -271,30 +251,20 @@ class PolicyValueNet:
 
     def _encode(self, t, nodes: np.ndarray, training: bool, update_stats: bool, ops=ad):
         cfg = self.config
+
+        def norm(x, key):
+            """Batch norm ``key`` (such as ``layer0/bn1``) of ``x``, with its running statistics."""
+            gamma, beta = t[f"{key}/gamma"], t[f"{key}/beta"]
+            mean, var = self.bn_stats[f"{key}/mean"], self.bn_stats[f"{key}/var"]
+            return ops.batchnorm_nodes(x, gamma, beta, mean, var, training, update_stats)
+
         h = ops.add(ops.matmul(ops.Tensor(nodes), t["embed/W"]), t["embed/b"])
         for i in range(cfg.n_layers):
             pre = f"layer{i}"
-            normed = ops.batchnorm_nodes(
-                h,
-                t[f"{pre}/bn1/gamma"],
-                t[f"{pre}/bn1/beta"],
-                self.bn_stats[f"{pre}/bn1/mean"],
-                self.bn_stats[f"{pre}/bn1/var"],
-                training,
-                update_stats,
-            )
-            attn = ops.attention(normed, *(t[f"{pre}/attn/{w}"] for w in ("Wq", "Wk", "Wv", "Wo")), cfg.n_heads)
+            attn_w = [t[f"{pre}/attn/{w}"] for w in ("Wq", "Wk", "Wv", "Wo")]
+            attn = ops.attention(norm(h, f"{pre}/bn1"), *attn_w, cfg.n_heads)
             h = ops.gate(h, attn, t[f"{pre}/gate1/W"], t[f"{pre}/gate1/b"])
-            normed = ops.batchnorm_nodes(
-                h,
-                t[f"{pre}/bn2/gamma"],
-                t[f"{pre}/bn2/beta"],
-                self.bn_stats[f"{pre}/bn2/mean"],
-                self.bn_stats[f"{pre}/bn2/var"],
-                training,
-                update_stats,
-            )
-            ffn = ops.ffn(normed, *(t[f"{pre}/ffn/{w}"] for w in ("W1", "b1", "W2", "b2")))
+            ffn = ops.ffn(norm(h, f"{pre}/bn2"), *(t[f"{pre}/ffn/{w}"] for w in ("W1", "b1", "W2", "b2")))
             h = ops.gate(h, ffn, t[f"{pre}/gate2/W"], t[f"{pre}/gate2/b"])
         pooled = ops.mean(h, axis=1)
         return h, pooled
@@ -395,9 +365,7 @@ def greedy_actions(net: PolicyValueNet, states: list[PlayerState]) -> tuple[np.n
     legal = np.stack([legal_actions(s) for s in states])
     if (legal.sum(axis=1) == 1).all():
         return np.argmax(legal, axis=1), 0
-    batch = stack_features([featurize(s) for s in states])
-    batch["legal"] = legal
-    return np.argmax(net.forward(batch), axis=1), len(states)
+    return np.argmax(net.forward(stack_states(states)), axis=1), len(states)
 
 
 def net_to_arrays(net: PolicyValueNet, prefix: str) -> dict[str, np.ndarray]:

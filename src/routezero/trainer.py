@@ -33,7 +33,7 @@ from .env import (
     legal_actions,
     objective,
 )
-from .instance import EvrpInstance, Instance, generate_evrp, generate_tsp, write_file
+from .instance import EvrpInstance, Instance, check_fields, generate_evrp, generate_tsp, write_file
 from .net import (
     CHECKPOINT_VERSION,
     Adam,
@@ -41,7 +41,6 @@ from .net import (
     NetConfig,
     PolicyValueNet,
     StateFeatures,
-    check_fields,
     check_version,
     checked_array,
     featurize,
@@ -396,7 +395,7 @@ def save_checkpoint(path, cfg: TrainConfig, state: TrainerState) -> None:
 
 
 def load_checkpoint(path) -> tuple[TrainConfig, TrainerState]:
-    """Read a trainer checkpoint, ignoring older ``best/adam_*`` arrays; CheckpointError names a bad array."""
+    """Read a trainer checkpoint; CheckpointError names a bad array."""
     arrays = read_arrays(path)
     try:
         check_version(arrays)

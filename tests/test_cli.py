@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,7 +13,7 @@ from routezero import cli
 from routezero.baselines import SearchBudgetError
 from routezero.cli import RESULTS_HEADER, TIMING_HEADER, main
 from routezero.env import RoutingGame, initial_state, legal_actions, step
-from routezero.instance import generate_evrp, load_instance
+from routezero.instance import InstanceFormatError, generate_evrp, load_instance
 from routezero.net import NetConfig, PolicyValueNet, load_net, net_to_arrays, save_net
 from routezero.planner import PlannerConfig
 from routezero.trainer import METRICS_HEADER
@@ -440,7 +441,7 @@ class TestEval:
             return moves, ends
 
         monkeypatch.setattr(cli, "play_seats", recording)
-        solved = cli._plan_route(tmp_path / "x.json", inst, net, planner_cfg, np.random.default_rng(3))
+        solved = cli._plan_route(inst, net, planner_cfg, np.random.default_rng(3))
         assert solved.route == full_route
         assert [slot for slot, _, _ in played[0]] == [0, 1] * (len(solved.route) - 1)
 
@@ -502,6 +503,67 @@ class TestEval:
         assert main([*argv, "--m-root", "2"]) == 2
         assert "tsp_n6_seed3.json: rollout exceeded 3 steps without terminating" in capsys.readouterr().err
         assert not (inst_dir / "results.csv").exists()
+
+    def test_mcts_reports_the_first_dead_end_in_file_order(self, tmp_path, trained_run, monkeypatch, capsys):
+        inst_dir = tmp_path / "instances"
+        main(["gen", "tsp", "--nodes", "6", "--count", "2", "--seed", "3", "--out", str(inst_dir)])
+        monkeypatch.setattr(env_mod, "step_limit", lambda inst: 3)  # both 6-city tours dead-end
+        planned = []
+        real = cli._plan_route
+
+        def recording(*args):
+            planned.append(real(*args))
+            return planned[-1]
+
+        monkeypatch.setattr(cli, "_plan_route", recording)
+        capsys.readouterr()
+        argv = ["eval", str(trained_run / "checkpoint.npz"), str(inst_dir), "--mode", "mcts", "--budget", "4"]
+        assert main([*argv, "--m-root", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "tsp_n6_seed3.json: rollout exceeded 3 steps" in err and "seed4" not in err and "Traceback" not in err
+        assert [type(result).__name__ for result in planned] == ["DeadEndError", "DeadEndError"]
+        assert not list(inst_dir.glob("*.csv"))
+
+    # (problem, path to the value in the instance file, bad value, message)
+    MALFORMED = [
+        ("evrp", ("speed",), True, "instance field speed must be a number, got True"),
+        ("evrp", ("speed",), "60", "instance field speed must be a number, got '60'"),
+        ("evrp", ("t_max",), "8", "instance field t_max must be a number, got '8'"),
+        (
+            "evrp",
+            ("vehicle", "physical_rolling_resistance"),
+            "false",
+            "vehicle field physical_rolling_resistance must be true or false, got 'false'",
+        ),
+        ("evrp", ("vehicle", "battery_capacity_kwh"), True, "vehicle field battery_capacity_kwh must be a number"),
+        ("evrp", ("nodes", 2, "id"), 2.7, "node 2 field id must be an integer, got 2.7"),
+        ("evrp", ("recharge_dwel",), 0.25, "unknown instance keys: recharge_dwel"),
+        ("evrp", ("seed",), 1.0, "instance field seed must be an integer or null, got 1.0"),
+        ("tsp", ("coords", 1), ["0.5", True], "instance field coords must be a list of rows of numbers"),
+    ]
+
+    @pytest.mark.parametrize("problem, where, value, message", MALFORMED)
+    def test_malformed_instance_field_is_data_error_naming_it(self, tmp_path, capsys, problem, where, value, message):
+        inst_dir = tmp_path / "instances"
+        sizes = ["--nodes", "5"] if problem == "tsp" else ["--customers", "4", "--stations", "2", "--objective", "EM"]
+        main(["gen", problem, *sizes, "--count", "1", "--out", str(inst_dir)])
+        (path,) = inst_dir.glob("*.json")
+        data = json.loads(path.read_text())
+        *outer, last = where
+        target = data
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(f'{path}: bad instance data: {message}')}"):
+            load_instance(path)
+        ckpt = tmp_path / "net.npz"
+        save_net(PolicyValueNet.create(NetConfig(**{**TINY_TRAIN["net"], "problem": problem})), ckpt)
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: bad instance data: {message}" in err and "Traceback" not in err
+        assert not list(inst_dir.glob("*.csv"))
 
     @pytest.mark.parametrize("mode", ["greedy", "mcts"])
     @pytest.mark.parametrize("net_problem, other", [("tsp", "evrp_c4_s2_em_seed7.json"), ("evrp", "tsp_n5_seed0.json")])
@@ -594,6 +656,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("command", ["gen", "eval", "train"])
+    def test_negative_seed_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, command):
+        # checked before any file is read or written; an unset train --seed is not checked
+        config = tmp_path / "smoke.json"
+        config.write_text(json.dumps(TINY_TRAIN))
+        argv = {
+            "gen": ["gen", "tsp", "--seed", "-3", "--out", str(tmp_path / "out")],
+            "eval": ["eval", str(tmp_path / "absent.npz"), str(tmp_path), "--mode", "mcts", "--seed", "-3"],
+            "train": ["train", str(config), "--run-dir", str(tmp_path / "out"), "--seed", "-3"],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--seed must be at least 0, got -3" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["smoke.json"]
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

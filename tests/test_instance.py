@@ -244,6 +244,17 @@ class TestSerialization:
         assert isinstance(back, TspInstance)
         assert np.array_equal(back.coords, inst.coords)
 
+    @pytest.mark.parametrize("problem", ["tsp", "DM", "EM"])
+    def test_generated_file_loads_to_its_arrays_and_saves_back_byte_for_byte(self, tmp_path, problem):
+        inst = generate_tsp(6, seed=3) if problem == "tsp" else generate_evrp(4, 2, seed=5, objective_mode=problem)
+        save_instance(inst, tmp_path / "a.json")
+        back = load_instance(tmp_path / "a.json")
+        for name in ("coords", "dist_km", "demands", "kinds", "travel_h", "mass_coef"):
+            if hasattr(inst, name):
+                assert getattr(back, name).tobytes() == getattr(inst, name).tobytes(), name
+        save_instance(back, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_failed_save_leaves_no_temp_file_and_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "inst.json"
         save_instance(generate_tsp(5, seed=1), path)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from routezero.baselines import greedy_rollouts
 from routezero.env import (
     DeadEndError,
+    PlayerState,
     RoutingGame,
     _legal_mask,
     evrp_arrivals,
@@ -23,7 +24,7 @@ from routezero.env import (
     step,
     step_limit,
 )
-from routezero.instance import _KIND_CUSTOMER, _KIND_STATION, generate_evrp, generate_tsp
+from routezero.instance import _KIND_CUSTOMER, _KIND_STATION, EvrpInstance, TspInstance, generate_evrp, generate_tsp
 from routezero.net import NetConfig, PolicyValueNet, featurize, stack_features
 
 SEEDS = st.integers(0, 2**31 - 1)
@@ -118,22 +119,67 @@ def bits(values):
     return [struct.pack("<d", v) if isinstance(v, float) else v for v in values]
 
 
-@settings(max_examples=60, deadline=None)
-@given(inst=varied_evrp(), move_seed=SEEDS)
+def reference_initial_state(inst):
+    """The initial state as one constructor per problem, each field written out."""
+    if isinstance(inst, TspInstance):
+        return PlayerState(inst, -1, np.zeros(inst.n_nodes, dtype=bool), 0.0, 0.0, 0.0, (), False, False)
+    veh = inst.vehicle
+    return PlayerState(inst, 0, ~inst.is_customer, veh.battery_capacity_kwh, 0.0, veh.cargo_capacity_kg, (0,), False, False)
+
+
+def reference_successor(state, j):
+    """`step`'s successor as one constructor per problem, the EVRP one on `reference_arrival`."""
+    inst = state.instance
+    served = state.served.copy()
+    served[j] = True
+    if isinstance(inst, TspInstance):
+        dist = 0.0 if state.position < 0 else float(inst.dist_km[state.position, j])
+        return PlayerState(
+            inst, j, served, state.battery_kwh, state.clock_h, state.load_kg, state.route + (j,),
+            state.served_since_depot, bool(served.all()), state.distance_km + dist, state.energy_kwh,
+        )
+    battery, clock, load, since_depot, e_edge = reference_arrival(state, j)
+    if not inst.is_customer[j]:
+        served = state.served
+    return PlayerState(
+        inst, j, served, battery, clock, load, state.route + (j,), since_depot, j == 0 and bool(served.all()),
+        state.distance_km + float(inst.dist_km[state.position, j]), state.energy_kwh + e_edge,
+    )
+
+
+def assert_same_bits(a, b):
+    """Every field of two states equal in type and bits; arrays in dtype and bytes."""
+    for name in (f.name for f in fields(a)):
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        else:
+            assert type(x) is type(y) and bits([x]) == bits([y]), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=st.one_of(TSP, varied_evrp()), move_seed=SEEDS)
 def test_evrp_arrivals_are_the_successor_fields_bit_for_bit(inst, move_seed):
+    # TSP, and EVRP flat or sloped with no dwell or a quarter hour: every initial and successor field is the
+    # reference constructors' bit for bit, and each EVRP child is built from its `evrp_arrivals` numbers
     rng = np.random.default_rng(move_seed)
     state = initial_state(inst)
+    assert_same_bits(state, reference_initial_state(inst))
     for _ in range(step_limit(inst)):
         moves = [] if state.done else np.flatnonzero(legal_actions(state)).tolist()
         if not moves:  # steeper grades or a dwell can leave an instance with no route at all
             break
-        for j, arrival in zip(moves, evrp_arrivals(state, moves), strict=True):
+        arrivals = evrp_arrivals(state, moves) if isinstance(inst, EvrpInstance) else [None] * len(moves)
+        for j, arrival in zip(moves, arrivals, strict=True):
             child = step(state, j)
-            successor = (child.battery_kwh, child.clock_h, child.load_kg, child.served_since_depot)
-            assert bits(arrival[:4]) == bits(successor), (state.route, j)
-            assert bits([state.energy_kwh + arrival[4]]) == bits([child.energy_kwh])
-            assert bits(arrival) == bits(reference_arrival(state, j)), (state.route, j)
+            assert_same_bits(child, reference_successor(state, j))
+            if arrival is not None:
+                successor = (child.battery_kwh, child.clock_h, child.load_kg, child.served_since_depot)
+                assert bits(arrival[:4]) == bits(successor), (state.route, j)
+                assert bits([state.energy_kwh + arrival[4]]) == bits([child.energy_kwh])
+                assert bits(arrival) == bits(reference_arrival(state, j)), (state.route, j)
         state = step(state, int(rng.choice(moves)))
+
 
 def serial_greedy(inst, net):
     """The per-instance reference: env.rollout with the argmax of one state's logits under its mask."""
