@@ -10,17 +10,32 @@ topological order and frees it as it goes: once a node has passed its
 gradient on, its gradient, closure and parent links are dropped, so the
 activations of later layers are released while earlier layers are still
 being differentiated.  Only leaves keep ``.grad``, and a graph can be
-backpropagated once.  A leaf adds up the gradients of every graph it is
-backpropagated through, in call order.  For two graphs that share only
-leaves, ``a.backward(); b.backward()`` gives each leaf the same floats as
+backpropagated once.  A scalar root starts from a gradient of ones; any
+root can be given a seed gradient of its own shape, ``y.backward(G)``,
+which gives every leaf the bits of a scalar backward of ``sum(y * G)``.
+A leaf adds up the gradients of every graph it is backpropagated
+through, in call order.  For two graphs that share only leaves,
+``a.backward(); b.backward()`` gives each leaf the same floats as
 ``add(a, b).backward()``, which walks ``a``'s graph first.
-``PolicyValueNet.train_step`` relies on this to free its policy tape
-before it builds the value graph.  Results of operations on constant
-inputs record no tape, but every op still allocates a result ``Tensor``
-and a backward closure: at the desk network size (embed 32, 2 layers,
-TSP-6 or EVRP-6, batch 1-2) a forward through this module takes 1.2-1.6x
-as long as the same ops on plain arrays (2-CPU x86-64 host, one BLAS
-thread), so the network runs inference on plain arrays instead.
+
+``PolicyValueNet.train_step`` relies on both to hold one encoder tape at
+a time.  It frees its policy tape before it builds the value graph, and
+it splits the value graph, ``head(concat(own, opp))``, at the opponent's
+pooled embedding: a leaf stands in for it while the head and own's encode
+are backpropagated, and the opponent's encode is then backpropagated from
+that leaf's gradient.  One ``backward()`` of the whole graph walks the
+head first, then all of own's ops, then all of the opponent's (the depth
+first search expands the concat's last parent first, so the opponent's
+ops enter the post-order first and run last), and the split runs them in
+that same order, so every parameter leaf sums the same floats in the same
+order.
+
+Results of operations on constant inputs record no tape, but every op
+still allocates a result ``Tensor`` and a backward closure: at the desk
+network size (embed 32, 2 layers, TSP-6 or EVRP-6, batch 1-2) a forward
+through this module takes 1.2-1.6x as long as the same ops on plain
+arrays (2-CPU x86-64 host, one BLAS thread), so the network runs
+inference on plain arrays instead.
 
 `ARRAY_OPS` is that plain-array path: every op the network builders call,
 under its tape name, and nothing else.  Its entries are this module's
@@ -146,9 +161,16 @@ class Tensor:
         else:
             self.grad += grad
 
-    def backward(self) -> None:
-        if self.data.size != 1:
-            raise ValueError("backward() needs a scalar loss")
+    def backward(self, grad=None) -> None:
+        """Backpropagate from this tensor, seeded with ``grad``: ones by default, which needs a scalar."""
+        if grad is None:
+            if self.data.size != 1:
+                raise ValueError("backward() needs a scalar loss or a seed gradient")
+            grad = np.ones_like(self.data)
+        else:
+            grad = np.array(grad, dtype=np.float64)
+            if grad.shape != self.shape:
+                raise ValueError(f"seed gradient has shape {grad.shape}, expected {self.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -164,7 +186,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = grad
         while order:
             node = order.pop()
             if node._backward is not None and node.grad is not None:

@@ -442,8 +442,8 @@ def instance_from_dict(data: dict, source: str = "<dict>") -> Instance:
     """The instance of an `instance_to_dict` form, its fields read by the `check_fields` rule of config files.
 
     The top level is checked against ``_FILE_KEYS``, each node against `Node` and the vehicle against
-    `VehicleParams`; an unknown or missing key or a mistyped value raises InstanceFormatError naming
-    ``source`` and the field.
+    `VehicleParams`.  Every key `instance_to_dict` writes is required, so no field falls back to a default:
+    an unknown or missing key or a mistyped value raises InstanceFormatError naming ``source`` and the field.
     """
     try:
         problem = data["problem"]
@@ -451,22 +451,22 @@ def instance_from_dict(data: dict, source: str = "<dict>") -> Instance:
             raise InstanceFormatError(f"unknown problem kind {problem!r}")
         check_fields(_FILE_KEYS[problem], data, "instance")
         if problem == "tsp":
-            return TspInstance(coords=data["coords"], seed=data.get("seed"))
+            return TspInstance(coords=data["coords"], seed=data["seed"])
         nodes = []
         for i, n in enumerate(data["nodes"]):
             check_fields(Node, n, f"node {i}")
-            nodes.append(Node(n["id"], NodeKind(n["kind"]), float(n["x"]), float(n["y"]), float(n.get("demand", 0.0))))
+            nodes.append(Node(n["id"], NodeKind(n["kind"]), float(n["x"]), float(n["y"]), float(n["demand"])))
         check_fields(VehicleParams, data["vehicle"], "vehicle")
         return EvrpInstance(
             nodes=nodes,
-            vehicle=VehicleParams(**data["vehicle"]),
+            vehicle=VehicleParams(**{f.name: data["vehicle"][f.name] for f in fields(VehicleParams)}),
             speed_kmh=float(data["speed"]),
             t_max_h=float(data["t_max"]),
             service_time_h=float(data["service_time"]),
-            recharge_dwell_h=float(data.get("recharge_dwell", 0.0)),
-            slope=data.get("slope"),
+            recharge_dwell_h=float(data["recharge_dwell"]),
+            slope=data["slope"],
             objective_mode=data["objective_mode"],
-            seed=data.get("seed"),
+            seed=data["seed"],
         )
     except InstanceError as exc:
         raise type(exc)(f"{source}: {exc}") from exc

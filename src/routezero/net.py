@@ -312,15 +312,33 @@ class PolicyValueNet:
             return logits
         return logits, self._value(t, pooled, pooled_opp, ops)
 
-    def _policy_loss(self, t, batch: dict[str, np.ndarray]) -> ad.Tensor:
+    def _policy_loss(self, t, batch: dict[str, np.ndarray]) -> float:
+        """Build the policy loss on the tape and backpropagate it; returns the loss."""
         h, pooled = self._encode(t, batch["nodes"], training=True, update_stats=True)
         logits = self._policy_logits(t, h, pooled, batch)
-        return ad.masked_cross_entropy(logits, batch["legal"], batch["target"])
+        loss = ad.masked_cross_entropy(logits, batch["legal"], batch["target"])
+        loss.backward()
+        return float(loss.data)
 
-    def _value_loss(self, t, batch: dict[str, np.ndarray]) -> ad.Tensor:
+    def _value_loss(self, t, batch: dict[str, np.ndarray]) -> float:
+        """Backpropagate the value loss with one encoder tape alive at a time; returns the loss.
+
+        The opponent stack is first encoded without a tape, for its pooled
+        embedding, which enters the value head as a fresh leaf.  Own's encode
+        and the head are backpropagated and freed; then the opponent stack is
+        encoded again on the tape and backpropagated from the leaf's gradient.
+        A training-mode forward does not read the running statistics, so both
+        opponent encodes give the same bits; the statistics move once per
+        stack, own first.
+        """
+        _, pooled = self._encode(self._tensors(train=False), batch["opp_nodes"], training=True, update_stats=False)
+        opp_leaf = ad.Tensor(pooled.data, requires_grad=True)
         _, pooled_own = self._encode(t, batch["own_nodes"], training=True, update_stats=True)
+        loss = ad.mse(self._value(t, pooled_own, opp_leaf), batch["z"])
+        loss.backward()
         _, pooled_opp = self._encode(t, batch["opp_nodes"], training=True, update_stats=True)
-        return ad.mse(self._value(t, pooled_own, pooled_opp), batch["z"])
+        pooled_opp.backward(opp_leaf.grad)
+        return float(loss.data)
 
     def train_step(
         self,
@@ -334,23 +352,23 @@ class PolicyValueNet:
         ``target``; ``value_batch`` holds ``own_*``/``opp_*`` feature stacks
         and ``z``.  Either side may be ``None``.  Returns the two losses.
 
-        Each loss is backpropagated as soon as it is built, policy first, so
-        the policy tape is freed before the value graph exists.  The
-        parameter leaves sum the two gradients, and Adam steps once on the
-        sum: the same floats as one ``backward()`` of the summed loss.
+        Only one encoder tape is alive at any time.  The policy loss is
+        backpropagated as soon as it is built, which frees its tape; the
+        value loss is backpropagated in two halves, own's encode with the
+        value head, then the opponent's (see `_value_loss`), at the cost of
+        one more forward encode of the opponent stack.  Each parameter leaf
+        sums policy, value head, own and opponent gradients, the order one
+        ``backward()`` of the summed loss walks them in, and Adam steps once
+        on the sum: the same floats as that one-tape step.
         """
         if policy_batch is None and value_batch is None:
             return 0.0, 0.0
         t = self._tensors(train=True)
-        losses = [0.0, 0.0]
-        for i, (batch, loss_of) in enumerate(((policy_batch, self._policy_loss), (value_batch, self._value_loss))):
-            if batch is not None:
-                loss = loss_of(t, batch)
-                loss.backward()
-                losses[i] = float(loss.data)
+        p_loss = 0.0 if policy_batch is None else self._policy_loss(t, policy_batch)
+        v_loss = 0.0 if value_batch is None else self._value_loss(t, value_batch)
         grads = {k: tt.grad for k, tt in t.items() if tt.grad is not None}
         adam.update(self.params, grads, self.config.learning_rate)
-        return losses[0], losses[1]
+        return p_loss, v_loss
 
 
 def greedy_actions(net: PolicyValueNet, states: list[PlayerState]) -> tuple[np.ndarray, int]:

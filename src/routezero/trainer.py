@@ -556,6 +556,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
         started = time.perf_counter()
         try:
             record = run_episode(inst, (state.theta, state.theta_best), cfg, stage, rng)
+            play_s = time.perf_counter() - started
         except (PlannerError, DeadEndError) as exc:
             if isinstance(exc, DeadEndError):
                 event = {"event": "dead_end", "episode": episode + 1, "instance_seed": inst_seed, "error": str(exc)}
@@ -632,6 +633,7 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
                 "competitor_evals": list(record.evals[1]),
                 "greedy_forwards": record.greedy_forwards,
                 "greedy_memo_hits": record.greedy_memo_hits,
+                "play_s": play_s,
                 "train_s": train_s,
                 "wall_time_s": time.perf_counter() - started,
             },
@@ -639,7 +641,9 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
 
         state.episode = episode + 1
         if state.episode % cfg.checkpoint_interval == 0 or state.episode == cfg.total_episodes:
+            checkpoint_start = time.perf_counter()
             save_checkpoint(ckpt_path, cfg, state)
-            _append_event(events_path, {"event": "checkpoint", "episode": state.episode})
+            checkpoint_s = time.perf_counter() - checkpoint_start
+            _append_event(events_path, {"event": "checkpoint", "episode": state.episode, "checkpoint_s": checkpoint_s})
 
     return ckpt_path

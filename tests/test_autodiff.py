@@ -76,6 +76,26 @@ class TestTensorMechanics:
         with pytest.raises(ValueError, match="scalar"):
             leaf(2, 3).backward()
 
+    def test_seeded_backward_matches_the_weighted_sum(self):
+        # y.backward(G) starts from G as y's gradient: every leaf gets the bits of sum(y * G)'s backward
+        w0, x0, seed = rng.normal(size=(4, 3)), rng.normal(size=(5, 2, 4)), rng.normal(size=(5, 2, 3))
+
+        def graph():
+            w, x = Tensor(w0, requires_grad=True), Tensor(x0, requires_grad=True)
+            return w, x, tanh(add(matmul(x, w), mul(matmul(x, w), 0.5)))
+
+        w, x, y = graph()
+        y.backward(seed)
+        w_sum, x_sum, y_sum = graph()
+        total(mul(y_sum, Tensor(seed))).backward()
+        assert w.grad.tobytes() == w_sum.grad.tobytes()
+        assert x.grad.tobytes() == x_sum.grad.tobytes()
+
+    def test_seed_of_the_wrong_shape_raises(self):
+        y = tanh(leaf(2, 3))
+        with pytest.raises(ValueError, match=r"seed gradient has shape \(3, 2\), expected \(2, 3\)"):
+            y.backward(np.ones((3, 2)))
+
     def test_reused_leaf_accumulates(self):
         x = leaf(4)
         total(mul(x, x)).backward()

@@ -128,7 +128,8 @@ class TestInstanceValidation:
     def test_nan_in_a_json_file_is_rejected_on_load(self, tmp_path):
         # json.load reads the NaN literal that json.dump writes
         path = tmp_path / "tsp.json"
-        path.write_text(json.dumps({"problem": "tsp", "coords": [[0.0, 0.0], [float("nan"), 1.0], [1.0, 0.0]]}))
+        coords = [[0.0, 0.0], [float("nan"), 1.0], [1.0, 0.0]]
+        path.write_text(json.dumps({"problem": "tsp", "coords": coords, "seed": None}))
         with pytest.raises(InstanceError, match="finite"):
             load_instance(path)
 
@@ -292,14 +293,24 @@ class TestSerialization:
         with pytest.raises(InstanceFormatError):
             load_instance(p)
 
-    @pytest.mark.parametrize("key", ["problem", "vehicle", "speed", "objective_mode"])
+    @pytest.mark.parametrize(
+        "key",
+        ["problem", "vehicle", "speed", "objective_mode", "seed", "recharge_dwell", "slope"]
+        + ["vehicle.battery_capacity_kwh", "nodes.2.demand", "tsp:seed"],
+    )
     def test_rejects_missing_field_naming_the_key(self, tmp_path, key):
-        inst = generate_evrp(3, 1, seed=4)
-        data = instance_to_dict(inst)
-        del data[key]
+        # an EVRP key, a dotted path into the nodes or the vehicle, or a "tsp:" key of a TSP file;
+        # every key instance_to_dict writes is required, so none falls back to a default
+        problem, _, path = key.rpartition(":")
+        data = instance_to_dict(generate_tsp(4, seed=4) if problem == "tsp" else generate_evrp(3, 1, seed=4))
+        *parents, name = path.split(".")
+        holder = data
+        for part in parents:
+            holder = holder[int(part) if part.isdigit() else part]
+        del holder[name]
         p = tmp_path / "cut.json"
         p.write_text(json.dumps(data))
-        with pytest.raises(InstanceFormatError, match=rf"^.*cut\.json: bad instance data: missing key '{key}'$"):
+        with pytest.raises(InstanceFormatError, match=rf"^.*cut\.json: bad instance data: missing key '{name}'$"):
             load_instance(p)
 
     def test_rejects_a_node_missing_a_field_naming_the_key(self, tmp_path):

@@ -657,6 +657,21 @@ class TestTrainLoop:
             assert 0.0 <= e["train_s"] <= e["wall_time_s"]
         assert sum(e["train_s"] for e in episodes) > 0.0, "the run took train steps"
 
+    def test_episode_phases_fit_in_the_wall_time(self, finished_run):
+        # play, train steps and the arena are disjoint parts of an episode's wall time;
+        # the checkpoint write comes after the episode event and times itself
+        events = read_events(finished_run)
+        arena_s = {e["episode"]: e["arena_s"] for e in events if e["event"] == "arena"}
+        assert sorted(arena_s) == [2, 4]
+        episodes = [e for e in events if e["event"] == "episode"]
+        assert len(episodes) == 4
+        for e in episodes:
+            assert e["play_s"] > 0.0
+            assert e["play_s"] + e["train_s"] + arena_s.get(e["episode"], 0.0) <= e["wall_time_s"]
+        checkpoints = [e for e in events if e["event"] == "checkpoint"]
+        assert [e["episode"] for e in checkpoints] == [2, 4]
+        assert all(e["checkpoint_s"] > 0.0 for e in checkpoints)
+
     def test_stage1_events_show_zero_competitor_sims(self, tmp_path):
         cfg = tiny_cfg()
         train(cfg, tmp_path / "run")
