@@ -142,7 +142,7 @@ def _plan_route(inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig,
     """
     start = time.perf_counter()
     shadow = GreedyNetPolicy(net)
-    moves, ends = play_seats(RoutingGame(inst), ((NetEvaluator(net), shadow), shadow), planner_cfg, rng)
+    moves, ends, _ = play_seats(RoutingGame(inst), ((NetEvaluator(net), shadow), shadow), planner_cfg, rng)
     end = next(result for slot, result in ends if slot == 0)
     if isinstance(end, DeadEndError):
         return end

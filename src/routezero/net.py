@@ -24,6 +24,15 @@ and returns the tape path's outputs bit for bit.
 This module defines no op of its own.  There is no external ML runtime,
 which keeps checkpoints exact and runs reproducible.
 
+In inference mode an encoder row has the same bits alone as in any batch:
+batch norm reads the running statistics, and each state's products are
+GEMMs of their own.  A row's dependence on its batch lies in the three 2-D
+head GEMMs.  So a large inference batch (encoder work of at least
+``SPLIT_MIN_WORK``) is encoded in one contiguous row block per usable CPU,
+the first on the calling thread and the rest on a worker pool started by
+the first such forward, and the heads run once on the joined rows; the
+outputs are those of one serial encode.  The gain assumes one BLAS thread.
+
 A net is its config, parameters and batch-norm running statistics, and
 nothing else.  The optimizer is the caller's: `train_step` updates the
 parameters through the `Adam` it is given, and only the trainer keeps one,
@@ -38,8 +47,11 @@ reads θ from either.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
+import threading
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -59,6 +71,56 @@ ADAM_EPS = 1e-8
 TSP_NODE_FEATURES = 5
 EVRP_NODE_FEATURES = 7
 EVRP_GLOBAL_FEATURES = 4
+
+# Encoder work, rows x nodes x n_layers x embed_dim x (embed_dim + ffn_dim), from which an inference
+# forward encodes its rows in one block per usable CPU: above the measured crossover of both net sizes
+SPLIT_MIN_WORK = 16e6
+_workers = None  # the encoder's worker pool, started by the first forward that splits
+_workers_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _one_malloc_arena() -> None:
+    """Have threads started from now on allocate from glibc's main malloc arena (``M_ARENA_MAX`` 1).
+
+    A worker thread otherwise gets an arena of its own, which keeps the
+    blocks the worker freed where the main thread's train step cannot reuse
+    them, and so raises the process peak.  Sharing one arena costs no
+    measurable time: Python threads allocate small objects under the
+    interpreter lock anyway, and an encoder block makes few large
+    allocations.  Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX
+
+
+def _worker_pool():
+    global _workers
+    with _workers_lock:
+        if _workers is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _one_malloc_arena()
+            _workers = ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="routezero-encode")
+        return _workers
+
+
+def _forget_workers() -> None:
+    """Drop the parent's pool and lock in a forked child, where the pool's threads do not exist."""
+    global _workers, _workers_lock
+    _workers, _workers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 class CheckpointError(RuntimeError):
@@ -269,6 +331,29 @@ class PolicyValueNet:
         pooled = ops.mean(h, axis=1)
         return h, pooled
 
+    def _encode_rows(self, nodes: np.ndarray):
+        """Inference encode of ``nodes``: a large stack in one contiguous row block per usable CPU.
+
+        This thread encodes the first block and the worker pool the rest;
+        ``h`` and ``pooled`` are joined in row order.  An inference-mode row
+        encodes to the same bits in any batch, so the split changes no output.
+        """
+        cfg, t, ops = self.config, self.params, ad.ARRAY_OPS
+        work = nodes.shape[0] * nodes.shape[1] * cfg.n_layers * cfg.embed_dim * (cfg.embed_dim + cfg.ffn_dim)
+        blocks = min(_usable_cpus(), nodes.shape[0]) if work >= SPLIT_MIN_WORK else 1
+        if blocks == 1:
+            return self._encode(t, nodes, training=False, update_stats=False, ops=ops)
+        first, *rest = np.array_split(nodes, blocks)
+        submit = _worker_pool().submit
+        futures = [submit(self._encode, t, block, False, False, ops) for block in rest]
+        try:
+            parts = [self._encode(t, first, training=False, update_stats=False, ops=ops)]
+        finally:
+            for future in futures:  # the workers' blocks end before this forward does
+                future.exception()
+        parts += [future.result() for future in futures]
+        return np.concatenate([h for h, _ in parts]), np.concatenate([pooled for _, pooled in parts])
+
     def _policy_logits(self, t, h, pooled, batch: dict[str, np.ndarray], ops=ad):
         cfg = self.config
         cur = ops.gather_nodes(h, batch["current"])
@@ -301,7 +386,7 @@ class PolicyValueNet:
         """
         t, ops = self.params, ad.ARRAY_OPS
         nodes = own["nodes"] if opp is None else np.concatenate([own["nodes"], opp["nodes"]])
-        h, pooled = self._encode(t, nodes, training=False, update_stats=False, ops=ops)
+        h, pooled = self._encode_rows(nodes)
         if opp is not None:
             b = own["nodes"].shape[0]
             h, pooled, pooled_opp = h[:b], pooled[:b], pooled[b:]
@@ -377,8 +462,10 @@ def greedy_actions(net: PolicyValueNet, states: list[PlayerState]) -> tuple[np.n
     When every state has exactly one legal move, those moves are returned
     and no ``forward`` runs (0 rows).  Otherwise one ``forward`` over the
     whole stack, forced states included, since a row's bits depend on its
-    batch; the states must then share a problem type and node count.  Ties
-    resolve to the lowest node id.
+    batch through the head GEMMs (the encoder's row blocks do not); the
+    states must then share a problem type and node count.  A large stack is
+    encoded in row blocks on the usable CPUs.  Ties resolve to the lowest
+    node id.
     """
     legal = np.stack([legal_actions(s) for s in states])
     if (legal.sum(axis=1) == 1).all():

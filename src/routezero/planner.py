@@ -35,6 +35,7 @@ and a forced move none (`net.greedy_actions`).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol
 
@@ -302,31 +303,39 @@ def plan(
     )
 
 
-def play_seats(game: RoutingGame, seats, config: PlannerConfig, rng: np.random.Generator) -> tuple[list, Iterator]:
+def play_seats(
+    game: RoutingGame, seats, config: PlannerConfig, rng: np.random.Generator
+) -> tuple[list, Iterator, dict[str, float]]:
     """Play a two-seat game on ``game`` from the initial state through one ``env.play``.
 
     A seat is a greedy policy ``state -> action`` or an ``(evaluator,
     opponent_model)`` pair that plans each move against the other seat's
-    state.  Returns ``(moves, ends)``.  ``ends`` is the ``env.play``
+    state.  Returns ``(moves, ends, seconds)``.  ``ends`` is the ``env.play``
     generator: reading it plays the game, and it yields ``(slot, finished
     state or DeadEndError)`` in the order the slots end, so a caller that
     stops reading once the slot it needs has ended plays no later round.
     ``moves`` lists the moves played so far in play order as ``(slot,
     state, PlanResult | None)``, ``None`` marking a greedy move.  The slots
     of a round move in slot order, and only ``plan`` draws from ``rng``.
+    ``seconds`` sums the wall time of the moves played so far: ``"search"``
+    of the planning seats' ``plan`` calls, their in-tree opponents
+    included, and ``"greedy"`` of the greedy seats' own moves.
     """
     moves = []
+    seconds = {"search": 0.0, "greedy": 0.0}
 
     def choose(states, live):
         actions = []
         for i in live:
             own, seat = states[i], seats[i]
+            started = time.perf_counter()
             result = plan(own, states[1 - i], *seat, config, game, rng=rng) if isinstance(seat, tuple) else None
             moves.append((i, own, result))
             actions.append(seat(own) if result is None else result.action)
+            seconds["greedy" if result is None else "search"] += time.perf_counter() - started
         return actions
 
-    return moves, play([game.initial_state() for _ in seats], choose)
+    return moves, play([game.initial_state() for _ in seats], choose), seconds
 
 
 class NetEvaluator:

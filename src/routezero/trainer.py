@@ -251,6 +251,8 @@ class EpisodeRecord:
     ``sims`` and ``evals`` hold each move's ``PlanResult`` simulations and
     evaluations, 0 for a greedy move.  ``greedy_forwards`` and
     ``greedy_memo_hits`` sum the episode's ``GreedyNetPolicy`` counters.
+    ``search_s`` is the wall time of the searching seats' plans, in-tree
+    opponents included, and ``opponent_s`` that of the greedy seats' own moves.
     """
 
     learner: int
@@ -260,6 +262,8 @@ class EpisodeRecord:
     evals: tuple[tuple[int, ...], tuple[int, ...]]
     greedy_forwards: int
     greedy_memo_hits: int
+    search_s: float
+    opponent_s: float
     outcome: int
     policy_samples: tuple[tuple[PlayerState, np.ndarray], ...]
 
@@ -293,7 +297,7 @@ def run_episode(
     competitor = mu_policy if stage == 1 else (NetEvaluator(theta_best, value_net=theta), GreedyNetPolicy(theta))
     greedy = (mu_policy,) if stage == 1 else (mu_policy, competitor[1])
     seats = (learner, competitor)[::learner_seat]  # seat 1 plays slot 0
-    moves, ends = play_seats(RoutingGame(inst), seats, cfg.planner, rng)
+    moves, ends, seconds = play_seats(RoutingGame(inst), seats, cfg.planner, rng)
     ends = dict(ends)  # plays both seats to their ends
     for slot, end in ends.items():
         if isinstance(end, DeadEndError):
@@ -314,6 +318,8 @@ def run_episode(
         evals=per_move("evaluations"),
         greedy_forwards=sum(policy.forwards for policy in greedy),
         greedy_memo_hits=sum(policy.memo_hits for policy in greedy),
+        search_s=seconds["search"],
+        opponent_s=seconds["greedy"],
         outcome=game_outcome(*(-obj for obj in objectives[::learner_seat])),
         policy_samples=tuple((own, result.improved_policy) for _, own, result in moves if result is not None),
     )
@@ -515,13 +521,20 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
     self-play dead end; carries wall times, so not byte-stable),
     ``checkpoint.npz``.  A resume needs both logs; it rewinds them to the
     checkpointed episode and replays from there, which reproduces the
-    uninterrupted run byte for byte in metrics.csv.
+    uninterrupted run byte for byte in metrics.csv.  A fresh run refuses a
+    ``run_dir`` that holds any of these files, with a ValueError naming it.
     """
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = run_dir / "metrics.csv"
     events_path = run_dir / "events.log"
     ckpt_path = run_dir / "checkpoint.npz"
+    if not resume:
+        for path in (run_dir / "config.json", metrics_path, events_path, ckpt_path):
+            if path.exists():
+                raise ValueError(
+                    f"{path} exists: the run directory holds a run; resume it with --resume or choose another --run-dir"
+                )
+    run_dir.mkdir(parents=True, exist_ok=True)
 
     if resume:
         if not ckpt_path.exists():
@@ -634,6 +647,8 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
                 "greedy_forwards": record.greedy_forwards,
                 "greedy_memo_hits": record.greedy_memo_hits,
                 "play_s": play_s,
+                "search_s": record.search_s,
+                "opponent_s": record.opponent_s,
                 "train_s": train_s,
                 "wall_time_s": time.perf_counter() - started,
             },

@@ -129,6 +129,30 @@ class TestTrain:
         assert main(["train", str(config)]) == 0
         assert (tmp_path / "root" / "smoke" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("name", ["config.json", "metrics.csv", "events.log", "checkpoint.npz"])
+    def test_a_run_directory_holding_a_run_is_refused_without_resume(self, tmp_path, trained_run, name, capsys):
+        for other in {"config.json", "metrics.csv", "events.log", "checkpoint.npz"} - {name}:
+            (trained_run / other).unlink()
+        before = {path.name: path.read_bytes() for path in trained_run.iterdir()}
+        capsys.readouterr()
+        assert main(["train", str(tmp_path / "smoke.json"), "--run-dir", str(trained_run)]) == 1
+        err = capsys.readouterr().err
+        assert f"{trained_run / name} exists" in err and "--resume" in err and "Traceback" not in err
+        assert {path.name: path.read_bytes() for path in trained_run.iterdir()} == before
+
+    def test_repeating_a_train_command_keeps_the_first_run(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "smoke.json"
+        config.write_text(json.dumps(TINY_TRAIN))
+        monkeypatch.setenv("ROUTEZERO_RUN_ROOT", str(tmp_path / "root"))
+        (tmp_path / "root" / "smoke").mkdir(parents=True)  # an empty directory holds no run
+        assert main(["train", str(config)]) == 0
+        run = tmp_path / "root" / "smoke"
+        before = {path.name: path.read_bytes() for path in run.iterdir()}
+        assert main(["train", str(config)]) == 1
+        assert "--resume" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+        assert main(["train", str(config), "--resume"]) == 0
+
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         assert main(["train", str(tmp_path / "absent.json")]) == 2
         assert "error" in capsys.readouterr().err
@@ -430,15 +454,16 @@ class TestEval:
         planner_cfg = PlannerConfig(n_simulations=4, m_root=2)
         shadow = planner_mod.GreedyNetPolicy(net)
         seats = ((planner_mod.NetEvaluator(net), shadow), shadow)
-        full_moves, full_ends = planner_mod.play_seats(RoutingGame(inst), seats, planner_cfg, np.random.default_rng(3))
+        game = RoutingGame(inst)
+        full_moves, full_ends, _ = planner_mod.play_seats(game, seats, planner_cfg, np.random.default_rng(3))
         full_route = dict(full_ends)[0].route
         assert sum(slot == 1 for slot, _, _ in full_moves) > sum(slot == 0 for slot, _, _ in full_moves)
         played = []
 
         def recording(*args):
-            moves, ends = planner_mod.play_seats(*args)
+            moves, ends, seconds = planner_mod.play_seats(*args)
             played.append(moves)
-            return moves, ends
+            return moves, ends, seconds
 
         monkeypatch.setattr(cli, "play_seats", recording)
         solved = cli._plan_route(inst, net, planner_cfg, np.random.default_rng(3))

@@ -1,4 +1,7 @@
 import hashlib
+import multiprocessing
+import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -6,7 +9,9 @@ import numpy as np
 import pytest
 
 from routezero import autodiff as ad
-from routezero.env import initial_state, legal_actions, step
+from routezero import net as net_mod
+from routezero.baselines import greedy_rollouts
+from routezero.env import RoutingGame, initial_state, legal_actions, step
 from routezero.instance import TspInstance, generate_evrp, generate_tsp
 from routezero.net import (
     LOGIT_CLIP,
@@ -23,10 +28,12 @@ from routezero.net import (
     stack_features,
     stack_states,
 )
+from routezero.planner import GreedyNetPolicy, NetEvaluator, PlannerConfig, plan
 from routezero.trainer import PolicyBuffer, TrainConfig, TrainerState, ValueBuffer, load_checkpoint, save_checkpoint
 
 TINY = dict(embed_dim=16, n_heads=2, n_layers=1, ffn_dim=32, batch_size=8, learning_rate=1e-2)
 DESK_NET = dict(embed_dim=32, n_heads=4, n_layers=2, ffn_dim=64, batch_size=64, learning_rate=1e-3)
+DEFAULT_NET = {}  # the NetConfig defaults
 PINNED_DESK_STEPS = "fdaa5e9693dc86d545ddb0c7edfe3e049fce8129fc26c62f1014307393eb3ff9"
 
 
@@ -304,6 +311,138 @@ class TestForward:
         assert (calls, rows) == ([3], 3)
         assert actions.tolist() == np.argmax(forward(stack(mixed)), axis=1).tolist()
         assert actions[0] == actions[2] == 3
+
+
+def small_case(problem, seed):
+    return generate_tsp(7, seed=seed) if problem == "tsp" else generate_evrp(5, 2, seed=seed)
+
+
+def split_rows(monkeypatch, cpus):
+    """Make every inference forward split its encoder rows into ``cpus`` blocks (fewer rows: one block each).
+
+    Returns the recorded ``(rows, on the calling thread)`` of each inference encode.
+    """
+    monkeypatch.setattr(net_mod, "SPLIT_MIN_WORK", 0)
+    monkeypatch.setattr(net_mod, "_usable_cpus", lambda: cpus)
+    return record_encodes(monkeypatch)
+
+
+def record_encodes(monkeypatch):
+    encodes = []
+    encode = PolicyValueNet._encode
+
+    def recording(self, t, nodes, training, update_stats, ops=ad):
+        encodes.append((nodes.shape[0], threading.current_thread() is threading.main_thread()))
+        return encode(self, t, nodes, training, update_stats, ops)
+
+    monkeypatch.setattr(PolicyValueNet, "_encode", recording)
+    return encodes
+
+
+def forward_bytes(net, batch):
+    return net.forward(batch).tobytes()
+
+
+class TestRowBlocks:
+    """A large inference forward encodes its rows in blocks on worker threads, with the serial bits."""
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    @pytest.mark.parametrize("size", [DESK_NET, DEFAULT_NET])
+    def test_encoder_rows_do_not_depend_on_their_batch(self, problem, size):
+        # the property the split rests on: each row's h and pooled have the same bits alone as in a batch
+        net = PolicyValueNet.create(NetConfig(problem=problem, **size), seed=2)
+        rng = np.random.default_rng(21)
+        for key, stat in net.bn_stats.items():
+            stat[:] = rng.uniform(0.5, 2.0, stat.shape) if key.endswith("/var") else rng.normal(0.0, 0.5, stat.shape)
+        nodes = stack(random_states(small_case(problem, 21), 9, rng))["nodes"]
+        h, pooled = net._encode(net.params, nodes, training=False, update_stats=False, ops=ad.ARRAY_OPS)
+        for row in range(len(nodes)):
+            alone_h, alone_pooled = net._encode(net.params, nodes[row : row + 1], False, False, ops=ad.ARRAY_OPS)
+            assert h[row].tobytes() == alone_h[0].tobytes()
+            assert pooled[row].tobytes() == alone_pooled[0].tobytes()
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    @pytest.mark.parametrize("cpus, batch_size, blocks", [(2, 5, [3, 2]), (3, 7, [3, 2, 2]), (2, 1, [1])])
+    def test_split_forward_returns_the_serial_bits(self, monkeypatch, problem, cpus, batch_size, blocks):
+        net = PolicyValueNet.create(NetConfig(problem=problem, **DESK_NET), seed=3)
+        rng = np.random.default_rng(30 + batch_size)
+        own = stack(random_states(small_case(problem, 30), batch_size, rng))
+        opp = stack(random_states(small_case(problem, 30), batch_size, rng), legal=False)
+        opp_row = rng.permutation(batch_size) % max(1, batch_size // 2)
+        half = {k: v[: max(1, batch_size // 2)] for k, v in opp.items()}
+        serial = [net.forward(own), *net.forward(own, opp), *net.forward({**own, "opp_row": opp_row}, half)]
+        encodes = split_rows(monkeypatch, cpus)
+        split = [net.forward(own), *net.forward(own, opp), *net.forward({**own, "opp_row": opp_row}, half)]
+        assert [a.tobytes() for a in split] == [a.tobytes() for a in serial]
+        # own rows alone in the given blocks, the first on the calling thread and the rest on workers
+        assert sorted(encodes[: len(blocks)]) == sorted(zip(blocks, [True] + [False] * (len(blocks) - 1)))
+        # own and opponent rows stacked, in both pair forwards: every row encoded once, in one block per cpu
+        stacked = encodes[len(blocks) :]
+        assert sum(rows for rows, _ in stacked) == 3 * batch_size + len(half["nodes"])
+        assert len(stacked) == min(cpus, 2 * batch_size) + min(cpus, batch_size + len(half["nodes"]))
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    def test_split_greedy_rollouts_and_evaluator_return_the_serial_bits(self, monkeypatch, problem):
+        net = PolicyValueNet.create(NetConfig(problem=problem, **DESK_NET), seed=4)
+        insts = [small_case(problem, 40 + k) for k in range(5)]
+        pairs = [tuple(random_states(inst, 2, np.random.default_rng(k))) for k, inst in enumerate(insts * 2)]
+        pairs.append((pairs[0][0], pairs[1][1]))  # shares its opponent state with pair 1
+
+        def outputs():
+            rolled = greedy_rollouts(insts, net)
+            rollouts = [str(r) if isinstance(r, Exception) else (r.route, r.objective) for r in rolled]
+            evaluated = NetEvaluator(net, net.copy()).evaluate_batch(pairs)
+            return rollouts, [(logits.tobytes(), value) for logits, value in evaluated]
+
+        serial = outputs()
+        encodes = split_rows(monkeypatch, 2)
+        assert outputs() == serial
+        assert not all(main for _, main in encodes), "some block ran on a worker"
+
+    def test_a_default_size_forward_splits_above_about_64_node_rows(self, monkeypatch):
+        net = PolicyValueNet.create(NetConfig(problem="tsp"), seed=5)
+        monkeypatch.setattr(net_mod, "_usable_cpus", lambda: 2)
+        encodes = record_encodes(monkeypatch)
+        inst = generate_tsp(8, seed=5)
+        for batch_size in (8, 9):  # 64 and 72 node rows
+            net.forward(stack(random_states(inst, batch_size, np.random.default_rng(5))))
+        assert sorted(encodes) == [(4, False), (5, True), (8, True)]
+
+    def test_desk_search_and_greedy_eval_start_no_worker(self, monkeypatch):
+        monkeypatch.setattr(net_mod, "_workers", None)
+        threads = threading.active_count()
+        net = PolicyValueNet.create(NetConfig(problem="tsp", **DESK_NET), seed=6)
+        insts = [generate_tsp(6, seed=600 + k) for k in range(64)]
+        greedy_rollouts(insts, net)
+        state = initial_state(insts[0])
+        evaluator, opponent = NetEvaluator(net), GreedyNetPolicy(net)
+        plan(state, state, evaluator, opponent, PlannerConfig(), RoutingGame(insts[0]), rng=np.random.default_rng(6))
+        assert net_mod._workers is None and threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
+    def test_a_forked_child_starts_a_pool_of_its_own(self, monkeypatch):
+        net = PolicyValueNet.create(NetConfig(problem="tsp", **DESK_NET), seed=8)
+        batch = stack(random_states(generate_tsp(6, seed=8), 5, np.random.default_rng(8)))
+        serial = net.forward(batch).tobytes()
+        split_rows(monkeypatch, 2)
+        assert net.forward(batch).tobytes() == serial and net_mod._workers is not None
+        with multiprocessing.get_context("fork").Pool(1) as pool:  # the child inherits no worker thread
+            assert pool.apply_async(forward_bytes, (net, batch)).get(timeout=60) == serial
+
+    def test_an_error_in_a_worker_block_is_raised_from_forward(self, monkeypatch):
+        net = PolicyValueNet.create(NetConfig(problem="tsp", **DESK_NET), seed=7)
+        batch = stack(random_states(generate_tsp(6, seed=7), 4, np.random.default_rng(7)))
+        split_rows(monkeypatch, 2)
+        encode = PolicyValueNet._encode
+
+        def failing(self, t, nodes, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker block failed")
+            return encode(self, t, nodes, *args, **kwargs)
+
+        monkeypatch.setattr(PolicyValueNet, "_encode", failing)
+        with pytest.raises(FloatingPointError, match="worker block failed"):
+            net.forward(batch)
 
 
 def training_batches(inst, size, rng):

@@ -536,7 +536,7 @@ class TestNetAdapters:
             return policy(state)
 
         seats = ((NetEvaluator(net), spy), spy)
-        _, ends = play_seats(game, seats, PlannerConfig(n_simulations=8, m_root=4), np.random.default_rng(4))
+        _, ends, _ = play_seats(game, seats, PlannerConfig(n_simulations=8, m_root=4), np.random.default_rng(4))
         dict(ends)  # plays both seats to their ends
         fresh = GreedyNetPolicy(tiny_net(problem))
         routes = {s.route: s for s in asked}
@@ -567,7 +567,7 @@ def customers_first(state):
 
 def play_to_the_end(game, seats, config, rng):
     """`play_seats` with its ``ends`` read to the last slot's end, as a dict in end order."""
-    moves, ends = play_seats(game, seats, config, rng)
+    moves, ends, _ = play_seats(game, seats, config, rng)
     return moves, dict(ends)
 
 
@@ -623,7 +623,7 @@ class TestPlaySeats:
 
     def test_ends_play_only_as_far_as_they_are_read(self):
         game, lengths = self.evrp_case()
-        moves, ends = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
+        moves, ends, _ = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
         assert moves == []
         slot, end = next(ends)
         assert slot == 1 and len(end.route) - 1 == lengths[1]

@@ -672,6 +672,16 @@ class TestTrainLoop:
         assert [e["episode"] for e in checkpoints] == [2, 4]
         assert all(e["checkpoint_s"] > 0.0 for e in checkpoints)
 
+    def test_episode_events_split_play_into_search_and_greedy_moves(self, finished_run):
+        # search_s times the planning seats (in-tree opponents included), opponent_s the greedy seats' own moves
+        episodes = [e for e in read_events(finished_run) if e["event"] == "episode"]
+        assert [e["stage"] for e in episodes] == [1, 1, 2, 2]
+        for e in episodes:
+            assert e["search_s"] > 0.0 and e["opponent_s"] >= 0.0
+            assert e["search_s"] + e["opponent_s"] <= e["play_s"]
+        assert all(e["opponent_s"] > 0.0 for e in episodes if e["stage"] == 1)
+        assert all(e["opponent_s"] == 0.0 for e in episodes if e["stage"] == 2)
+
     def test_stage1_events_show_zero_competitor_sims(self, tmp_path):
         cfg = tiny_cfg()
         train(cfg, tmp_path / "run")
