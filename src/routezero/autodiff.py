@@ -30,6 +30,26 @@ ops enter the post-order first and run last), and the split runs them in
 that same order, so every parameter leaf sums the same floats in the same
 order.
 
+A large train step also shares its work with a worker pool, given as
+`Workers`: the calling thread and tasks on an executor that the network
+owns.  In training mode batch norm is the only op whose rows depend on
+other states, and the three sublayer kernels work one state at a time.
+So under `pooled_ops` each sublayer computes its kernel in row chunks of
+`CHUNK_STATES` states, which the threads take in turn and copy into
+joined outputs allocated once, in the layout of one call; batch norm and
+every other op run whole on the calling thread.  A pooled
+``backward(workers=...)`` hands each parameter leaf's weight-gradient
+product (``X.T @ G`` of attention, the feed-forward block and `matmul`'s
+folded branch) to the pool while the calling thread walks on down the
+input-gradient chain.  The gate's product stays on the calling thread:
+it multiplies a joined copy of the gate's two inputs, which on the pool
+stayed alive beside the gate's input gradients, at the top of the
+backward, and raised a default-size step's peak RSS by about 10 MB.  A leaf queues every gradient it receives in the walk, and once
+every product has ended it sums its queue in walk order, so the leaf
+sums stay those of the serial walk.  The input-gradient GEMMs stay
+whole: cut into row chunks, most chunks came out with other bits on
+OpenBLAS.  A pooled step therefore gives the serial step's floats.
+
 Results of operations on constant inputs record no tape, but every op
 still allocates a result ``Tensor`` and a backward closure: at the desk
 network size (embed 32, 2 layers, TSP-6 or EVRP-6, batch 1-2) a forward
@@ -48,11 +68,19 @@ values bit for bit.  Its batch norm runs in inference mode only.
 from __future__ import annotations
 
 import operator
+import threading
+from collections import deque
+from functools import partial
 from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
+
 BN_EPS = 1e-5
+CHUNK_STATES = 16  # states per row chunk of a pooled sublayer forward: 8-32 measured alike, 64 slower
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -130,12 +158,104 @@ ARRAY_OPS = SimpleNamespace(
 )
 
 
+def run_tasks(tasks, pool: Executor) -> list:
+    """The results of the callables ``tasks``, the first run on this thread and the rest on ``pool``.
+
+    Returns, or raises the first exception in task order, only once every
+    task has ended.
+    """
+    futures = [pool.submit(task) for task in tasks[1:]]
+    try:
+        first = tasks[0]()
+    finally:
+        for future in futures:
+            future.exception()  # waits for the task, without raising
+    return [first, *(future.result() for future in futures)]
+
+
+class Workers(NamedTuple):
+    """The threads a pooled train step runs on: this one and ``threads - 1`` tasks at a time on ``pool``."""
+
+    pool: Executor
+    threads: int
+
+    def row_chunks(self, kernel, rows: tuple[np.ndarray, ...], shared: tuple) -> list[np.ndarray]:
+        """``kernel(*rows, *shared)``, computed in row chunks of `CHUNK_STATES` states.
+
+        Each thread takes the next chunk until none is left and copies the
+        kernel's outputs into joined arrays, allocated once in the memory
+        layout of the first chunk's, so the backward reads the layout of one
+        call on all rows.  A kernel whose rows do not depend on each other
+        gives the bits of that one call.
+        """
+        b = rows[0].shape[0]
+        starts = iter(range(0, b, CHUNK_STATES))
+        lock = threading.Lock()
+        joined: list[np.ndarray] = []
+
+        def take_chunks():
+            while True:
+                with lock:
+                    lo = next(starts, None)
+                if lo is None:
+                    return
+                parts = kernel(*(a[lo : lo + CHUNK_STATES] for a in rows), *shared)
+                with lock:
+                    if not joined:
+                        joined.extend(np.empty_like(part, shape=(b, *part.shape[1:])) for part in parts)
+                for whole, part in zip(joined, parts):
+                    whole[lo : lo + len(part)] = part
+
+        run_tasks([take_chunks] * self.threads, self.pool)
+        return joined
+
+
+def _kernel(kernel, workers: Workers | None, rows: tuple[np.ndarray, ...], *shared) -> list[np.ndarray]:
+    """``kernel(*rows, *shared)``: in one call, or in row chunks on ``workers``."""
+    return kernel(*rows, *shared) if workers is None else workers.row_chunks(kernel, rows, shared)
+
+
+def pooled_ops(workers: Workers) -> SimpleNamespace:
+    """The tape ops under their `ARRAY_OPS` names, the three sublayers computing their forwards on ``workers``."""
+    ops = {name: globals()[name] for name in vars(ARRAY_OPS)}
+    return SimpleNamespace(**ops | {name: partial(ops[name], workers=workers) for name in ("attention", "gate", "ffn")})
+
+
+def _transposed_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a.T @ b
+
+
+class _PooledWalk:
+    """The leaf gradients of one pooled `Tensor.backward` walk, kept in walk order until the walk ends.
+
+    An entry is ``(leaf, gradient or Future of it, fresh)``.  At most
+    ``workers.threads`` products run or wait on the pool at a time, each
+    holding its two operands, so the walk's memory stays bounded.
+    """
+
+    def __init__(self, workers: Workers):
+        self.workers = workers
+        self.queued: list[tuple[Tensor, np.ndarray | Future, bool]] = []
+        self.running: deque[Future] = deque()
+
+    def product(self, leaf: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+        if len(self.running) >= self.workers.threads:
+            self.running.popleft().exception()
+        future = self.workers.pool.submit(_transposed_product, a, b)
+        self.running.append(future)
+        self.queued.append((leaf, future, True))
+
+    def wait(self) -> None:
+        for future in self.running:
+            future.exception()
+
+
 def _consumed(grad: np.ndarray) -> None:
     raise RuntimeError("backward() already ran on this graph")
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_walk")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -143,26 +263,45 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._walk: _PooledWalk | None = None  # set on a leaf while a pooled walk runs
 
     @property
     def shape(self):
         return self.data.shape
 
     def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
-        """Add ``grad`` into ``.grad``.
+        """Add ``grad`` into ``.grad``; in a pooled walk, a leaf queues it until the walk ends.
 
         A ``fresh`` array, one the caller has just allocated and hands to no
         one else, becomes ``.grad`` as is; any other (a view, or an array
         also passed to another parent) is copied first, so that a later
         in-place sum cannot write through to a second tensor.
         """
-        if self.grad is None:
+        if self._walk is not None:
+            self._walk.queued.append((self, grad, fresh))
+        elif self.grad is None:
             self.grad = grad if fresh else grad.copy()
         else:
             self.grad += grad
 
-    def backward(self, grad=None) -> None:
-        """Backpropagate from this tensor, seeded with ``grad``: ones by default, which needs a scalar."""
+    def _accumulate_product(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add the weight-gradient product ``a.T @ b``; in a pooled walk, a leaf's runs on the pool."""
+        if self._walk is None:
+            self._accumulate(_transposed_product(a, b), fresh=True)
+        else:
+            self._walk.product(self, a, b)
+
+    def backward(self, grad=None, workers: Workers | None = None) -> None:
+        """Backpropagate from this tensor, seeded with ``grad``: ones by default, which needs a scalar.
+
+        With ``workers``, the walk is pooled: each leaf's weight-gradient
+        products (`_accumulate_product`) run on ``workers.pool`` while this
+        thread walks on down the input-gradient chain, and every gradient a
+        leaf receives is queued.  Once all products have ended, each leaf
+        sums its queue in walk order, so a leaf gets the floats of the
+        serial walk.  An exception, in the walk or in a product, is raised
+        only after every product has ended.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() needs a scalar loss or a seed gradient")
@@ -187,14 +326,33 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = grad
-        while order:
-            node = order.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            if node._parents:
-                node.grad = None
-                node._backward = _consumed
-                node._parents = ()
+        if workers is None:
+            _backpropagate(order)
+            return
+        walk = _PooledWalk(workers)
+        leaves = [node for node in order if node._backward is None and node is not self]
+        for leaf in leaves:
+            leaf._walk = walk
+        try:
+            _backpropagate(order)
+        finally:
+            walk.wait()
+            for leaf in leaves:
+                leaf._walk = None
+        for leaf, queued, fresh in walk.queued:
+            leaf._accumulate(queued if isinstance(queued, np.ndarray) else queued.result(), fresh)
+
+
+def _backpropagate(order: list[Tensor]) -> None:
+    """Run the backward closures of ``order``, a post-order, from its end, freeing each node's tape as it goes."""
+    while order:
+        node = order.pop()
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+        if node._parents:
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
 
 def _as_tensor(x) -> Tensor:
@@ -256,7 +414,7 @@ def matmul(a, b) -> Tensor:
             if a.requires_grad:
                 a._accumulate((g2 @ b.data.T).reshape(a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, k).T @ g2, fresh=True)
+                b._accumulate_product(a.data.reshape(-1, k), g2)
             return
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
@@ -387,16 +545,16 @@ def batchnorm_nodes(
 # their pinned hashes hold only while this does.
 
 
-def attention(x, wq, wk, wv, wo, heads: int) -> Tensor:
+def attention(x, wq, wk, wv, wo, heads: int, workers: Workers | None = None) -> Tensor:
     """Multi-head self-attention over the node axis of a (B, N, D) tensor; see `_attention`."""
     x, wq, wk, wv, wo = (_as_tensor(a) for a in (x, wq, wk, wv, wo))
-    out, q, k, v, p, mixed = _attention(x.data, wq.data, wk.data, wv.data, wo.data, heads)
+    out, q, k, v, p, mixed = _kernel(_attention, workers, (x.data,), wq.data, wk.data, wv.data, wo.data, heads)
 
     def bwd(g):
         b, n, d = x.shape
         g2 = g.reshape(-1, d)
         if wo.requires_grad:
-            wo._accumulate(mixed.reshape(-1, d).T @ g2, fresh=True)
+            wo._accumulate_product(mixed.reshape(-1, d), g2)
         gm = (g2 @ wo.data.T).reshape(b, n, heads, -1).transpose(0, 2, 1, 3).copy()
         gp = gm @ np.swapaxes(v, -1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * (1.0 / np.sqrt(d // heads))
@@ -405,17 +563,17 @@ def attention(x, wq, wk, wv, wo, heads: int) -> Tensor:
         for w, gh in zip((wq, wk, wv), grads):
             gw = gh.transpose(0, 2, 1, 3).reshape(-1, d)
             if w.requires_grad:
-                w._accumulate(x.data.reshape(-1, d).T @ gw, fresh=True)
+                w._accumulate_product(x.data.reshape(-1, d), gw)
             if x.requires_grad:
                 x._accumulate((gw @ w.data.T).reshape(x.shape), fresh=True)
 
     return _result(out, (x, wq, wk, wv, wo), bwd)
 
 
-def gate(x, f, w, b) -> Tensor:
+def gate(x, f, w, b, workers: Workers | None = None) -> Tensor:
     """Learned sigmoid blend of a sublayer's input ``x`` and output ``f``; see `_gate`."""
     x, f, w, b = (_as_tensor(a) for a in (x, f, w, b))
-    out, s = _gate(x.data, f.data, w.data, b.data)
+    out, s = _kernel(_gate, workers, (x.data, f.data), w.data, b.data)
 
     def bwd(g):
         d = s.shape[-1]
@@ -424,6 +582,7 @@ def gate(x, f, w, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(gz, b.shape), fresh=True)
         if w.requires_grad:
+            # on this thread even in a pooled walk: on the pool, the joined inputs would stay alive beside gcat
             w._accumulate(np.concatenate([x.data, f.data], axis=-1).reshape(-1, 2 * d).T @ gz2, fresh=True)
         gcat = (gz2 @ w.data.T).reshape(*s.shape[:-1], 2 * d)
         if x.requires_grad:
@@ -434,10 +593,10 @@ def gate(x, f, w, b) -> Tensor:
     return _result(out, (x, f, w, b), bwd)
 
 
-def ffn(x, w1, b1, w2, b2) -> Tensor:
+def ffn(x, w1, b1, w2, b2, workers: Workers | None = None) -> Tensor:
     """Two-layer relu feed-forward over the last axis; see `_ffn`."""
     x, w1, b1, w2, b2 = (_as_tensor(a) for a in (x, w1, b1, w2, b2))
-    out, hidden = _ffn(x.data, w1.data, b1.data, w2.data, b2.data)
+    out, hidden = _kernel(_ffn, workers, (x.data,), w1.data, b1.data, w2.data, b2.data)
 
     def bwd(g):
         d, f = w1.shape
@@ -445,14 +604,14 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
         if b2.requires_grad:
             b2._accumulate(_unbroadcast(g, b2.shape), fresh=True)
         if w2.requires_grad:
-            w2._accumulate(hidden.reshape(-1, f).T @ g2, fresh=True)
+            w2._accumulate_product(hidden.reshape(-1, f), g2)
         # hidden > 0 exactly where the pre-activation is
         gh = (g2 @ w2.data.T).reshape(hidden.shape) * (hidden > 0.0)
         if b1.requires_grad:
             b1._accumulate(_unbroadcast(gh, b1.shape), fresh=True)
         gh2 = gh.reshape(-1, f)
         if w1.requires_grad:
-            w1._accumulate(x.data.reshape(-1, d).T @ gh2, fresh=True)
+            w1._accumulate_product(x.data.reshape(-1, d), gh2)
         if x.requires_grad:
             x._accumulate((gh2 @ w1.data.T).reshape(x.shape), fresh=True)
 

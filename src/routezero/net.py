@@ -31,7 +31,11 @@ head GEMMs.  So a large inference batch (encoder work of at least
 ``SPLIT_MIN_WORK``) is encoded in one contiguous row block per usable CPU,
 the first on the calling thread and the rest on a worker pool started by
 the first such forward, and the heads run once on the joined rows; the
-outputs are those of one serial encode.  The gain assumes one BLAS thread.
+outputs are those of one serial encode.  A train step shares each large
+encode and its backward with the same pool, under the same threshold:
+the sublayers compute their forwards in row chunks and the pool computes
+most weight-gradient products (see `autodiff`), with the serial step's
+floats.  The gain assumes one BLAS thread.
 
 A net is its config, parameters and batch-norm running statistics, and
 nothing else.  The optimizer is the caller's: `train_step` updates the
@@ -54,6 +58,7 @@ import os
 import threading
 import zipfile
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -72,10 +77,11 @@ TSP_NODE_FEATURES = 5
 EVRP_NODE_FEATURES = 7
 EVRP_GLOBAL_FEATURES = 4
 
-# Encoder work, rows x nodes x n_layers x embed_dim x (embed_dim + ffn_dim), from which an inference
-# forward encodes its rows in one block per usable CPU: above the measured crossover of both net sizes
+# Encoder work, rows x nodes x n_layers x embed_dim x (embed_dim + ffn_dim), of a stack from which its encode
+# shares the usable CPUs: an inference forward in one row block per CPU, a train step in sublayer row chunks and
+# pooled weight-gradient products.  Above the measured crossover of both net sizes; a desk step is below it.
 SPLIT_MIN_WORK = 16e6
-_workers = None  # the encoder's worker pool, started by the first forward that splits
+_workers = None  # the encoder's worker pool, started by the first forward or train step that splits
 _workers_lock = threading.Lock()
 
 
@@ -331,27 +337,31 @@ class PolicyValueNet:
         pooled = ops.mean(h, axis=1)
         return h, pooled
 
+    def _workers_for(self, nodes: np.ndarray) -> ad.Workers | None:
+        """The threads that share the encode of ``nodes``: one per usable CPU (at most one per row), or None.
+
+        None when the encoder work is below ``SPLIT_MIN_WORK`` or one thread
+        would do it all; then the encode and its backward run serially and
+        no pool is started.
+        """
+        cfg = self.config
+        work = nodes.shape[0] * nodes.shape[1] * cfg.n_layers * cfg.embed_dim * (cfg.embed_dim + cfg.ffn_dim)
+        threads = min(_usable_cpus(), nodes.shape[0]) if work >= SPLIT_MIN_WORK else 1
+        return ad.Workers(_worker_pool(), threads) if threads > 1 else None
+
     def _encode_rows(self, nodes: np.ndarray):
-        """Inference encode of ``nodes``: a large stack in one contiguous row block per usable CPU.
+        """Inference encode of ``nodes``: a large stack in one contiguous row block per thread of `_workers_for`.
 
         This thread encodes the first block and the worker pool the rest;
         ``h`` and ``pooled`` are joined in row order.  An inference-mode row
         encodes to the same bits in any batch, so the split changes no output.
         """
-        cfg, t, ops = self.config, self.params, ad.ARRAY_OPS
-        work = nodes.shape[0] * nodes.shape[1] * cfg.n_layers * cfg.embed_dim * (cfg.embed_dim + cfg.ffn_dim)
-        blocks = min(_usable_cpus(), nodes.shape[0]) if work >= SPLIT_MIN_WORK else 1
-        if blocks == 1:
+        t, ops = self.params, ad.ARRAY_OPS
+        workers = self._workers_for(nodes)
+        if workers is None:
             return self._encode(t, nodes, training=False, update_stats=False, ops=ops)
-        first, *rest = np.array_split(nodes, blocks)
-        submit = _worker_pool().submit
-        futures = [submit(self._encode, t, block, False, False, ops) for block in rest]
-        try:
-            parts = [self._encode(t, first, training=False, update_stats=False, ops=ops)]
-        finally:
-            for future in futures:  # the workers' blocks end before this forward does
-                future.exception()
-        parts += [future.result() for future in futures]
+        blocks = np.array_split(nodes, workers.threads)
+        parts = ad.run_tasks([partial(self._encode, t, block, False, False, ops) for block in blocks], workers.pool)
         return np.concatenate([h for h, _ in parts]), np.concatenate([pooled for _, pooled in parts])
 
     def _policy_logits(self, t, h, pooled, batch: dict[str, np.ndarray], ops=ad):
@@ -399,10 +409,12 @@ class PolicyValueNet:
 
     def _policy_loss(self, t, batch: dict[str, np.ndarray]) -> float:
         """Build the policy loss on the tape and backpropagate it; returns the loss."""
-        h, pooled = self._encode(t, batch["nodes"], training=True, update_stats=True)
+        workers = self._workers_for(batch["nodes"])
+        ops = ad if workers is None else ad.pooled_ops(workers)
+        h, pooled = self._encode(t, batch["nodes"], training=True, update_stats=True, ops=ops)
         logits = self._policy_logits(t, h, pooled, batch)
         loss = ad.masked_cross_entropy(logits, batch["legal"], batch["target"])
-        loss.backward()
+        loss.backward(workers=workers)
         return float(loss.data)
 
     def _value_loss(self, t, batch: dict[str, np.ndarray]) -> float:
@@ -416,13 +428,16 @@ class PolicyValueNet:
         opponent encodes give the same bits; the statistics move once per
         stack, own first.
         """
-        _, pooled = self._encode(self._tensors(train=False), batch["opp_nodes"], training=True, update_stats=False)
+        workers = self._workers_for(batch["own_nodes"])
+        ops = ad if workers is None else ad.pooled_ops(workers)
+        constants = self._tensors(train=False)
+        _, pooled = self._encode(constants, batch["opp_nodes"], training=True, update_stats=False, ops=ops)
         opp_leaf = ad.Tensor(pooled.data, requires_grad=True)
-        _, pooled_own = self._encode(t, batch["own_nodes"], training=True, update_stats=True)
+        _, pooled_own = self._encode(t, batch["own_nodes"], training=True, update_stats=True, ops=ops)
         loss = ad.mse(self._value(t, pooled_own, opp_leaf), batch["z"])
-        loss.backward()
-        _, pooled_opp = self._encode(t, batch["opp_nodes"], training=True, update_stats=True)
-        pooled_opp.backward(opp_leaf.grad)
+        loss.backward(workers=workers)
+        _, pooled_opp = self._encode(t, batch["opp_nodes"], training=True, update_stats=True, ops=ops)
+        pooled_opp.backward(opp_leaf.grad, workers)
         return float(loss.data)
 
     def train_step(
@@ -445,6 +460,12 @@ class PolicyValueNet:
         sums policy, value head, own and opponent gradients, the order one
         ``backward()`` of the summed loss walks them in, and Adam steps once
         on the sum: the same floats as that one-tape step.
+
+        A stack whose encoder work reaches ``SPLIT_MIN_WORK`` is encoded and
+        backpropagated on the usable CPUs (`_workers_for`): its sublayers
+        in row chunks, most weight-gradient products on the worker pool.
+        The floats are those of the serial step.  An exception in a worker
+        is raised once every task of the step has ended, before Adam steps.
         """
         if policy_batch is None and value_batch is None:
             return 0.0, 0.0

@@ -571,9 +571,8 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
             record = run_episode(inst, (state.theta, state.theta_best), cfg, stage, rng)
             play_s = time.perf_counter() - started
         except (PlannerError, DeadEndError) as exc:
-            if isinstance(exc, DeadEndError):
-                event = {"event": "dead_end", "episode": episode + 1, "instance_seed": inst_seed, "error": str(exc)}
-                _append_event(events_path, event)
+            kind = "dead_end" if isinstance(exc, DeadEndError) else "planner_error"
+            _append_event(events_path, {"event": kind, "episode": episode + 1, "instance_seed": inst_seed, "error": str(exc)})
             raise TrainerError(f"episode {episode + 1} (instance seed {inst_seed}): {exc}") from exc
 
         for played_state, improved in record.policy_samples:

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -261,6 +264,67 @@ class TestFusedSublayers:
         assert (out >= np.minimum(x, f) - 1e-12).all() and (out <= np.maximum(x, f) + 1e-12).all()
 
 
+class TestPooling:
+    """The sublayers' row-chunked forwards and the pooled backward walk give the serial bits."""
+
+    @pytest.fixture
+    def workers(self):
+        with ThreadPoolExecutor(2) as pool:
+            yield ad.Workers(pool, 3)
+
+    @pytest.mark.parametrize("chunk_states", [1, 2, 4, 7])
+    def test_row_chunks_give_the_bits_and_layout_of_one_call(self, monkeypatch, workers, chunk_states):
+        monkeypatch.setattr(ad, "CHUNK_STATES", chunk_states)
+        x, f = rng.normal(size=(7, 5, 8)), rng.normal(size=(7, 5, 8))
+        ffn_weights = rng.normal(size=(8, 6)), rng.normal(size=6), rng.normal(size=(6, 8)), rng.normal(size=8)
+        cases = [
+            (ad._attention, (x,), (*(rng.normal(size=(8, 8)) for _ in range(4)), 2)),
+            (ad._gate, (x, f), (rng.normal(size=(16, 8)), rng.normal(size=8))),
+            (ad._ffn, (x,), ffn_weights),
+        ]
+        for kernel, rows, shared in cases:
+            whole = kernel(*rows, *shared)
+            chunked = workers.row_chunks(kernel, rows, shared)
+            assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
+            assert [a.strides for a in chunked] == [a.strides for a in whole], "the backward reads the same layout"
+
+    def test_row_chunks_lose_no_chunk_under_thread_switches(self, monkeypatch):
+        # more threads than cores and a short switch interval: a chunk taken twice or lost, or outputs
+        # allocated twice, would leave rows that differ from one call
+        monkeypatch.setattr(ad, "CHUNK_STATES", 1)
+        x = rng.normal(size=(64, 3, 4))
+        ffn_weights = rng.normal(size=(4, 5)), rng.normal(size=5), rng.normal(size=(5, 4)), rng.normal(size=4)
+        whole = [a.tobytes() for a in ad._ffn(x, *ffn_weights)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(5) as pool:
+                for _ in range(20):
+                    chunked = ad.Workers(pool, 6).row_chunks(ad._ffn, (x,), ffn_weights)
+                    assert [a.tobytes() for a in chunked] == whole
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_pooled_walk_sums_each_leaf_in_walk_order(self, workers):
+        # w is every attention weight, a folded matmul's weight through add(w, w) and both ffn weights, so its
+        # queue mixes weight-gradient products with plain contributions; x feeds two ops
+        x, w, gw, gb, b1, b2 = leaf(5, 3, 4), leaf(4, 4), leaf(8, 4), leaf(4), leaf(4), leaf(4)
+        weight = Tensor(rng.normal(size=(5, 3, 4)))
+
+        def loss(x, w, gw, gb, b1, b2, pooled_ops=ad):
+            a = pooled_ops.attention(x, w, w, w, w, 2)
+            h = pooled_ops.gate(matmul(a, add(w, w)), x, gw, gb)
+            return total(mul(pooled_ops.ffn(h, w, b1, w, b2), weight))
+
+        leaves = (x, w, gw, gb, b1, b2)
+        loss(*leaves).backward()
+        copies = [Tensor(t.data, requires_grad=True) for t in leaves]
+        loss(*copies, pooled_ops=ad.pooled_ops(workers)).backward(workers=workers)
+        for serial, pooled in zip(leaves, copies):
+            assert pooled.grad.tobytes() == serial.grad.tobytes()
+            assert pooled._walk is None
+
+
 class TestGatherNodes:
     def test_forward_picks_rows(self):
         a = leaf(3, 4, 2)
@@ -392,7 +456,8 @@ class TestArrayOps:
             net._value(t, pooled, pooled, ops=Recording())
         assert called == set(vars(ARRAY_OPS))
         ops = {k for k, v in vars(ad).items() if callable(v) and getattr(v, "__module__", "") == ad.__name__}
-        assert {k for k in ops if not k.startswith("_")} == called | {"masked_cross_entropy", "mse"}
+        pooling = {"Workers", "pooled_ops", "run_tasks"}  # how a large train step shares its work, not ops
+        assert {k for k in ops if not k.startswith("_")} == called | {"masked_cross_entropy", "mse"} | pooling
         assert not hasattr(ad, "scale") and not hasattr(ARRAY_OPS, "scale"), "scaling is mul by a constant"
         for inside in ("sigmoid", "softmax", "transpose"):
             assert not hasattr(ad, inside) and not hasattr(ARRAY_OPS, inside), f"{inside} runs inside a fused sublayer"

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -641,6 +642,125 @@ class TestTrainStep:
         net.train_step(one_hot_policy_batch(generate_tsp(5, seed=15), 2), None, Adam.zeros(net.params))
         assert set(vars(net)) == {"config", "params", "bn_stats"}
         assert set(vars(net.copy())) == {"config", "params", "bn_stats"}
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A worker pool that keeps every future it hands out."""
+
+    def __init__(self, workers):
+        super().__init__(workers, thread_name_prefix="test-pool")
+        self.futures = []
+
+    def submit(self, fn, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Every pooled step on a fresh two-worker `RecordingPool`, shut down after the test."""
+    pool = RecordingPool(2)
+    monkeypatch.setattr(net_mod, "_workers", pool)
+    yield pool
+    pool.shutdown(wait=True)
+
+
+def pool_train_steps(monkeypatch, cpus, chunk_states=3):
+    """Make every train step pool its work over ``cpus`` threads, in sublayer chunks of ``chunk_states`` states."""
+    monkeypatch.setattr(net_mod, "SPLIT_MIN_WORK", 0)
+    monkeypatch.setattr(net_mod, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ad, "CHUNK_STATES", chunk_states)
+
+
+def step_state(net, adam, losses=()):
+    """Bytes of everything a train step changes: losses, params, running statistics and Adam's m, v and t."""
+    arrays = [np.array(losses), np.array(adam.t)]
+    for group in (net.params, net.bn_stats, adam.m, adam.v):
+        arrays += [group[k] for k in sorted(group)]
+    return [a.tobytes() for a in arrays]
+
+
+class TestPooledTrainStep:
+    """A large train step shares its sublayer forwards and weight-gradient products with the worker pool, bit for bit."""
+
+    @pytest.mark.parametrize("problem", ["tsp", "evrp"])
+    @pytest.mark.parametrize("heads", ["both", "policy", "value"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_pooled_steps_give_the_serial_bits(self, monkeypatch, problem, heads, cpus):
+        inst = small_case(problem, 19)
+        rng = np.random.default_rng(19)
+        batches = []
+        for _ in range(2):
+            policy, value = training_batches(inst, 11, rng)  # 11 states: chunks of 3, 3, 3 and 2
+            batches.append((None if heads == "value" else policy, None if heads == "policy" else value))
+        serial, pooled = tiny_net(problem, n_layers=2), tiny_net(problem, n_layers=2)
+        serial_adam, pooled_adam = Adam.zeros(serial.params), Adam.zeros(pooled.params)
+        serial_losses = [serial.train_step(policy, value, serial_adam) for policy, value in batches]
+
+        pool_train_steps(monkeypatch, cpus)
+        calls = []
+        for name in ("_transposed_product", "_ffn"):
+            real = getattr(ad, name)
+
+            def recording(a, *args, _real=real, _name=name):
+                calls.append((_name, len(a), threading.current_thread() is threading.main_thread()))
+                return _real(a, *args)
+
+            monkeypatch.setattr(ad, name, recording)
+        pooled_losses = [pooled.train_step(policy, value, pooled_adam) for policy, value in batches]
+        assert step_state(pooled, pooled_adam, pooled_losses) == step_state(serial, serial_adam, serial_losses)
+        assert sorted(rows for name, rows, _ in calls if name == "_ffn")[-1] == 3, "each ffn ran in chunks"
+        assert {main for name, _, main in calls if name == "_transposed_product"} == {False}, "products on the pool"
+
+    def test_a_desk_step_starts_no_pool_and_no_thread(self, monkeypatch):
+        monkeypatch.setattr(net_mod, "_workers", None)
+        monkeypatch.setattr(net_mod, "_usable_cpus", lambda: 2)
+        threads = threading.active_count()
+        net = PolicyValueNet.create(NetConfig(problem="tsp", **DESK_NET), seed=0)
+        policy, value = training_batches(generate_tsp(6, seed=20), DESK_NET["batch_size"], np.random.default_rng(20))
+        net.train_step(policy, value, Adam.zeros(net.params))
+        assert net_mod._workers is None and threading.active_count() == threads
+
+    @pytest.mark.parametrize("where", ["chunk", "product"])
+    def test_a_worker_error_leaves_the_net_and_adam_unchanged(self, monkeypatch, recording_pool, where):
+        net = tiny_net("tsp", n_layers=2)
+        adam = Adam.zeros(net.params)
+        policy, value = training_batches(generate_tsp(7, seed=21), 11, np.random.default_rng(21))
+        net.train_step(policy, value, adam)
+        params, m, v = ({k: a.copy() for k, a in group.items()} for group in (net.params, adam.m, adam.v))
+        t = adam.t
+        pool_train_steps(monkeypatch, 2)
+        name = "_ffn" if where == "chunk" else "_transposed_product"
+        real = getattr(ad, name)
+        taken = threading.Event()
+
+        def failing(*args):
+            if threading.current_thread() is threading.main_thread():
+                taken.wait(timeout=30)  # so that a worker takes a chunk of this ffn
+                return real(*args)
+            taken.set()
+            raise FloatingPointError(f"worker {where} failed")
+
+        monkeypatch.setattr(ad, name, failing)
+        with pytest.raises(FloatingPointError, match=f"worker {where} failed"):
+            net.train_step(policy, value, adam)
+        assert recording_pool.futures and all(future.done() for future in recording_pool.futures)
+        for now, then in ((net.params, params), (adam.m, m), (adam.v, v)):
+            assert all(np.array_equal(now[k], then[k]) for k in then)
+        assert adam.t == t
+
+    def test_a_pooled_value_step_peaks_near_the_serial_one(self, monkeypatch, recording_pool):
+        # the sublayer chunks write into outputs allocated once, and few products are in flight at a time
+        net = PolicyValueNet.create(NetConfig(problem="tsp"), seed=22)
+        _, value = training_batches(generate_tsp(10, seed=22), 64, np.random.default_rng(22))
+        monkeypatch.setattr(net_mod, "_usable_cpus", lambda: 1)
+        serial = train_step_peak_bytes(net.copy(), None, value)
+        assert not recording_pool.futures
+        monkeypatch.setattr(net_mod, "_usable_cpus", lambda: 2)
+        pooled = train_step_peak_bytes(net.copy(), None, value)
+        assert recording_pool.futures, "a default-size step of 64 TSP-10 states pools"
+        assert pooled <= 1.05 * serial
 
 
 class TestCheckpoint:

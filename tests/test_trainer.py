@@ -9,7 +9,7 @@ import routezero.trainer as trainer_mod
 from routezero.env import DeadEndError, game_outcome, initial_state, legal_actions, objective, step
 from routezero.instance import EvrpInstance, TspInstance, generate_tsp
 from routezero.net import Adam, CheckpointError, NetConfig, PolicyValueNet, featurize
-from routezero.planner import PlannerConfig
+from routezero.planner import PlannerConfig, PlannerError
 from routezero.trainer import (
     METRICS_HEADER,
     PolicyBuffer,
@@ -582,6 +582,30 @@ class TestTrainLoop:
         capsys.readouterr()
         assert main(["train", str(config), "--run-dir", str(tmp_path / "cli")]) == 2
         assert f"episode 1 (instance seed {inst_seed}): {error}" in capsys.readouterr().err
+
+    def test_a_planner_error_stops_the_run_and_logs_the_episode(self, tmp_path, monkeypatch):
+        real = trainer_mod.run_episode
+        calls = {"n": 0}
+
+        def failing(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise PlannerError("cannot plan from a terminal state")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "run_episode", failing)
+        cfg = tiny_cfg()
+        inst_seed = derived_seed(cfg.seed, trainer_mod._STREAM_INSTANCE, 1)
+        with pytest.raises(TrainerError) as raised:
+            train(cfg, tmp_path / "run")
+        assert str(raised.value) == f"episode 2 (instance seed {inst_seed}): cannot plan from a terminal state"
+        assert read_events(tmp_path / "run")[-1] == {
+            "event": "planner_error",
+            "episode": 2,
+            "instance_seed": inst_seed,
+            "error": "cannot plan from a terminal state",
+        }
+        assert [row[0] for row in read_metrics(tmp_path / "run")] == ["1"]
 
     @pytest.mark.parametrize(
         ("name", "edit", "message"),
