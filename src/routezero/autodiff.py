@@ -30,25 +30,27 @@ ops enter the post-order first and run last), and the split runs them in
 that same order, so every parameter leaf sums the same floats in the same
 order.
 
-A large train step also shares its work with a worker pool, given as
-`Workers`: the calling thread and tasks on an executor that the network
-owns.  In training mode batch norm is the only op whose rows depend on
-other states, and the three sublayer kernels work one state at a time.
-So under `pooled_ops` each sublayer computes its kernel in row chunks of
-`CHUNK_STATES` states, which the threads take in turn and copy into
-joined outputs allocated once, in the layout of one call; batch norm and
-every other op run whole on the calling thread.  A pooled
-``backward(workers=...)`` hands each parameter leaf's weight-gradient
-product (``X.T @ G`` of attention, the feed-forward block and `matmul`'s
-folded branch) to the pool while the calling thread walks on down the
-input-gradient chain.  The gate's product stays on the calling thread:
-it multiplies a joined copy of the gate's two inputs, which on the pool
-stayed alive beside the gate's input gradients, at the top of the
-backward, and raised a default-size step's peak RSS by about 10 MB.  A leaf queues every gradient it receives in the walk, and once
-every product has ended it sums its queue in walk order, so the leaf
-sums stay those of the serial walk.  The input-gradient GEMMs stay
-whole: cut into row chunks, most chunks came out with other bits on
-OpenBLAS.  A pooled step therefore gives the serial step's floats.
+A large encode shares its work with a worker pool, given as `Workers`:
+the calling thread and tasks on an executor that the network owns.
+`Workers.row_chunks` is the one splitter: it runs a kernel whose rows do
+not depend on each other in row chunks that the threads take in turn,
+joined into outputs allocated once in the layout of one call, with that
+call's bits.  An inference forward splits its whole `ARRAY_OPS` encode
+so.  In training mode batch norm is the only op whose rows depend on
+other states, so under `pooled_ops` only the three sublayer kernels,
+which work one state at a time, split; every other op runs whole on the
+calling thread.  A pooled ``backward(workers=...)`` hands each parameter leaf's
+weight-gradient product (``X.T @ G`` of attention, the feed-forward block
+and `matmul`'s folded branch) to the pool while the calling thread walks
+on down the input-gradient chain.  The gate's product stays on the
+calling thread: it multiplies a joined copy of the gate's two inputs,
+which on the pool stayed alive beside the gate's input gradients, at the
+top of the backward, and raised a default-size step's peak RSS by about
+10 MB.  A leaf queues every gradient it receives in the walk, and once
+every product has ended it sums its queue in walk order, so the leaf sums
+stay those of the serial walk.  The input-gradient GEMMs stay whole: cut
+into row chunks, most chunks came out with other bits on OpenBLAS.  A
+pooled step therefore gives the serial step's floats.
 
 Results of operations on constant inputs record no tape, but every op
 still allocates a result ``Tensor`` and a backward closure: at the desk
@@ -80,7 +82,7 @@ if TYPE_CHECKING:
     from concurrent.futures import Executor, Future
 
 BN_EPS = 1e-5
-CHUNK_STATES = 16  # states per row chunk of a pooled sublayer forward: 8-32 measured alike, 64 slower
+CHUNK_STATES = 16  # most states per row chunk of `Workers.row_chunks`: 8-32 measured alike, 64 slower
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -158,38 +160,25 @@ ARRAY_OPS = SimpleNamespace(
 )
 
 
-def run_tasks(tasks, pool: Executor) -> list:
-    """The results of the callables ``tasks``, the first run on this thread and the rest on ``pool``.
-
-    Returns, or raises the first exception in task order, only once every
-    task has ended.
-    """
-    futures = [pool.submit(task) for task in tasks[1:]]
-    try:
-        first = tasks[0]()
-    finally:
-        for future in futures:
-            future.exception()  # waits for the task, without raising
-    return [first, *(future.result() for future in futures)]
-
-
 class Workers(NamedTuple):
-    """The threads a pooled train step runs on: this one and ``threads - 1`` tasks at a time on ``pool``."""
+    """The threads an encode runs on: this one and ``threads - 1`` tasks at a time on ``pool``."""
 
     pool: Executor
     threads: int
 
     def row_chunks(self, kernel, rows: tuple[np.ndarray, ...], shared: tuple) -> list[np.ndarray]:
-        """``kernel(*rows, *shared)``, computed in row chunks of `CHUNK_STATES` states.
+        """``kernel(*rows, *shared)``, in row chunks that the threads take in turn.
 
-        Each thread takes the next chunk until none is left and copies the
-        kernel's outputs into joined arrays, allocated once in the memory
-        layout of the first chunk's, so the backward reads the layout of one
-        call on all rows.  A kernel whose rows do not depend on each other
-        gives the bits of that one call.
+        A chunk holds `CHUNK_STATES` states, or ``ceil(states / threads)``
+        when fewer, so that a small stack gives every thread a chunk.  The
+        outputs are joined into arrays allocated once in the layout of the
+        first chunk's, so the backward reads the layout of one call, and a
+        kernel whose rows do not depend on each other gives its bits.
+        Returns, or raises the first exception, once every thread has ended.
         """
         b = rows[0].shape[0]
-        starts = iter(range(0, b, CHUNK_STATES))
+        size = min(CHUNK_STATES, -(-b // self.threads))
+        starts = iter(range(0, b, size))
         lock = threading.Lock()
         joined: list[np.ndarray] = []
 
@@ -199,14 +188,21 @@ class Workers(NamedTuple):
                     lo = next(starts, None)
                 if lo is None:
                     return
-                parts = kernel(*(a[lo : lo + CHUNK_STATES] for a in rows), *shared)
+                parts = kernel(*(a[lo : lo + size] for a in rows), *shared)
                 with lock:
                     if not joined:
                         joined.extend(np.empty_like(part, shape=(b, *part.shape[1:])) for part in parts)
                 for whole, part in zip(joined, parts):
                     whole[lo : lo + len(part)] = part
 
-        run_tasks([take_chunks] * self.threads, self.pool)
+        futures = [self.pool.submit(take_chunks) for _ in range(self.threads - 1)]
+        try:
+            take_chunks()
+        finally:
+            for future in futures:
+                future.exception()  # waits for the task, without raising
+        for future in futures:
+            future.result()
         return joined
 
 

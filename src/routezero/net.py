@@ -27,15 +27,15 @@ which keeps checkpoints exact and runs reproducible.
 In inference mode an encoder row has the same bits alone as in any batch:
 batch norm reads the running statistics, and each state's products are
 GEMMs of their own.  A row's dependence on its batch lies in the three 2-D
-head GEMMs.  So a large inference batch (encoder work of at least
-``SPLIT_MIN_WORK``) is encoded in one contiguous row block per usable CPU,
-the first on the calling thread and the rest on a worker pool started by
-the first such forward, and the heads run once on the joined rows; the
-outputs are those of one serial encode.  A train step shares each large
-encode and its backward with the same pool, under the same threshold:
-the sublayers compute their forwards in row chunks and the pool computes
-most weight-gradient products (see `autodiff`), with the serial step's
-floats.  The gain assumes one BLAS thread.
+head GEMMs.  So a large stack (encoder work of at least ``SPLIT_MIN_WORK``)
+is encoded on the usable CPUs through one splitter,
+`autodiff.Workers.row_chunks`: the calling thread and a worker pool,
+started by the first such encode, take row chunks in turn.  An inference
+forward runs its whole encode in chunks, and the heads run once on the
+joined rows; the outputs are those of one serial encode.  A train step
+runs each sublayer's forward in chunks and the pool computes most
+weight-gradient products (see `autodiff`), with the serial step's floats.
+The gain assumes one BLAS thread.
 
 A net is its config, parameters and batch-norm running statistics, and
 nothing else.  The optimizer is the caller's: `train_step` updates the
@@ -78,7 +78,7 @@ EVRP_NODE_FEATURES = 7
 EVRP_GLOBAL_FEATURES = 4
 
 # Encoder work, rows x nodes x n_layers x embed_dim x (embed_dim + ffn_dim), of a stack from which its encode
-# shares the usable CPUs: an inference forward in one row block per CPU, a train step in sublayer row chunks and
+# shares the usable CPUs: an inference forward in encode row chunks, a train step in sublayer row chunks and
 # pooled weight-gradient products.  Above the measured crossover of both net sizes; a desk step is below it.
 SPLIT_MIN_WORK = 16e6
 _workers = None  # the encoder's worker pool, started by the first forward or train step that splits
@@ -96,7 +96,7 @@ def _one_malloc_arena() -> None:
     blocks the worker freed where the main thread's train step cannot reuse
     them, and so raises the process peak.  Sharing one arena costs no
     measurable time: Python threads allocate small objects under the
-    interpreter lock anyway, and an encoder block makes few large
+    interpreter lock anyway, and an encoder chunk makes few large
     allocations.  Without glibc's ``mallopt`` this does nothing.
     """
     try:
@@ -349,21 +349,6 @@ class PolicyValueNet:
         threads = min(_usable_cpus(), nodes.shape[0]) if work >= SPLIT_MIN_WORK else 1
         return ad.Workers(_worker_pool(), threads) if threads > 1 else None
 
-    def _encode_rows(self, nodes: np.ndarray):
-        """Inference encode of ``nodes``: a large stack in one contiguous row block per thread of `_workers_for`.
-
-        This thread encodes the first block and the worker pool the rest;
-        ``h`` and ``pooled`` are joined in row order.  An inference-mode row
-        encodes to the same bits in any batch, so the split changes no output.
-        """
-        t, ops = self.params, ad.ARRAY_OPS
-        workers = self._workers_for(nodes)
-        if workers is None:
-            return self._encode(t, nodes, training=False, update_stats=False, ops=ops)
-        blocks = np.array_split(nodes, workers.threads)
-        parts = ad.run_tasks([partial(self._encode, t, block, False, False, ops) for block in blocks], workers.pool)
-        return np.concatenate([h for h, _ in parts]), np.concatenate([pooled for _, pooled in parts])
-
     def _policy_logits(self, t, h, pooled, batch: dict[str, np.ndarray], ops=ad):
         cfg = self.config
         cur = ops.gather_nodes(h, batch["current"])
@@ -392,11 +377,15 @@ class PolicyValueNet:
         i pairs with opponent row i, or with row ``own["opp_row"][i]`` when
         ``own`` carries that (B,) index, so an opponent shared by several own
         states is passed and encoded once.  The builders run on the plain
-        parameter arrays, in inference mode.
+        parameter arrays, in inference mode.  A stack whose encoder work
+        reaches ``SPLIT_MIN_WORK`` is encoded in row chunks on the usable CPUs
+        (`_workers_for`), with the bits of one serial encode.
         """
         t, ops = self.params, ad.ARRAY_OPS
         nodes = own["nodes"] if opp is None else np.concatenate([own["nodes"], opp["nodes"]])
-        h, pooled = self._encode_rows(nodes)
+        encode = partial(self._encode, t, training=False, update_stats=False, ops=ops)
+        workers = self._workers_for(nodes)
+        h, pooled = encode(nodes) if workers is None else workers.row_chunks(encode, (nodes,), ())
         if opp is not None:
             b = own["nodes"].shape[0]
             h, pooled, pooled_opp = h[:b], pooled[:b], pooled[b:]
@@ -483,9 +472,9 @@ def greedy_actions(net: PolicyValueNet, states: list[PlayerState]) -> tuple[np.n
     When every state has exactly one legal move, those moves are returned
     and no ``forward`` runs (0 rows).  Otherwise one ``forward`` over the
     whole stack, forced states included, since a row's bits depend on its
-    batch through the head GEMMs (the encoder's row blocks do not); the
+    batch through the head GEMMs (the encoder's row chunks do not); the
     states must then share a problem type and node count.  A large stack is
-    encoded in row blocks on the usable CPUs.  Ties resolve to the lowest
+    encoded in row chunks on the usable CPUs.  Ties resolve to the lowest
     node id.
     """
     legal = np.stack([legal_actions(s) for s in states])

@@ -319,7 +319,8 @@ def play_seats(
     of a round move in slot order, and only ``plan`` draws from ``rng``.
     ``seconds`` sums the wall time of the moves played so far: ``"search"``
     of the planning seats' ``plan`` calls, their in-tree opponents
-    included, and ``"greedy"`` of the greedy seats' own moves.
+    included, and ``"greedy"`` of the greedy seats' own moves.  A
+    `PlannerError` from a seat's ``plan`` is raised with its ``slot`` set.
     """
     moves = []
     seconds = {"search": 0.0, "greedy": 0.0}
@@ -329,7 +330,11 @@ def play_seats(
         for i in live:
             own, seat = states[i], seats[i]
             started = time.perf_counter()
-            result = plan(own, states[1 - i], *seat, config, game, rng=rng) if isinstance(seat, tuple) else None
+            try:
+                result = plan(own, states[1 - i], *seat, config, game, rng=rng) if isinstance(seat, tuple) else None
+            except PlannerError as exc:
+                exc.slot = i  # the slot whose search failed, for the caller to name
+                raise
             moves.append((i, own, result))
             actions.append(seat(own) if result is None else result.action)
             seconds["greedy" if result is None else "search"] += time.perf_counter() - started

@@ -288,7 +288,8 @@ def run_episode(
     competitor plays that same greedy policy.  Both seats play
     through one ``planner.play_seats``, so within a round neither sees the
     other's move early.  Both seats play to their end; then the first seat
-    to dead-end raises a ``DeadEndError`` naming it.
+    to dead-end raises a ``DeadEndError`` naming it.  A ``PlannerError``
+    from a seat's search is raised naming that seat in the same way.
     """
     theta, theta_best = nets
     learner_seat = 1 if rng.random() < 0.5 else -1
@@ -298,10 +299,14 @@ def run_episode(
     greedy = (mu_policy,) if stage == 1 else (mu_policy, competitor[1])
     seats = (learner, competitor)[::learner_seat]  # seat 1 plays slot 0
     moves, ends, seconds = play_seats(RoutingGame(inst), seats, cfg.planner, rng)
-    ends = dict(ends)  # plays both seats to their ends
+    names = ["learner seat" if seat is learner else "competitor seat" for seat in seats]
+    try:
+        ends = dict(ends)  # plays both seats to their ends
+    except PlannerError as exc:
+        raise PlannerError(f"{names[exc.slot]}: {exc}") from exc
     for slot, end in ends.items():
         if isinstance(end, DeadEndError):
-            raise DeadEndError(f"{'learner' if seats[slot] is learner else 'competitor'} seat: {end}")
+            raise DeadEndError(f"{names[slot]}: {end}")
 
     slots = (0, 1)[::learner_seat]  # (learner's slot, competitor's slot)
     trajs = tuple(tuple(own for i, own, _ in moves if i == slot) + (ends[slot],) for slot in slots)

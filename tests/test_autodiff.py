@@ -456,7 +456,7 @@ class TestArrayOps:
             net._value(t, pooled, pooled, ops=Recording())
         assert called == set(vars(ARRAY_OPS))
         ops = {k for k, v in vars(ad).items() if callable(v) and getattr(v, "__module__", "") == ad.__name__}
-        pooling = {"Workers", "pooled_ops", "run_tasks"}  # how a large train step shares its work, not ops
+        pooling = {"Workers", "pooled_ops"}  # how a large encode shares its work, not ops
         assert {k for k in ops if not k.startswith("_")} == called | {"masked_cross_entropy", "mse"} | pooling
         assert not hasattr(ad, "scale") and not hasattr(ARRAY_OPS, "scale"), "scaling is mul by a constant"
         for inside in ("sigmoid", "softmax", "transpose"):

@@ -319,9 +319,9 @@ def small_case(problem, seed):
 
 
 def split_rows(monkeypatch, cpus):
-    """Make every inference forward split its encoder rows into ``cpus`` blocks (fewer rows: one block each).
+    """Make every inference forward share its encode among ``cpus`` threads (at most one per row).
 
-    Returns the recorded ``(rows, on the calling thread)`` of each inference encode.
+    Returns the recorded row count of each inference encode, one per chunk.
     """
     monkeypatch.setattr(net_mod, "SPLIT_MIN_WORK", 0)
     monkeypatch.setattr(net_mod, "_usable_cpus", lambda: cpus)
@@ -333,7 +333,7 @@ def record_encodes(monkeypatch):
     encode = PolicyValueNet._encode
 
     def recording(self, t, nodes, training, update_stats, ops=ad):
-        encodes.append((nodes.shape[0], threading.current_thread() is threading.main_thread()))
+        encodes.append(nodes.shape[0])
         return encode(self, t, nodes, training, update_stats, ops)
 
     monkeypatch.setattr(PolicyValueNet, "_encode", recording)
@@ -344,8 +344,8 @@ def forward_bytes(net, batch):
     return net.forward(batch).tobytes()
 
 
-class TestRowBlocks:
-    """A large inference forward encodes its rows in blocks on worker threads, with the serial bits."""
+class TestRowChunks:
+    """A large inference forward encodes its rows in chunks on worker threads, with the serial bits."""
 
     @pytest.mark.parametrize("problem", ["tsp", "evrp"])
     @pytest.mark.parametrize("size", [DESK_NET, DEFAULT_NET])
@@ -363,8 +363,16 @@ class TestRowBlocks:
             assert pooled[row].tobytes() == alone_pooled[0].tobytes()
 
     @pytest.mark.parametrize("problem", ["tsp", "evrp"])
-    @pytest.mark.parametrize("cpus, batch_size, blocks", [(2, 5, [3, 2]), (3, 7, [3, 2, 2]), (2, 1, [1])])
-    def test_split_forward_returns_the_serial_bits(self, monkeypatch, problem, cpus, batch_size, blocks):
+    @pytest.mark.parametrize(
+        "cpus, batch_size, chunks",
+        [  # the chunks of own alone, of own with opp and of own with half of opp through opp_row
+            (2, 5, [[3, 2], [5, 5], [4, 3]]),
+            (3, 7, [[3, 3, 1], [5, 5, 4], [4, 4, 2]]),
+            (2, 1, [[1], [1, 1], [1, 1]]),
+            (2, 40, [[16, 16, 8], [16, 16, 16, 16, 16], [16, 16, 16, 12]]),
+        ],
+    )
+    def test_split_forward_returns_the_serial_bits(self, monkeypatch, problem, cpus, batch_size, chunks):
         net = PolicyValueNet.create(NetConfig(problem=problem, **DESK_NET), seed=3)
         rng = np.random.default_rng(30 + batch_size)
         own = stack(random_states(small_case(problem, 30), batch_size, rng))
@@ -375,12 +383,9 @@ class TestRowBlocks:
         encodes = split_rows(monkeypatch, cpus)
         split = [net.forward(own), *net.forward(own, opp), *net.forward({**own, "opp_row": opp_row}, half)]
         assert [a.tobytes() for a in split] == [a.tobytes() for a in serial]
-        # own rows alone in the given blocks, the first on the calling thread and the rest on workers
-        assert sorted(encodes[: len(blocks)]) == sorted(zip(blocks, [True] + [False] * (len(blocks) - 1)))
-        # own and opponent rows stacked, in both pair forwards: every row encoded once, in one block per cpu
-        stacked = encodes[len(blocks) :]
-        assert sum(rows for rows, _ in stacked) == 3 * batch_size + len(half["nodes"])
-        assert len(stacked) == min(cpus, 2 * batch_size) + min(cpus, batch_size + len(half["nodes"]))
+        for expected in chunks:  # the threads take a forward's chunks in any order
+            assert sorted(encodes[: len(expected)], reverse=True) == expected
+            del encodes[: len(expected)]
 
     @pytest.mark.parametrize("problem", ["tsp", "evrp"])
     def test_split_greedy_rollouts_and_evaluator_return_the_serial_bits(self, monkeypatch, problem):
@@ -398,16 +403,17 @@ class TestRowBlocks:
         serial = outputs()
         encodes = split_rows(monkeypatch, 2)
         assert outputs() == serial
-        assert not all(main for _, main in encodes), "some block ran on a worker"
+        assert encodes[:2] in ([3, 2], [2, 3]), "the first greedy step encodes its 5 states in two chunks"
 
     def test_a_default_size_forward_splits_above_about_64_node_rows(self, monkeypatch):
         net = PolicyValueNet.create(NetConfig(problem="tsp"), seed=5)
         monkeypatch.setattr(net_mod, "_usable_cpus", lambda: 2)
         encodes = record_encodes(monkeypatch)
-        inst = generate_tsp(8, seed=5)
-        for batch_size in (8, 9):  # 64 and 72 node rows
+        for n, batch_size in ((8, 8), (8, 9), (10, 8)):  # 64, 72 and 80 node rows
+            inst = generate_tsp(n, seed=5)
             net.forward(stack(random_states(inst, batch_size, np.random.default_rng(5))))
-        assert sorted(encodes) == [(4, False), (5, True), (8, True)]
+            assert sorted(encodes, reverse=True) == {64: [8], 72: [5, 4], 80: [4, 4]}[n * batch_size]
+            encodes.clear()
 
     def test_desk_search_and_greedy_eval_start_no_worker(self, monkeypatch):
         monkeypatch.setattr(net_mod, "_workers", None)
@@ -430,20 +436,24 @@ class TestRowBlocks:
         with multiprocessing.get_context("fork").Pool(1) as pool:  # the child inherits no worker thread
             assert pool.apply_async(forward_bytes, (net, batch)).get(timeout=60) == serial
 
-    def test_an_error_in_a_worker_block_is_raised_from_forward(self, monkeypatch):
+    @pytest.mark.parametrize("failing", ["first", "last"])
+    def test_an_error_in_a_chunk_is_raised_from_forward(self, monkeypatch, failing):
+        # chunks are taken in turn, so the calling thread may take both: the failing chunk is chosen by its rows
         net = PolicyValueNet.create(NetConfig(problem="tsp", **DESK_NET), seed=7)
         batch = stack(random_states(generate_tsp(6, seed=7), 4, np.random.default_rng(7)))
-        split_rows(monkeypatch, 2)
+        rows = batch["nodes"][:2] if failing == "first" else batch["nodes"][2:]
+        encodes = split_rows(monkeypatch, 2)
         encode = PolicyValueNet._encode
 
-        def failing(self, t, nodes, *args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("worker block failed")
+        def failing_chunk(self, t, nodes, *args, **kwargs):
+            if np.array_equal(nodes, rows):
+                raise FloatingPointError(f"{failing} chunk failed")
             return encode(self, t, nodes, *args, **kwargs)
 
-        monkeypatch.setattr(PolicyValueNet, "_encode", failing)
-        with pytest.raises(FloatingPointError, match="worker block failed"):
+        monkeypatch.setattr(PolicyValueNet, "_encode", failing_chunk)
+        with pytest.raises(FloatingPointError, match=f"{failing} chunk failed"):
             net.forward(batch)
+        assert encodes == [2], "the other chunk ran"
 
 
 def training_batches(inst, size, rng):
@@ -712,6 +722,20 @@ class TestPooledTrainStep:
         assert step_state(pooled, pooled_adam, pooled_losses) == step_state(serial, serial_adam, serial_losses)
         assert sorted(rows for name, rows, _ in calls if name == "_ffn")[-1] == 3, "each ffn ran in chunks"
         assert {main for name, _, main in calls if name == "_transposed_product"} == {False}, "products on the pool"
+
+    def test_a_16_state_step_runs_in_two_8_state_chunks(self, monkeypatch):
+        # below 2 x CHUNK_STATES states a chunk is half the stack, so both threads take one
+        policy, value = training_batches(generate_tsp(7, seed=23), 16, np.random.default_rng(23))
+        serial, pooled = tiny_net("tsp", n_layers=2), tiny_net("tsp", n_layers=2)
+        serial_adam, pooled_adam = Adam.zeros(serial.params), Adam.zeros(pooled.params)
+        serial_losses = serial.train_step(policy, value, serial_adam)
+        pool_train_steps(monkeypatch, 2, chunk_states=16)
+        rows = []
+        real = ad._ffn
+        monkeypatch.setattr(ad, "_ffn", lambda x, *args: rows.append(len(x)) or real(x, *args))
+        pooled_losses = pooled.train_step(policy, value, pooled_adam)
+        assert step_state(pooled, pooled_adam, pooled_losses) == step_state(serial, serial_adam, serial_losses)
+        assert rows == [8] * 16, "two chunks per ffn: 2 layers in each of 4 encodes (policy, opponent, own, opponent)"
 
     def test_a_desk_step_starts_no_pool_and_no_thread(self, monkeypatch):
         monkeypatch.setattr(net_mod, "_workers", None)

@@ -607,6 +607,34 @@ class TestTrainLoop:
         }
         assert [row[0] for row in read_metrics(tmp_path / "run")] == ["1"]
 
+    @pytest.mark.parametrize("failing_seat", ["learner", "competitor"])
+    def test_a_planner_error_names_the_seat_whose_search_failed(self, tmp_path, monkeypatch, failing_seat):
+        import routezero.planner as planner_mod
+
+        real = planner_mod.plan
+
+        def plan(own, opp, evaluator, *args, **kwargs):
+            # the learner's evaluator reads theta for both heads; a stage-2 competitor's reads theta_best's policy
+            seat = "learner" if evaluator.policy_net is evaluator.value_net else "competitor"
+            if seat == failing_seat:
+                raise PlannerError("cannot plan from a terminal state")
+            return real(own, opp, evaluator, *args, **kwargs)
+
+        monkeypatch.setattr(planner_mod, "plan", plan)
+        cfg = tiny_cfg(stage_switch=0)
+        inst_seed = derived_seed(cfg.seed, trainer_mod._STREAM_INSTANCE, 0)
+        error = f"{failing_seat} seat: cannot plan from a terminal state"
+        with pytest.raises(TrainerError) as raised:
+            train(cfg, tmp_path / "run")
+        assert str(raised.value) == f"episode 1 (instance seed {inst_seed}): {error}"
+        assert isinstance(raised.value.__cause__, PlannerError) and str(raised.value.__cause__) == error
+        assert read_events(tmp_path / "run")[-1] == {
+            "event": "planner_error",
+            "episode": 1,
+            "instance_seed": inst_seed,
+            "error": error,
+        }
+
     @pytest.mark.parametrize(
         ("name", "edit", "message"),
         [
