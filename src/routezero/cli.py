@@ -37,6 +37,8 @@ RESULTS_HEADER = "instance,method,objective,oracle,gap_pct,feasible"
 TIMING_HEADER = "instance,wall_s,oracle_s,evaluations"
 # the least value of each integer flag; a smaller one is a usage error, before any I/O (an unset flag is skipped)
 _FLAG_MINIMUMS = {"count": 1, "budget": 1, "m_root": 1, "window": 1, "seed": 0}
+# the eval flags that only a search reads, and the value an unset one takes in mcts mode
+_MCTS_DEFAULTS = {"budget": 32, "m_root": 16, "seed": 0}
 
 
 class DataError(RuntimeError):
@@ -74,9 +76,9 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("instances", help="directory of instance JSON files")
     p_eval.add_argument("--mode", choices=("greedy", "mcts"), default="greedy")
-    p_eval.add_argument("--budget", type=int, default=32, help="mcts simulations per move")
-    p_eval.add_argument("--m-root", type=int, default=16, help="mcts root candidates")
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--budget", type=int, help="mcts simulations per move (default 32)")
+    p_eval.add_argument("--m-root", type=int, help="mcts root candidates (default 16)")
+    p_eval.add_argument("--seed", type=int, help="mcts search seed (default 0)")
     p_eval.add_argument("--out", default=None, help="results csv path (default: <instances>/results.csv)")
 
     p_plot = sub.add_parser("plot", help="render a metrics csv as an SVG chart")
@@ -142,12 +144,12 @@ def _plan_route(inst: Instance, net: PolicyValueNet, planner_cfg: PlannerConfig,
     """
     start = time.perf_counter()
     shadow = GreedyNetPolicy(net)
-    moves, ends, _ = play_seats(RoutingGame(inst), ((NetEvaluator(net), shadow), shadow), planner_cfg, rng)
+    moves, ends = play_seats(RoutingGame(inst), ((NetEvaluator(net), shadow), shadow), planner_cfg, rng)
     end = next(result for slot, result in ends if slot == 0)
     if isinstance(end, DeadEndError):
         return end
     route = end.route
-    evaluations = sum(result.evaluations for slot, _, result in moves if slot == 0)
+    evaluations = sum(result.evaluations for slot, _, result, _ in moves if slot == 0)
     return SolveResult(route, objective(inst, route), evaluations, time.perf_counter() - start)
 
 
@@ -183,6 +185,11 @@ def _timing_row(path: Path, solved: SolveResult, oracle: SolveResult | None) -> 
 
 
 def cmd_eval(args) -> int:
+    for name, default in _MCTS_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.mode == "greedy":  # which would ignore it
+            raise ValueError(f"--{name.replace('_', '-')} applies to --mode mcts only")
     if not Path(args.checkpoint).exists():
         raise DataError(f"{args.checkpoint}: checkpoint not found")
     net = load_net(args.checkpoint)

@@ -303,27 +303,25 @@ def plan(
     )
 
 
-def play_seats(
-    game: RoutingGame, seats, config: PlannerConfig, rng: np.random.Generator
-) -> tuple[list, Iterator, dict[str, float]]:
+def play_seats(game: RoutingGame, seats, config: PlannerConfig, rng: np.random.Generator) -> tuple[list, Iterator]:
     """Play a two-seat game on ``game`` from the initial state through one ``env.play``.
 
     A seat is a greedy policy ``state -> action`` or an ``(evaluator,
     opponent_model)`` pair that plans each move against the other seat's
-    state.  Returns ``(moves, ends, seconds)``.  ``ends`` is the ``env.play``
+    state.  Returns ``(moves, ends)``.  ``ends`` is the ``env.play``
     generator: reading it plays the game, and it yields ``(slot, finished
     state or DeadEndError)`` in the order the slots end, so a caller that
     stops reading once the slot it needs has ended plays no later round.
     ``moves`` lists the moves played so far in play order as ``(slot,
-    state, PlanResult | None)``, ``None`` marking a greedy move.  The slots
-    of a round move in slot order, and only ``plan`` draws from ``rng``.
-    ``seconds`` sums the wall time of the moves played so far: ``"search"``
-    of the planning seats' ``plan`` calls, their in-tree opponents
-    included, and ``"greedy"`` of the greedy seats' own moves.  A
-    `PlannerError` from a seat's ``plan`` is raised with its ``slot`` set.
+    state, PlanResult | None, seconds)``, ``None`` marking a greedy move
+    and ``seconds`` the move's wall time: a planning seat's ``plan`` call,
+    its in-tree opponent included, or a greedy seat's own move.
+    `trainer.run_episode` sums these into an episode's telemetry.  The
+    slots of a round move in slot order, and only ``plan`` draws from
+    ``rng``.  A `PlannerError` from a seat's ``plan`` is raised with its
+    ``slot`` set.
     """
     moves = []
-    seconds = {"search": 0.0, "greedy": 0.0}
 
     def choose(states, live):
         actions = []
@@ -335,12 +333,11 @@ def play_seats(
             except PlannerError as exc:
                 exc.slot = i  # the slot whose search failed, for the caller to name
                 raise
-            moves.append((i, own, result))
             actions.append(seat(own) if result is None else result.action)
-            seconds["greedy" if result is None else "search"] += time.perf_counter() - started
+            moves.append((i, own, result, time.perf_counter() - started))
         return actions
 
-    return moves, play([game.initial_state() for _ in seats], choose), seconds
+    return moves, play([game.initial_state() for _ in seats], choose)
 
 
 class NetEvaluator:

@@ -244,28 +244,22 @@ class ValueBuffer(_Ring):
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    """One episode's results; ``trajs``, ``objectives``, ``sims`` and ``evals`` are (learner's, competitor's).
+    """One episode's results; ``trajs`` and ``objectives`` are (learner's, competitor's).
 
     ``learner`` is the learner's seat, +1 for slot 0 and -1 for slot 1, so
     ``pair[::learner]`` puts a pair in slot order; ``outcome`` is slot 0's.
-    ``sims`` and ``evals`` hold each move's ``PlanResult`` simulations and
-    evaluations, 0 for a greedy move.  ``greedy_forwards`` and
-    ``greedy_memo_hits`` sum the episode's ``GreedyNetPolicy`` counters.
-    ``search_s`` is the wall time of the searching seats' plans, in-tree
-    opponents included, and ``opponent_s`` that of the greedy seats' own moves.
+    ``telemetry`` holds the episode's counts and seconds keyed by their
+    names in the ``episode`` event of ``events.log``: `run_episode` builds
+    it from the moves and the greedy adapters, and `train` splices it into
+    that event.
     """
 
     learner: int
     trajs: tuple[tuple[PlayerState, ...], tuple[PlayerState, ...]]
     objectives: tuple[float, float]
-    sims: tuple[tuple[int, ...], tuple[int, ...]]
-    evals: tuple[tuple[int, ...], tuple[int, ...]]
-    greedy_forwards: int
-    greedy_memo_hits: int
-    search_s: float
-    opponent_s: float
     outcome: int
     policy_samples: tuple[tuple[PlayerState, np.ndarray], ...]
+    telemetry: dict[str, object]
 
 
 def stage_gate(episode: int, cfg: TrainConfig) -> int:
@@ -298,7 +292,7 @@ def run_episode(
     competitor = mu_policy if stage == 1 else (NetEvaluator(theta_best, value_net=theta), GreedyNetPolicy(theta))
     greedy = (mu_policy,) if stage == 1 else (mu_policy, competitor[1])
     seats = (learner, competitor)[::learner_seat]  # seat 1 plays slot 0
-    moves, ends, seconds = play_seats(RoutingGame(inst), seats, cfg.planner, rng)
+    moves, ends = play_seats(RoutingGame(inst), seats, cfg.planner, rng)
     names = ["learner seat" if seat is learner else "competitor seat" for seat in seats]
     try:
         ends = dict(ends)  # plays both seats to their ends
@@ -309,24 +303,27 @@ def run_episode(
             raise DeadEndError(f"{names[slot]}: {end}")
 
     slots = (0, 1)[::learner_seat]  # (learner's slot, competitor's slot)
-    trajs = tuple(tuple(own for i, own, _ in moves if i == slot) + (ends[slot],) for slot in slots)
+    trajs = tuple(tuple(own for i, own, _, _ in moves if i == slot) + (ends[slot],) for slot in slots)
     objectives = tuple(objective(inst, traj[-1].route) for traj in trajs)
-
-    def per_move(field: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(tuple(0 if r is None else getattr(r, field) for i, _, r in moves if i == slot) for slot in slots)
-
+    # per role each move's PlanResult counts (0 for a greedy move); the greedy adapters' counters; the moves' seconds
+    telemetry = {
+        f"{role}_{key}": [0 if r is None else getattr(r, count) for i, _, r, _ in moves if i == slot]
+        for key, count in (("sims", "simulations"), ("evals", "evaluations"))
+        for role, slot in zip(("learner", "competitor"), slots)
+    }
+    telemetry |= {
+        "greedy_forwards": sum(policy.forwards for policy in greedy),
+        "greedy_memo_hits": sum(policy.memo_hits for policy in greedy),
+        "search_s": sum((seconds for _, _, r, seconds in moves if r is not None), 0.0),
+        "opponent_s": sum((seconds for _, _, r, seconds in moves if r is None), 0.0),
+    }
     return EpisodeRecord(
         learner=learner_seat,
         trajs=trajs,
         objectives=objectives,
-        sims=per_move("simulations"),
-        evals=per_move("evaluations"),
-        greedy_forwards=sum(policy.forwards for policy in greedy),
-        greedy_memo_hits=sum(policy.memo_hits for policy in greedy),
-        search_s=seconds["search"],
-        opponent_s=seconds["greedy"],
         outcome=game_outcome(*(-obj for obj in objectives[::learner_seat])),
-        policy_samples=tuple((own, result.improved_policy) for _, own, result in moves if result is not None),
+        policy_samples=tuple((own, result.improved_policy) for _, own, result, _ in moves if result is not None),
+        telemetry=telemetry,
     )
 
 
@@ -644,15 +641,8 @@ def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:
                 "learner": record.learner,
                 "instance_seed": inst_seed,
                 "z": record.outcome,
-                "learner_sims": list(record.sims[0]),
-                "competitor_sims": list(record.sims[1]),
-                "learner_evals": list(record.evals[0]),
-                "competitor_evals": list(record.evals[1]),
-                "greedy_forwards": record.greedy_forwards,
-                "greedy_memo_hits": record.greedy_memo_hits,
+                **record.telemetry,
                 "play_s": play_s,
-                "search_s": record.search_s,
-                "opponent_s": record.opponent_s,
                 "train_s": train_s,
                 "wall_time_s": time.perf_counter() - started,
             },

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from routezero.baselines import (
     nearest_neighbor,
 )
 from routezero.cli import main
-from routezero.env import DeadEndError, objective, step, validate_route
-from routezero.instance import TspInstance, generate_evrp, generate_tsp, load_instance
+from routezero.env import DeadEndError, initial_state, legal_actions, objective, step, validate_route
+from routezero.instance import TspInstance, VehicleParams, generate_evrp, generate_tsp, load_instance
 from routezero.net import NetConfig, PolicyValueNet
 
 
@@ -236,6 +237,40 @@ class TestExactEvrp:
             result = exact_evrp(generate_evrp(5, 2, seed=seed, objective_mode=mode))
             assert 0 < len(calls) <= result.expansions + 1
 
+    def test_regenerative_edges_keep_the_optimum(self):
+        # slopes from node heights (uniform 0-2000 m) have no negative-energy cycle, yet downhill edges regenerate,
+        # so the cost-to-go bound takes its pessimistic slack; the depth-capped walk is criterion 05's reference
+        def sloped(n_customers, seed):
+            inst = generate_evrp(n_customers, 1, seed=seed, objective_mode="EM")
+            height = np.random.default_rng(seed).uniform(0.0, 2000.0, inst.n_nodes)
+            return replace(inst, slope=np.arctan2(height[None, :] - height[:, None], 1000.0 * inst.dist_km))
+
+        def exhaustive_optimum(inst, min_edge, depth_cap):
+            best = [np.inf]
+
+            def walk(state, depth):
+                if state.done:
+                    best[0] = min(best[0], state.energy_kwh)
+                elif depth < depth_cap and state.energy_kwh + (depth_cap - depth) * min_edge < best[0] - 1e-12:
+                    for action in np.flatnonzero(legal_actions(state)):
+                        walk(step(state, int(action)), depth + 1)
+
+            walk(initial_state(inst), 0)
+            return best[0]
+
+        for seed in range(40):
+            n_customers = 2 + seed % 2
+            inst = sloped(n_customers, seed)
+            veh = inst.vehicle
+            masses = (veh.curb_mass_kg, veh.curb_mass_kg + veh.cargo_capacity_kg)
+            edges = np.minimum(*(inst.energy_matrix_kwh(mass) for mass in masses))
+            min_edge = float(edges[~np.eye(inst.n_nodes, dtype=bool)].min())
+            assert min_edge < 0.0, "a regenerative edge is what makes exact_evrp add its slack"
+            result = exact_evrp(inst)
+            assert validate_route(inst, result.route) == []
+            enumerated = exhaustive_optimum(inst, min_edge, depth_cap=2 * (n_customers + 1) + 6)
+            assert result.objective == pytest.approx(enumerated, rel=1e-9, abs=1e-12)
+
 
 class TestNearestNeighbor:
     def test_tsp_tour_valid_but_not_better_than_exact(self):
@@ -266,6 +301,17 @@ class TestNearestNeighbor:
             nn = nearest_neighbor(inst)
             assert validate_route(inst, nn.route) == []
             assert nn.objective == pytest.approx(objective(inst, nn.route), rel=1e-12)
+
+    @pytest.mark.parametrize("seed, battery_kwh", [(1, 40.0), (15, 30.0)])
+    def test_evrp_station_fallback_recharges_without_bouncing(self, seed, battery_kwh):
+        # on a small battery NN finds no customer in reach mid-route, so it recharges: only the fallback picks a
+        # station, and here it never picks the node it just left (at seed 15 the nearest station is that node)
+        vehicle = VehicleParams(battery_capacity_kwh=battery_kwh)
+        inst = generate_evrp(5, 2, seed=seed, objective_mode="DM", vehicle=vehicle)
+        route = nearest_neighbor(inst).route
+        assert any(inst.is_station[j] for j in route)
+        assert validate_route(inst, route) == []
+        assert all(after != before for before, after in zip(route, route[2:]))
 
 
 class TestGreedyRollout:

@@ -221,6 +221,7 @@ class TestTrain:
             ({**TINY_TRAIN, "seed": -1}, "seed must be nonnegative"),
             ({**TINY_TRAIN, "checkpoint_interval": 2.5}, "config field checkpoint_interval must be an integer"),
             ({**TINY_TRAIN, "arena_size": True}, "config field arena_size must be an integer"),
+            ({**TINY_TRAIN, "arena_size": 0}, "arena_size must be positive"),
             ({**TINY_TRAIN, "self_play_prob": "0.5"}, "config field self_play_prob must be a number"),
             ({**TINY_TRAIN, "planner": None}, "planner config must be a JSON object"),
             ({**TINY_TRAIN, "planner": {"n_simulations": 6.0}}, "planner config field n_simulations"),
@@ -282,6 +283,33 @@ class TestEval:
         assert main([*argv, "--out", str(out)]) == 1
         assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "mcts.timing.csv").exists()
+
+    @pytest.mark.parametrize(("flag", "value"), [("--budget", "8"), ("--m-root", "4"), ("--seed", "3")])
+    def test_search_flag_in_greedy_mode_is_a_usage_error_before_any_file(self, tmp_path, capsys, flag, value):
+        # greedy mode runs no search, so it refuses a flag it would ignore, before it reads the checkpoint
+        for mode in (["--mode", "greedy"], []):
+            argv = ["eval", str(tmp_path / "absent.npz"), str(tmp_path), *mode, flag, value]
+            assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+            err = capsys.readouterr().err
+            assert f"{flag} applies to --mode mcts only" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_mcts_applies_the_search_flag_defaults(self, tmp_path, trained_run, monkeypatch):
+        inst_dir = self.gen_instances(tmp_path, n=2)
+        searches = []  # the planner config and rng state of each instance's search
+        real = cli._plan_route
+
+        def recording(inst, net, planner_cfg, rng):
+            searches.append((planner_cfg, rng.bit_generator.state))
+            return real(inst, net, planner_cfg, rng)
+
+        monkeypatch.setattr(cli, "_plan_route", recording)
+        argv = ["eval", str(trained_run / "checkpoint.npz"), str(inst_dir), "--mode", "mcts"]
+        assert main([*argv, "--out", str(tmp_path / "default.csv")]) == 0
+        explicit = ["--budget", "32", "--m-root", "16", "--seed", "0", "--out", str(tmp_path / "explicit.csv")]
+        assert main([*argv, *explicit]) == 0
+        assert searches[:2] == searches[2:] and searches[0][0] == PlannerConfig(n_simulations=32, m_root=16)
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         inst_dir = self.gen_instances(tmp_path, n=1)
@@ -455,20 +483,20 @@ class TestEval:
         shadow = planner_mod.GreedyNetPolicy(net)
         seats = ((planner_mod.NetEvaluator(net), shadow), shadow)
         game = RoutingGame(inst)
-        full_moves, full_ends, _ = planner_mod.play_seats(game, seats, planner_cfg, np.random.default_rng(3))
+        full_moves, full_ends = planner_mod.play_seats(game, seats, planner_cfg, np.random.default_rng(3))
         full_route = dict(full_ends)[0].route
-        assert sum(slot == 1 for slot, _, _ in full_moves) > sum(slot == 0 for slot, _, _ in full_moves)
+        assert sum(slot == 1 for slot, *_ in full_moves) > sum(slot == 0 for slot, *_ in full_moves)
         played = []
 
         def recording(*args):
-            moves, ends, seconds = planner_mod.play_seats(*args)
+            moves, ends = planner_mod.play_seats(*args)
             played.append(moves)
-            return moves, ends, seconds
+            return moves, ends
 
         monkeypatch.setattr(cli, "play_seats", recording)
         solved = cli._plan_route(inst, net, planner_cfg, np.random.default_rng(3))
         assert solved.route == full_route
-        assert [slot for slot, _, _ in played[0]] == [0, 1] * (len(solved.route) - 1)
+        assert [slot for slot, *_ in played[0]] == [0, 1] * (len(solved.route) - 1)
 
     def test_greedy_dead_end_names_the_instance(self, tmp_path, capsys):
         # with this untrained net, seed 7 finishes and seed 8 cycles until the step cap
@@ -547,6 +575,36 @@ class TestEval:
         err = capsys.readouterr().err
         assert "tsp_n6_seed3.json: rollout exceeded 3 steps" in err and "seed4" not in err and "Traceback" not in err
         assert [type(result).__name__ for result in planned] == ["DeadEndError", "DeadEndError"]
+        assert not list(inst_dir.glob("*.csv"))
+
+    # (problem, edit of the generated file's JSON data, message): valid JSON, no valid instance; an EVRP file
+    # holds the depot, one station and two customers, in that order
+    INVALID = [
+        ("tsp", lambda data: [data], "expected a JSON object"),
+        ("tsp", lambda data: {**data, "coords": [[*xy, 0.5] for xy in data["coords"]]}, "coords must have shape"),
+        ("evrp", lambda data: {**data, "nodes": data["nodes"][:1]}, "instance needs a depot and at least one customer"),
+        ("evrp", lambda data: {**data, "nodes": data["nodes"][:2]}, "instance needs at least one customer"),
+        (
+            "evrp",
+            lambda data: {**data, "nodes": [*data["nodes"][:3], {**data["nodes"][3], "demand": 0.0}]},
+            "customer node 3 needs positive demand",
+        ),
+        ("evrp", lambda data: {**data, "slope": [[0.0, 0.1], [-0.1, 0.0]]}, "slope matrix shape must be"),
+    ]
+
+    @pytest.mark.parametrize("problem, edit, message", INVALID)
+    def test_invalid_instance_is_data_error_naming_the_file(self, tmp_path, capsys, problem, edit, message):
+        inst_dir = tmp_path / "instances"
+        sizes = ["--nodes", "5"] if problem == "tsp" else ["--customers", "2", "--stations", "1"]
+        main(["gen", problem, *sizes, "--count", "1", "--out", str(inst_dir)])
+        (path,) = inst_dir.glob("*.json")
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        ckpt = tmp_path / "net.npz"
+        save_net(PolicyValueNet.create(NetConfig(**{**TINY_TRAIN["net"], "problem": problem})), ckpt)
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), str(inst_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err and "Traceback" not in err
         assert not list(inst_dir.glob("*.csv"))
 
     # (problem, path to the value in the instance file, bad value, message)

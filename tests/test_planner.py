@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import routezero.env as env_mod
+import routezero.planner as planner_mod
 from routezero.env import DeadEndError, RoutingGame, initial_state, legal_actions, step
 from routezero.instance import generate_evrp, generate_tsp
 from routezero.net import NetConfig, PolicyValueNet, featurize, stack_features
@@ -536,7 +539,7 @@ class TestNetAdapters:
             return policy(state)
 
         seats = ((NetEvaluator(net), spy), spy)
-        _, ends, _ = play_seats(game, seats, PlannerConfig(n_simulations=8, m_root=4), np.random.default_rng(4))
+        _, ends = play_seats(game, seats, PlannerConfig(n_simulations=8, m_root=4), np.random.default_rng(4))
         dict(ends)  # plays both seats to their ends
         fresh = GreedyNetPolicy(tiny_net(problem))
         routes = {s.route: s for s in asked}
@@ -567,7 +570,7 @@ def customers_first(state):
 
 def play_to_the_end(game, seats, config, rng):
     """`play_seats` with its ``ends`` read to the last slot's end, as a dict in end order."""
-    moves, ends, _ = play_seats(game, seats, config, rng)
+    moves, ends = play_seats(game, seats, config, rng)
     return moves, dict(ends)
 
 
@@ -585,10 +588,10 @@ class TestPlaySeats:
         cfg = PlannerConfig(n_simulations=8, m_root=4)
         seats = ((hashed_evaluator(game), lowest_legal), (hashed_evaluator(game), highest_legal))
         moves, ends = play_to_the_end(game, seats, cfg, np.random.default_rng(5))
-        assert [slot for slot, _, _ in moves] == [0, 1] * inst.n_nodes
-        assert [len(state.route) for _, state, _ in moves] == [k for k in range(inst.n_nodes) for _ in seats]
+        assert [slot for slot, *_ in moves] == [0, 1] * inst.n_nodes
+        assert [len(state.route) for _, state, *_ in moves] == [k for k in range(inst.n_nodes) for _ in seats]
         replay = np.random.default_rng(5)
-        for k, (slot, own, got) in enumerate(moves):
+        for k, (slot, own, got, _) in enumerate(moves):
             opp = moves[k + 1 - 2 * slot][1]  # the other slot's state in the same round
             ref = plan(own, opp, *seats[slot], cfg, game, rng=replay)
             assert (got.action, got.improved_policy.tobytes()) == (ref.action, ref.improved_policy.tobytes())
@@ -599,16 +602,38 @@ class TestPlaySeats:
         cfg = PlannerConfig(n_simulations=8, m_root=4)
         rng = np.random.default_rng(6)
         moves, _ = play_to_the_end(game, (lowest_legal, lowest_legal), cfg, rng)
-        assert len(moves) == 2 * inst.n_nodes and all(result is None for _, _, result in moves)
+        assert len(moves) == 2 * inst.n_nodes and all(result is None for _, _, result, _ in moves)
         assert rng.random() == np.random.default_rng(6).random()
         moves, _ = play_to_the_end(game, ((hashed_evaluator(game), lowest_legal), highest_legal), cfg, rng)
-        assert [result is None for _, _, result in moves] == [False, True] * inst.n_nodes
+        assert [result is None for _, _, result, _ in moves] == [False, True] * inst.n_nodes
+
+    def test_each_move_carries_the_seconds_of_its_own_choice(self, monkeypatch):
+        # a clock that only the seats advance: 1 s per greedy move, 1/64 s per evaluation of a plan
+        clock = [0.0]
+        monkeypatch.setattr(planner_mod, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        inst, game = routing_case("tsp", seed=802)
+        evaluate = hashed_evaluator(game)
+
+        def timed_evaluate(own, opp):
+            clock[0] += 2.0**-6
+            return evaluate(own, opp)
+
+        def timed_greedy(state):
+            clock[0] += 1.0
+            return lowest_legal(state)
+
+        cfg = PlannerConfig(n_simulations=8, m_root=4)
+        moves, _ = play_to_the_end(game, ((timed_evaluate, highest_legal), timed_greedy), cfg, np.random.default_rng(7))
+        assert [slot for slot, *_ in moves] == [0, 1] * inst.n_nodes
+        expected = [1.0 if result is None else 2.0**-6 * result.evaluations for _, _, result, _ in moves]
+        assert [seconds for *_, seconds in moves] == expected
+        assert clock[0] == sum(expected)
 
     def test_ends_come_in_end_order(self):
         game, lengths = self.evrp_case()
         moves, ends = play_to_the_end(game, (highest_legal, customers_first), None, np.random.default_rng(0))
         assert list(ends) == [1, 0]
-        assert [sum(slot == i for slot, _, _ in moves) for i in (0, 1)] == lengths
+        assert [sum(slot == i for slot, *_ in moves) for i in (0, 1)] == lengths
 
     def test_step_cap_ends_the_longer_seat_while_the_other_finishes(self, monkeypatch):
         game, lengths = self.evrp_case()
@@ -619,14 +644,14 @@ class TestPlaySeats:
         assert ends[1].done and len(ends[1].route) - 1 == lengths[1]
         assert isinstance(ends[0], DeadEndError)
         assert str(ends[0]) == f"rollout exceeded {cap} steps without terminating"
-        assert sum(slot == 0 for slot, _, _ in moves) == cap
+        assert sum(slot == 0 for slot, *_ in moves) == cap
 
     def test_ends_play_only_as_far_as_they_are_read(self):
         game, lengths = self.evrp_case()
-        moves, ends, _ = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
+        moves, ends = play_seats(game, (highest_legal, customers_first), None, np.random.default_rng(0))
         assert moves == []
         slot, end = next(ends)
         assert slot == 1 and len(end.route) - 1 == lengths[1]
-        assert [slot for slot, _, _ in moves] == [0, 1] * lengths[1]
+        assert [slot for slot, *_ in moves] == [0, 1] * lengths[1]
         assert [slot for slot, _ in ends] == [0]
-        assert [sum(slot == i for slot, _, _ in moves) for i in (0, 1)] == lengths
+        assert [sum(slot == i for slot, *_ in moves) for i in (0, 1)] == lengths

@@ -275,15 +275,16 @@ class TestRunEpisode:
 
     def test_stage1_competitor_never_searches(self):
         _, record = self.play(stage=1)
-        learner_sims, competitor_sims = record.sims
+        learner_sims, competitor_sims = record.telemetry["learner_sims"], record.telemetry["competitor_sims"]
         assert set(competitor_sims) == {0}
         assert min(learner_sims) > 0
         assert len(record.policy_samples) == len(learner_sims)
 
     def test_stage2_both_search(self):
         _, record = self.play(stage=2)
-        assert min(record.sims[0]) > 0 and min(record.sims[1]) > 0
-        assert len(record.policy_samples) == len(record.sims[0]) + len(record.sims[1])
+        learner_sims, competitor_sims = record.telemetry["learner_sims"], record.telemetry["competitor_sims"]
+        assert min(learner_sims) > 0 and min(competitor_sims) > 0
+        assert len(record.policy_samples) == len(learner_sims) + len(competitor_sims)
 
     def test_deterministic_given_rng(self):
         _, a = self.play(stage=2, seed=4)
@@ -299,7 +300,8 @@ class TestRunEpisode:
             learner_traj, competitor_traj = record.trajs
             searched = [own for own, _ in record.policy_samples]
             assert len(searched) == len(learner_traj) - 1 and all(a is b for a, b in zip(searched, learner_traj))
-            assert len(record.sims[0]) == len(learner_traj) - 1 and len(record.sims[1]) == len(competitor_traj) - 1
+            assert len(record.telemetry["learner_sims"]) == len(learner_traj) - 1
+            assert len(record.telemetry["competitor_sims"]) == len(competitor_traj) - 1
         assert seats == {1, -1}
 
     def test_stage1_competitor_replays_historical_best_greedily(self):
@@ -734,6 +736,14 @@ class TestTrainLoop:
         assert all(e["opponent_s"] > 0.0 for e in episodes if e["stage"] == 1)
         assert all(e["opponent_s"] == 0.0 for e in episodes if e["stage"] == 2)
 
+    def test_episode_events_carry_exactly_the_documented_keys(self, finished_run):
+        # the keys README.md lists for an episode event: the episode's identity, its telemetry and its phase times
+        keys = {"event", "episode", "stage", "learner", "instance_seed", "z", "learner_sims", "competitor_sims",
+                "learner_evals", "competitor_evals", "greedy_forwards", "greedy_memo_hits", "play_s", "search_s",
+                "opponent_s", "train_s", "wall_time_s"}
+        episodes = [e for e in read_events(finished_run) if e["event"] == "episode"]
+        assert len(episodes) == 4 and all(set(e) == keys for e in episodes)
+
     def test_stage1_events_show_zero_competitor_sims(self, tmp_path):
         cfg = tiny_cfg()
         train(cfg, tmp_path / "run")
@@ -815,13 +825,15 @@ class TestTrainLoop:
             learner_traj = record.trajs[0]
             inst = learner_traj[0].instance
             # the learner's entries are its own: the seat that searched, scored on its own route
-            assert min(record.sims[0]) > 0 and len(record.sims[0]) == len(learner_traj) - 1
+            learner_sims = record.telemetry["learner_sims"]
+            assert min(learner_sims) > 0 and len(learner_sims) == len(learner_traj) - 1
             assert record.objectives == tuple(objective(inst, traj[-1].route) for traj in record.trajs)
             assert row[2:5] == [repr(record.objectives[0]), repr(record.objectives[1]), str(record.outcome)]
             soc = repr(learner_traj[-1].energy_kwh / cfg.n_customers) if problem == "em-evrp" else ""
             assert row[7] == soc
             assert (event["learner"], event["z"]) == (record.learner, record.outcome)
-            assert (event["learner_sims"], event["competitor_sims"]) == (list(record.sims[0]), list(record.sims[1]))
+            # the event carries the record's telemetry whole, under the same names
+            assert {key: event[key] for key in record.telemetry} == record.telemetry
 
     def test_arena_updates_only_on_positive_sums(self, tmp_path):
         cfg = tiny_cfg(total_episodes=6, stage_switch=3, arena_interval=1)
