@@ -30,27 +30,40 @@ ops enter the post-order first and run last), and the split runs them in
 that same order, so every parameter leaf sums the same floats in the same
 order.
 
-A large encode shares its work with a worker pool, given as `Workers`:
-the calling thread and tasks on an executor that the network owns.
-`Workers.row_chunks` is the one splitter: it runs a kernel whose rows do
-not depend on each other in row chunks that the threads take in turn,
-joined into outputs allocated once in the layout of one call, with that
-call's bits.  An inference forward splits its whole `ARRAY_OPS` encode
-so.  In training mode batch norm is the only op whose rows depend on
-other states, so under `pooled_ops` only the three sublayer kernels,
-which work one state at a time, split; every other op runs whole on the
-calling thread.  A pooled ``backward(workers=...)`` hands each parameter leaf's
-weight-gradient product (``X.T @ G`` of attention, the feed-forward block
-and `matmul`'s folded branch) to the pool while the calling thread walks
-on down the input-gradient chain.  The gate's product stays on the
-calling thread: it multiplies a joined copy of the gate's two inputs,
-which on the pool stayed alive beside the gate's input gradients, at the
-top of the backward, and raised a default-size step's peak RSS by about
-10 MB.  A leaf queues every gradient it receives in the walk, and once
-every product has ended it sums its queue in walk order, so the leaf sums
-stay those of the serial walk.  The input-gradient GEMMs stay whole: cut
-into row chunks, most chunks came out with other bits on OpenBLAS.  A
-pooled step therefore gives the serial step's floats.
+A large encode shares its work with the other usable CPUs.  This module
+owns the threads: a caller passes only a thread count, and one thread
+runs everything on the calling thread and starts nothing.  The pool is one
+process-wide executor of ``usable_cpus() - 1`` workers, started under a
+lock by the first call that splits and kept for the life of the process
+(with an executor per call, split forwards read about 8 % slower on a
+2-CPU x86-64 host).  Before its first thread starts, the pool sets glibc's
+``M_ARENA_MAX`` to 1: a worker in a malloc arena of its own kept the
+blocks it freed where the calling thread's next train step could not
+reuse them, which raised the process peak, and the shared arena costs no
+measurable time (Python threads allocate small objects under the
+interpreter lock anyway).  A forked child, which inherits the pool but
+not its threads, drops the pool and its lock and starts its own.
+
+`row_chunks` is the one splitter: it runs a kernel whose rows do not
+depend on each other in row chunks that the calling thread and pool tasks
+take in turn, joined into outputs allocated once in the layout of one
+call, with that call's bits.  An inference forward splits its whole
+`ARRAY_OPS` encode so.  In training mode batch norm is the only op whose
+rows depend on other states, so under `pooled_ops` only the three
+sublayer kernels, which work one state at a time, split; every other op
+runs whole on the calling thread.  A pooled ``backward(threads=...)``
+hands each parameter leaf's weight-gradient product (``X.T @ G`` of
+attention, the feed-forward block and `matmul`'s folded branch) to the
+pool while the calling thread walks on down the input-gradient chain.
+The gate's product stays on the calling thread: it multiplies a joined
+copy of the gate's two inputs, which on the pool stayed alive beside the
+gate's input gradients, at the top of the backward, and raised a
+default-size step's peak RSS by about 10 MB.  A leaf queues every
+gradient it receives in the walk, and once every product has ended it
+sums its queue in walk order, so the leaf sums stay those of the serial
+walk.  The input-gradient GEMMs stay whole: cut into row chunks, most
+chunks came out with other bits on OpenBLAS.  A pooled step therefore
+gives the serial step's floats.
 
 Results of operations on constant inputs record no tape, but every op
 still allocates a result ``Tensor`` and a backward closure: at the desk
@@ -69,20 +82,23 @@ values bit for bit.  Its batch norm runs in inference mode only.
 
 from __future__ import annotations
 
+import ctypes
 import operator
+import os
 import threading
 from collections import deque
 from functools import partial
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from concurrent.futures import Executor, Future
 
 BN_EPS = 1e-5
-CHUNK_STATES = 16  # most states per row chunk of `Workers.row_chunks`: 8-32 measured alike, 64 slower
+CHUNK_STATES = 16  # most states per row chunk of `row_chunks`: 8-32 measured alike, 64 slower
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -160,61 +176,91 @@ ARRAY_OPS = SimpleNamespace(
 )
 
 
-class Workers(NamedTuple):
-    """The threads an encode runs on: this one and ``threads - 1`` tasks at a time on ``pool``."""
+_pool: Executor | None = None  # the worker pool, started by the first call that splits
+_pool_lock = threading.Lock()
 
-    pool: Executor
-    threads: int
 
-    def row_chunks(self, kernel, rows: tuple[np.ndarray, ...], shared: tuple) -> list[np.ndarray]:
-        """``kernel(*rows, *shared)``, in row chunks that the threads take in turn.
+def usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-        A chunk holds `CHUNK_STATES` states, or ``ceil(states / threads)``
-        when fewer, so that a small stack gives every thread a chunk.  The
-        outputs are joined into arrays allocated once in the layout of the
-        first chunk's, so the backward reads the layout of one call, and a
-        kernel whose rows do not depend on each other gives its bits.
-        Returns, or raises the first exception, once every thread has ended.
-        """
-        b = rows[0].shape[0]
-        size = min(CHUNK_STATES, -(-b // self.threads))
-        starts = iter(range(0, b, size))
-        lock = threading.Lock()
-        joined: list[np.ndarray] = []
 
-        def take_chunks():
-            while True:
-                with lock:
-                    lo = next(starts, None)
-                if lo is None:
-                    return
-                parts = kernel(*(a[lo : lo + size] for a in rows), *shared)
-                with lock:
-                    if not joined:
-                        joined.extend(np.empty_like(part, shape=(b, *part.shape[1:])) for part in parts)
-                for whole, part in zip(joined, parts):
-                    whole[lo : lo + len(part)] = part
+def _one_malloc_arena() -> None:
+    """Have threads started from now on allocate from glibc's main malloc arena; without ``mallopt``, nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX
 
-        futures = [self.pool.submit(take_chunks) for _ in range(self.threads - 1)]
-        try:
-            take_chunks()
-        finally:
-            for future in futures:
-                future.exception()  # waits for the task, without raising
+
+def _worker_pool() -> Executor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _one_malloc_arena()
+            _pool = ThreadPoolExecutor(max(1, usable_cpus() - 1), thread_name_prefix="routezero-encode")
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def row_chunks(threads: int, kernel, rows: tuple[np.ndarray, ...], shared: tuple) -> Sequence[np.ndarray]:
+    """``kernel(*rows, *shared)``: one call when ``threads`` is 1, else row chunks on this thread and the pool.
+
+    A chunk holds `CHUNK_STATES` states, or ``ceil(states / threads)`` when
+    fewer, so that a small stack gives every thread a chunk.  The outputs
+    are joined into arrays allocated once in the layout of the first
+    chunk's, so the backward reads the layout of one call.  Returns, or
+    raises the first exception, once every thread has ended.
+    """
+    if threads == 1:
+        return kernel(*rows, *shared)
+    b = rows[0].shape[0]
+    size = min(CHUNK_STATES, -(-b // threads))
+    starts = iter(range(0, b, size))
+    lock = threading.Lock()
+    joined: list[np.ndarray] = []
+
+    def take_chunks():
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            parts = kernel(*(a[lo : lo + size] for a in rows), *shared)
+            with lock:
+                if not joined:
+                    joined.extend(np.empty_like(part, shape=(b, *part.shape[1:])) for part in parts)
+            for whole, part in zip(joined, parts):
+                whole[lo : lo + len(part)] = part
+
+    pool = _worker_pool()
+    futures = [pool.submit(take_chunks) for _ in range(threads - 1)]
+    try:
+        take_chunks()
+    finally:
         for future in futures:
-            future.result()
-        return joined
+            future.exception()  # waits for the task, without raising
+    for future in futures:
+        future.result()
+    return joined
 
 
-def _kernel(kernel, workers: Workers | None, rows: tuple[np.ndarray, ...], *shared) -> list[np.ndarray]:
-    """``kernel(*rows, *shared)``: in one call, or in row chunks on ``workers``."""
-    return kernel(*rows, *shared) if workers is None else workers.row_chunks(kernel, rows, shared)
-
-
-def pooled_ops(workers: Workers) -> SimpleNamespace:
-    """The tape ops under their `ARRAY_OPS` names, the three sublayers computing their forwards on ``workers``."""
+def pooled_ops(threads: int) -> SimpleNamespace:
+    """The tape ops under their `ARRAY_OPS` names, the three sublayers computing their forwards on ``threads``."""
     ops = {name: globals()[name] for name in vars(ARRAY_OPS)}
-    return SimpleNamespace(**ops | {name: partial(ops[name], workers=workers) for name in ("attention", "gate", "ffn")})
+    return SimpleNamespace(**ops | {name: partial(ops[name], threads=threads) for name in ("attention", "gate", "ffn")})
 
 
 def _transposed_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,19 +271,20 @@ class _PooledWalk:
     """The leaf gradients of one pooled `Tensor.backward` walk, kept in walk order until the walk ends.
 
     An entry is ``(leaf, gradient or Future of it, fresh)``.  At most
-    ``workers.threads`` products run or wait on the pool at a time, each
-    holding its two operands, so the walk's memory stays bounded.
+    ``threads`` products run or wait on the pool at a time, each holding
+    its two operands, so the walk's memory stays bounded.
     """
 
-    def __init__(self, workers: Workers):
-        self.workers = workers
+    def __init__(self, threads: int):
+        self.threads = threads
+        self.pool = _worker_pool()
         self.queued: list[tuple[Tensor, np.ndarray | Future, bool]] = []
         self.running: deque[Future] = deque()
 
     def product(self, leaf: Tensor, a: np.ndarray, b: np.ndarray) -> None:
-        if len(self.running) >= self.workers.threads:
+        if len(self.running) >= self.threads:
             self.running.popleft().exception()
-        future = self.workers.pool.submit(_transposed_product, a, b)
+        future = self.pool.submit(_transposed_product, a, b)
         self.running.append(future)
         self.queued.append((leaf, future, True))
 
@@ -287,16 +334,13 @@ class Tensor:
         else:
             self._walk.product(self, a, b)
 
-    def backward(self, grad=None, workers: Workers | None = None) -> None:
+    def backward(self, grad=None, threads: int = 1) -> None:
         """Backpropagate from this tensor, seeded with ``grad``: ones by default, which needs a scalar.
 
-        With ``workers``, the walk is pooled: each leaf's weight-gradient
-        products (`_accumulate_product`) run on ``workers.pool`` while this
-        thread walks on down the input-gradient chain, and every gradient a
-        leaf receives is queued.  Once all products have ended, each leaf
-        sums its queue in walk order, so a leaf gets the floats of the
-        serial walk.  An exception, in the walk or in a product, is raised
-        only after every product has ended.
+        With ``threads`` above one the walk is pooled (see the module
+        docstring), and an exception, in the walk or in a weight-gradient
+        product (`_accumulate_product`), is raised only after every product
+        has ended.
         """
         if grad is None:
             if self.data.size != 1:
@@ -322,10 +366,10 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self.grad = grad
-        if workers is None:
+        if threads == 1:
             _backpropagate(order)
             return
-        walk = _PooledWalk(workers)
+        walk = _PooledWalk(threads)
         leaves = [node for node in order if node._backward is None and node is not self]
         for leaf in leaves:
             leaf._walk = walk
@@ -541,10 +585,10 @@ def batchnorm_nodes(
 # their pinned hashes hold only while this does.
 
 
-def attention(x, wq, wk, wv, wo, heads: int, workers: Workers | None = None) -> Tensor:
+def attention(x, wq, wk, wv, wo, heads: int, threads: int = 1) -> Tensor:
     """Multi-head self-attention over the node axis of a (B, N, D) tensor; see `_attention`."""
     x, wq, wk, wv, wo = (_as_tensor(a) for a in (x, wq, wk, wv, wo))
-    out, q, k, v, p, mixed = _kernel(_attention, workers, (x.data,), wq.data, wk.data, wv.data, wo.data, heads)
+    out, q, k, v, p, mixed = row_chunks(threads, _attention, (x.data,), (wq.data, wk.data, wv.data, wo.data, heads))
 
     def bwd(g):
         b, n, d = x.shape
@@ -566,10 +610,10 @@ def attention(x, wq, wk, wv, wo, heads: int, workers: Workers | None = None) -> 
     return _result(out, (x, wq, wk, wv, wo), bwd)
 
 
-def gate(x, f, w, b, workers: Workers | None = None) -> Tensor:
+def gate(x, f, w, b, threads: int = 1) -> Tensor:
     """Learned sigmoid blend of a sublayer's input ``x`` and output ``f``; see `_gate`."""
     x, f, w, b = (_as_tensor(a) for a in (x, f, w, b))
-    out, s = _kernel(_gate, workers, (x.data, f.data), w.data, b.data)
+    out, s = row_chunks(threads, _gate, (x.data, f.data), (w.data, b.data))
 
     def bwd(g):
         d = s.shape[-1]
@@ -589,10 +633,10 @@ def gate(x, f, w, b, workers: Workers | None = None) -> Tensor:
     return _result(out, (x, f, w, b), bwd)
 
 
-def ffn(x, w1, b1, w2, b2, workers: Workers | None = None) -> Tensor:
+def ffn(x, w1, b1, w2, b2, threads: int = 1) -> Tensor:
     """Two-layer relu feed-forward over the last axis; see `_ffn`."""
     x, w1, b1, w2, b2 = (_as_tensor(a) for a in (x, w1, b1, w2, b2))
-    out, hidden = _kernel(_ffn, workers, (x.data,), w1.data, b1.data, w2.data, b2.data)
+    out, hidden = row_chunks(threads, _ffn, (x.data,), (w1.data, b1.data, w2.data, b2.data))
 
     def bwd(g):
         d, f = w1.shape

@@ -27,15 +27,14 @@ which keeps checkpoints exact and runs reproducible.
 In inference mode an encoder row has the same bits alone as in any batch:
 batch norm reads the running statistics, and each state's products are
 GEMMs of their own.  A row's dependence on its batch lies in the three 2-D
-head GEMMs.  So a large stack (encoder work of at least ``SPLIT_MIN_WORK``)
-is encoded on the usable CPUs through one splitter,
-`autodiff.Workers.row_chunks`: the calling thread and a worker pool,
-started by the first such encode, take row chunks in turn.  An inference
-forward runs its whole encode in chunks, and the heads run once on the
-joined rows; the outputs are those of one serial encode.  A train step
-runs each sublayer's forward in chunks and the pool computes most
-weight-gradient products (see `autodiff`), with the serial step's floats.
-The gain assumes one BLAS thread.
+head GEMMs.  So a stack whose encoder work reaches ``SPLIT_MIN_WORK`` is
+encoded on one thread per usable CPU, at most one per row (`_threads_for`);
+a smaller one on the calling thread alone.  An inference forward runs its
+whole encode through `autodiff.row_chunks` and the heads once on the
+joined rows, with the outputs of one serial encode; a train step passes
+the thread count to `autodiff.pooled_ops` and the backward, with the
+serial step's floats.  `autodiff` owns the threads and says how they
+share the work.  The gain assumes one BLAS thread.
 
 A net is its config, parameters and batch-norm running statistics, and
 nothing else.  The optimizer is the caller's: `train_step` updates the
@@ -51,11 +50,8 @@ reads θ from either.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
-import os
-import threading
 import zipfile
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -81,52 +77,6 @@ EVRP_GLOBAL_FEATURES = 4
 # shares the usable CPUs: an inference forward in encode row chunks, a train step in sublayer row chunks and
 # pooled weight-gradient products.  Above the measured crossover of both net sizes; a desk step is below it.
 SPLIT_MIN_WORK = 16e6
-_workers = None  # the encoder's worker pool, started by the first forward or train step that splits
-_workers_lock = threading.Lock()
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _one_malloc_arena() -> None:
-    """Have threads started from now on allocate from glibc's main malloc arena (``M_ARENA_MAX`` 1).
-
-    A worker thread otherwise gets an arena of its own, which keeps the
-    blocks the worker freed where the main thread's train step cannot reuse
-    them, and so raises the process peak.  Sharing one arena costs no
-    measurable time: Python threads allocate small objects under the
-    interpreter lock anyway, and an encoder chunk makes few large
-    allocations.  Without glibc's ``mallopt`` this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-8, 1)  # M_ARENA_MAX
-
-
-def _worker_pool():
-    global _workers
-    with _workers_lock:
-        if _workers is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _one_malloc_arena()
-            _workers = ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="routezero-encode")
-        return _workers
-
-
-def _forget_workers() -> None:
-    """Drop the parent's pool and lock in a forked child, where the pool's threads do not exist."""
-    global _workers, _workers_lock
-    _workers, _workers_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
 
 
 class CheckpointError(RuntimeError):
@@ -337,17 +287,15 @@ class PolicyValueNet:
         pooled = ops.mean(h, axis=1)
         return h, pooled
 
-    def _workers_for(self, nodes: np.ndarray) -> ad.Workers | None:
-        """The threads that share the encode of ``nodes``: one per usable CPU (at most one per row), or None.
+    def _threads_for(self, nodes: np.ndarray) -> int:
+        """The threads that share the encode of ``nodes``: one per usable CPU (at most one per row), or 1.
 
-        None when the encoder work is below ``SPLIT_MIN_WORK`` or one thread
-        would do it all; then the encode and its backward run serially and
-        no pool is started.
+        1 when the encoder work is below ``SPLIT_MIN_WORK``; then the encode
+        and its backward run serially on the calling thread.
         """
         cfg = self.config
         work = nodes.shape[0] * nodes.shape[1] * cfg.n_layers * cfg.embed_dim * (cfg.embed_dim + cfg.ffn_dim)
-        threads = min(_usable_cpus(), nodes.shape[0]) if work >= SPLIT_MIN_WORK else 1
-        return ad.Workers(_worker_pool(), threads) if threads > 1 else None
+        return min(ad.usable_cpus(), nodes.shape[0]) if work >= SPLIT_MIN_WORK else 1
 
     def _policy_logits(self, t, h, pooled, batch: dict[str, np.ndarray], ops=ad):
         cfg = self.config
@@ -378,14 +326,13 @@ class PolicyValueNet:
         ``own`` carries that (B,) index, so an opponent shared by several own
         states is passed and encoded once.  The builders run on the plain
         parameter arrays, in inference mode.  A stack whose encoder work
-        reaches ``SPLIT_MIN_WORK`` is encoded in row chunks on the usable CPUs
-        (`_workers_for`), with the bits of one serial encode.
+        reaches ``SPLIT_MIN_WORK`` is encoded on the usable CPUs
+        (`_threads_for`), with the bits of one serial encode.
         """
         t, ops = self.params, ad.ARRAY_OPS
         nodes = own["nodes"] if opp is None else np.concatenate([own["nodes"], opp["nodes"]])
         encode = partial(self._encode, t, training=False, update_stats=False, ops=ops)
-        workers = self._workers_for(nodes)
-        h, pooled = encode(nodes) if workers is None else workers.row_chunks(encode, (nodes,), ())
+        h, pooled = ad.row_chunks(self._threads_for(nodes), encode, (nodes,), ())
         if opp is not None:
             b = own["nodes"].shape[0]
             h, pooled, pooled_opp = h[:b], pooled[:b], pooled[b:]
@@ -398,12 +345,11 @@ class PolicyValueNet:
 
     def _policy_loss(self, t, batch: dict[str, np.ndarray]) -> float:
         """Build the policy loss on the tape and backpropagate it; returns the loss."""
-        workers = self._workers_for(batch["nodes"])
-        ops = ad if workers is None else ad.pooled_ops(workers)
-        h, pooled = self._encode(t, batch["nodes"], training=True, update_stats=True, ops=ops)
+        threads = self._threads_for(batch["nodes"])
+        h, pooled = self._encode(t, batch["nodes"], training=True, update_stats=True, ops=ad.pooled_ops(threads))
         logits = self._policy_logits(t, h, pooled, batch)
         loss = ad.masked_cross_entropy(logits, batch["legal"], batch["target"])
-        loss.backward(workers=workers)
+        loss.backward(threads=threads)
         return float(loss.data)
 
     def _value_loss(self, t, batch: dict[str, np.ndarray]) -> float:
@@ -417,16 +363,16 @@ class PolicyValueNet:
         opponent encodes give the same bits; the statistics move once per
         stack, own first.
         """
-        workers = self._workers_for(batch["own_nodes"])
-        ops = ad if workers is None else ad.pooled_ops(workers)
+        threads = self._threads_for(batch["own_nodes"])
+        ops = ad.pooled_ops(threads)
         constants = self._tensors(train=False)
         _, pooled = self._encode(constants, batch["opp_nodes"], training=True, update_stats=False, ops=ops)
         opp_leaf = ad.Tensor(pooled.data, requires_grad=True)
         _, pooled_own = self._encode(t, batch["own_nodes"], training=True, update_stats=True, ops=ops)
         loss = ad.mse(self._value(t, pooled_own, opp_leaf), batch["z"])
-        loss.backward(workers=workers)
+        loss.backward(threads=threads)
         _, pooled_opp = self._encode(t, batch["opp_nodes"], training=True, update_stats=True, ops=ops)
-        pooled_opp.backward(opp_leaf.grad, workers)
+        pooled_opp.backward(opp_leaf.grad, threads)
         return float(loss.data)
 
     def train_step(
@@ -451,10 +397,10 @@ class PolicyValueNet:
         on the sum: the same floats as that one-tape step.
 
         A stack whose encoder work reaches ``SPLIT_MIN_WORK`` is encoded and
-        backpropagated on the usable CPUs (`_workers_for`): its sublayers
-        in row chunks, most weight-gradient products on the worker pool.
-        The floats are those of the serial step.  An exception in a worker
-        is raised once every task of the step has ended, before Adam steps.
+        backpropagated on the usable CPUs (`_threads_for`; see `autodiff`
+        for how the threads share it), with the serial step's floats.  An
+        exception in a worker is raised once every task of the step has
+        ended, before Adam steps.
         """
         if policy_batch is None and value_batch is None:
             return 0.0, 0.0
@@ -474,8 +420,8 @@ def greedy_actions(net: PolicyValueNet, states: list[PlayerState]) -> tuple[np.n
     whole stack, forced states included, since a row's bits depend on its
     batch through the head GEMMs (the encoder's row chunks do not); the
     states must then share a problem type and node count.  A large stack is
-    encoded in row chunks on the usable CPUs.  Ties resolve to the lowest
-    node id.
+    encoded on the usable CPUs (see `PolicyValueNet.forward`).  Ties
+    resolve to the lowest node id.
     """
     legal = np.stack([legal_actions(s) for s in states])
     if (legal.sum(axis=1) == 1).all():

@@ -403,20 +403,24 @@ def save_checkpoint(path, cfg: TrainConfig, state: TrainerState) -> None:
 
 
 def load_checkpoint(path) -> tuple[TrainConfig, TrainerState]:
-    """Read a trainer checkpoint; CheckpointError names a bad array."""
+    """Read a trainer checkpoint; CheckpointError names a bad array, or a net whose config is not the run's."""
     arrays = read_arrays(path)
     try:
         check_version(arrays)
         episode = int(checked_array(arrays, "meta/episode", ()))
         cfg = train_config_from_dict(json.loads(checked_array(arrays, "meta/config", None).tobytes().decode()))
-        theta = net_from_arrays(arrays, "theta/")
+        theta, best = (net_from_arrays(arrays, prefix) for prefix in ("theta/", "best/"))
+        for prefix, net in (("theta/", theta), ("best/", best)):
+            if net.config != cfg.net:
+                difference = _first_difference(net.config, cfg.net, (prefix, "meta/config"))
+                raise CheckpointError(f"the {prefix} net does not match the run config: {difference}")
         moments = [
             {k: checked_array(arrays, f"theta/{group}/{k}", p.shape) for k, p in theta.params.items()}
             for group in ("adam_m", "adam_v")
         ]
         state = TrainerState(
             theta=theta,
-            theta_best=net_from_arrays(arrays, "best/"),
+            theta_best=best,
             policy_buffer=PolicyBuffer.from_arrays(arrays, "pol/", cfg.policy_buffer_capacity),
             value_buffer=ValueBuffer.from_arrays(arrays, "val/", cfg.value_buffer_capacity),
             episode=episode,
@@ -504,14 +508,14 @@ def _rewind(metrics_path: Path, events_path: Path, episode: int) -> None:
     write_file(events_path, "".join(events))
 
 
-def _first_difference(saved, wanted, prefix: str = "") -> str:
-    """The first field in which two unequal configs differ, dotted when nested (``net.embed_dim``), and both values."""
+def _first_difference(saved, wanted, sources=("the checkpoint", "this one"), prefix: str = "") -> str:
+    """The first field in which two unequal configs differ, dotted when nested, and both values, named by ``sources``."""
     for f in fields(saved):
         old, new = getattr(saved, f.name), getattr(wanted, f.name)
         if old != new and is_dataclass(old):
-            return _first_difference(old, new, f"{prefix}{f.name}.")
+            return _first_difference(old, new, sources, f"{prefix}{f.name}.")
         if old != new:
-            return f"{prefix}{f.name} is {old!r} in the checkpoint, {new!r} in this one"
+            return f"{prefix}{f.name} is {old!r} in {sources[0]}, {new!r} in {sources[1]}"
 
 
 def train(cfg: TrainConfig, run_dir, resume: bool = False) -> Path:

@@ -1,4 +1,5 @@
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -268,12 +269,27 @@ class TestPooling:
     """The sublayers' row-chunked forwards and the pooled backward walk give the serial bits."""
 
     @pytest.fixture
-    def workers(self):
+    def threads(self, monkeypatch):
+        """3 threads: this one and 2 tasks on a fresh two-worker pool, shut down after the test."""
         with ThreadPoolExecutor(2) as pool:
-            yield ad.Workers(pool, 3)
+            monkeypatch.setattr(ad, "_pool", pool)
+            yield 3
+
+    def test_one_thread_calls_the_kernel_once_here_and_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(ad, "_pool", None)
+        calls = []
+
+        def kernel(x, w):
+            calls.append((len(x), threading.current_thread() is threading.main_thread()))
+            return (x @ w,)
+
+        x, w = rng.normal(size=(40, 3, 4)), rng.normal(size=(4, 4))
+        (out,) = ad.row_chunks(1, kernel, (x,), (w,))
+        assert out.tobytes() == (x @ w).tobytes()
+        assert calls == [(40, True)] and ad._pool is None
 
     @pytest.mark.parametrize("chunk_states", [1, 2, 4, 7])
-    def test_row_chunks_give_the_bits_and_layout_of_one_call(self, monkeypatch, workers, chunk_states):
+    def test_row_chunks_give_the_bits_and_layout_of_one_call(self, monkeypatch, threads, chunk_states):
         monkeypatch.setattr(ad, "CHUNK_STATES", chunk_states)
         x, f = rng.normal(size=(7, 5, 8)), rng.normal(size=(7, 5, 8))
         ffn_weights = rng.normal(size=(8, 6)), rng.normal(size=6), rng.normal(size=(6, 8)), rng.normal(size=8)
@@ -284,7 +300,7 @@ class TestPooling:
         ]
         for kernel, rows, shared in cases:
             whole = kernel(*rows, *shared)
-            chunked = workers.row_chunks(kernel, rows, shared)
+            chunked = ad.row_chunks(threads, kernel, rows, shared)
             assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
             assert [a.strides for a in chunked] == [a.strides for a in whole], "the backward reads the same layout"
 
@@ -299,13 +315,14 @@ class TestPooling:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(5) as pool:
+                monkeypatch.setattr(ad, "_pool", pool)
                 for _ in range(20):
-                    chunked = ad.Workers(pool, 6).row_chunks(ad._ffn, (x,), ffn_weights)
+                    chunked = ad.row_chunks(6, ad._ffn, (x,), ffn_weights)
                     assert [a.tobytes() for a in chunked] == whole
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_pooled_walk_sums_each_leaf_in_walk_order(self, workers):
+    def test_a_pooled_walk_sums_each_leaf_in_walk_order(self, threads):
         # w is every attention weight, a folded matmul's weight through add(w, w) and both ffn weights, so its
         # queue mixes weight-gradient products with plain contributions; x feeds two ops
         x, w, gw, gb, b1, b2 = leaf(5, 3, 4), leaf(4, 4), leaf(8, 4), leaf(4), leaf(4), leaf(4)
@@ -319,7 +336,7 @@ class TestPooling:
         leaves = (x, w, gw, gb, b1, b2)
         loss(*leaves).backward()
         copies = [Tensor(t.data, requires_grad=True) for t in leaves]
-        loss(*copies, pooled_ops=ad.pooled_ops(workers)).backward(workers=workers)
+        loss(*copies, pooled_ops=ad.pooled_ops(threads)).backward(threads=threads)
         for serial, pooled in zip(leaves, copies):
             assert pooled.grad.tobytes() == serial.grad.tobytes()
             assert pooled._walk is None
@@ -456,7 +473,7 @@ class TestArrayOps:
             net._value(t, pooled, pooled, ops=Recording())
         assert called == set(vars(ARRAY_OPS))
         ops = {k for k, v in vars(ad).items() if callable(v) and getattr(v, "__module__", "") == ad.__name__}
-        pooling = {"Workers", "pooled_ops"}  # how a large encode shares its work, not ops
+        pooling = {"usable_cpus", "row_chunks", "pooled_ops"}  # how a large encode shares its work, not ops
         assert {k for k in ops if not k.startswith("_")} == called | {"masked_cross_entropy", "mse"} | pooling
         assert not hasattr(ad, "scale") and not hasattr(ARRAY_OPS, "scale"), "scaling is mul by a constant"
         for inside in ("sigmoid", "softmax", "transpose"):

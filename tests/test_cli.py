@@ -196,6 +196,19 @@ class TestTrain:
         assert main(["train", str(config), "--run-dir", str(trained_run), "--resume"]) == 2
         assert f"{ckpt}: missing array 'meta/version'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix, name, value", [("theta/", "learning_rate", 0.5), ("best/", "embed_dim", 8)])
+    def test_a_net_unlike_the_run_config_is_data_error(self, tmp_path, trained_run, prefix, name, value, capsys):
+        # theta's embedded learning_rate would drive its train steps, and best's shapes its arena forwards
+        ckpt = trained_run / "checkpoint.npz"
+        other = PolicyValueNet.create(NetConfig(**{**TINY_TRAIN["net"], name: value}))
+        np.savez(ckpt, **dict(np.load(ckpt)) | net_to_arrays(other, prefix))
+        capsys.readouterr()
+        assert main(["train", str(tmp_path / "smoke.json"), "--run-dir", str(trained_run), "--resume"]) == 2
+        err = capsys.readouterr().err
+        named = f"{name} is {value!r} in {prefix}, {TINY_TRAIN['net'][name]!r} in meta/config"
+        assert f"{ckpt}: the {prefix} net does not match the run config: {named}" in err
+        assert "Traceback" not in err
+
     def test_bad_value_is_usage_error(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({**TINY_TRAIN, "self_play_prob": 2.0}))

@@ -324,7 +324,7 @@ def split_rows(monkeypatch, cpus):
     Returns the recorded row count of each inference encode, one per chunk.
     """
     monkeypatch.setattr(net_mod, "SPLIT_MIN_WORK", 0)
-    monkeypatch.setattr(net_mod, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
     return record_encodes(monkeypatch)
 
 
@@ -407,7 +407,7 @@ class TestRowChunks:
 
     def test_a_default_size_forward_splits_above_about_64_node_rows(self, monkeypatch):
         net = PolicyValueNet.create(NetConfig(problem="tsp"), seed=5)
-        monkeypatch.setattr(net_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
         encodes = record_encodes(monkeypatch)
         for n, batch_size in ((8, 8), (8, 9), (10, 8)):  # 64, 72 and 80 node rows
             inst = generate_tsp(n, seed=5)
@@ -416,7 +416,7 @@ class TestRowChunks:
             encodes.clear()
 
     def test_desk_search_and_greedy_eval_start_no_worker(self, monkeypatch):
-        monkeypatch.setattr(net_mod, "_workers", None)
+        monkeypatch.setattr(ad, "_pool", None)
         threads = threading.active_count()
         net = PolicyValueNet.create(NetConfig(problem="tsp", **DESK_NET), seed=6)
         insts = [generate_tsp(6, seed=600 + k) for k in range(64)]
@@ -424,7 +424,7 @@ class TestRowChunks:
         state = initial_state(insts[0])
         evaluator, opponent = NetEvaluator(net), GreedyNetPolicy(net)
         plan(state, state, evaluator, opponent, PlannerConfig(), RoutingGame(insts[0]), rng=np.random.default_rng(6))
-        assert net_mod._workers is None and threading.active_count() == threads
+        assert ad._pool is None and threading.active_count() == threads
 
     @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
     def test_a_forked_child_starts_a_pool_of_its_own(self, monkeypatch):
@@ -432,7 +432,7 @@ class TestRowChunks:
         batch = stack(random_states(generate_tsp(6, seed=8), 5, np.random.default_rng(8)))
         serial = net.forward(batch).tobytes()
         split_rows(monkeypatch, 2)
-        assert net.forward(batch).tobytes() == serial and net_mod._workers is not None
+        assert net.forward(batch).tobytes() == serial and ad._pool is not None
         with multiprocessing.get_context("fork").Pool(1) as pool:  # the child inherits no worker thread
             assert pool.apply_async(forward_bytes, (net, batch)).get(timeout=60) == serial
 
@@ -671,7 +671,7 @@ class RecordingPool(ThreadPoolExecutor):
 def recording_pool(monkeypatch):
     """Every pooled step on a fresh two-worker `RecordingPool`, shut down after the test."""
     pool = RecordingPool(2)
-    monkeypatch.setattr(net_mod, "_workers", pool)
+    monkeypatch.setattr(ad, "_pool", pool)
     yield pool
     pool.shutdown(wait=True)
 
@@ -679,7 +679,7 @@ def recording_pool(monkeypatch):
 def pool_train_steps(monkeypatch, cpus, chunk_states=3):
     """Make every train step pool its work over ``cpus`` threads, in sublayer chunks of ``chunk_states`` states."""
     monkeypatch.setattr(net_mod, "SPLIT_MIN_WORK", 0)
-    monkeypatch.setattr(net_mod, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(ad, "CHUNK_STATES", chunk_states)
 
 
@@ -738,13 +738,13 @@ class TestPooledTrainStep:
         assert rows == [8] * 16, "two chunks per ffn: 2 layers in each of 4 encodes (policy, opponent, own, opponent)"
 
     def test_a_desk_step_starts_no_pool_and_no_thread(self, monkeypatch):
-        monkeypatch.setattr(net_mod, "_workers", None)
-        monkeypatch.setattr(net_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(ad, "_pool", None)
+        monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
         threads = threading.active_count()
         net = PolicyValueNet.create(NetConfig(problem="tsp", **DESK_NET), seed=0)
         policy, value = training_batches(generate_tsp(6, seed=20), DESK_NET["batch_size"], np.random.default_rng(20))
         net.train_step(policy, value, Adam.zeros(net.params))
-        assert net_mod._workers is None and threading.active_count() == threads
+        assert ad._pool is None and threading.active_count() == threads
 
     @pytest.mark.parametrize("where", ["chunk", "product"])
     def test_a_worker_error_leaves_the_net_and_adam_unchanged(self, monkeypatch, recording_pool, where):
@@ -778,10 +778,10 @@ class TestPooledTrainStep:
         # the sublayer chunks write into outputs allocated once, and few products are in flight at a time
         net = PolicyValueNet.create(NetConfig(problem="tsp"), seed=22)
         _, value = training_batches(generate_tsp(10, seed=22), 64, np.random.default_rng(22))
-        monkeypatch.setattr(net_mod, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
         serial = train_step_peak_bytes(net.copy(), None, value)
         assert not recording_pool.futures
-        monkeypatch.setattr(net_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(ad, "usable_cpus", lambda: 2)
         pooled = train_step_peak_bytes(net.copy(), None, value)
         assert recording_pool.futures, "a default-size step of 64 TSP-10 states pools"
         assert pooled <= 1.05 * serial
